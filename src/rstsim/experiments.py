@@ -10,7 +10,6 @@ worker count. Reductions happen in index order after all trials complete.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -28,10 +27,9 @@ from .gaussian import (
     GaussianModel,
     LinearClassifier,
     canonical_model,
+    error_rates,
     mc_error_estimate,
-    robust_error,
     sample_labeled,
-    standard_error,
 )
 from .rst import LogisticModel, RstConfig, rst_train, standard_train
 from .smoothing import SmoothingConfig, certify, linf_radius_from_l2
@@ -101,7 +99,7 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class TrialRow:
-    """One per-trial record; wall_time is diagnostic only, never serialized."""
+    """One per-trial record, serialized as one trial CSV line."""
 
     experiment: str
     n0: int
@@ -115,7 +113,6 @@ class TrialRow:
     rob_err: float | None
     gamma: float | None
     seed: int
-    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -240,14 +237,13 @@ def supervised_label_threshold(n0: int, d: int, epsilon: float) -> int:
 
 def _closed_form_row(experiment: str, model: GaussianModel, clf,
                      spec: ExperimentSpec, *, n_labeled, n_unlabeled,
-                     relevant_fraction, trial, gamma, seed,
-                     wall_time) -> TrialRow:
+                     relevant_fraction, trial, gamma, seed) -> TrialRow:
+    std_err, rob_err = error_rates(model, clf)
     return TrialRow(
         experiment=experiment, n0=spec.n0, d=spec.d, epsilon=spec.epsilon,
         n_labeled=n_labeled, n_unlabeled=n_unlabeled,
         relevant_fraction=relevant_fraction, trial=trial,
-        std_err=standard_error(model, clf), rob_err=robust_error(model, clf),
-        gamma=gamma, seed=seed, wall_time=wall_time)
+        std_err=std_err, rob_err=rob_err, gamma=gamma, seed=seed)
 
 
 def _summaries_for(experiment: str, grid_key: str, grid_value: str,
@@ -280,7 +276,6 @@ def run_verify_closed_form(spec: ExperimentSpec) -> tuple[list[TrialRow],
         dims.append(2 if i % 5 < 2 else (16 if i % 5 < 4 else 1024))
 
     def one_pair(index: int, stream: RngStream):
-        start = time.perf_counter()
         i = index
         d = dims[i]
         eps = 0.0 if (i % 7 == 1 and i != 0) else spec.epsilon
@@ -291,14 +286,12 @@ def run_verify_closed_form(spec: ExperimentSpec) -> tuple[list[TrialRow],
             theta = stream.standard_normal(d) + model.mu / math.sqrt(d)
         clf = LinearClassifier(theta=theta)
         std_mc, rob_mc = mc_error_estimate(model, clf, spec.mc_samples, stream)
-        elapsed = time.perf_counter() - start
+        std_err, rob_err = error_rates(model, clf)
         closed = TrialRow(
             experiment="verify_closed_form:closed", n0=spec.n0, d=d,
             epsilon=eps, n_labeled=None, n_unlabeled=None,
-            relevant_fraction=None, trial=i,
-            std_err=standard_error(model, clf),
-            rob_err=robust_error(model, clf), gamma=None, seed=index,
-            wall_time=elapsed)
+            relevant_fraction=None, trial=i, std_err=std_err,
+            rob_err=rob_err, gamma=None, seed=index)
         mc = replace(closed, experiment="verify_closed_form:mc",
                      std_err=std_mc, rob_err=rob_mc)
         return closed, mc
@@ -348,24 +341,22 @@ def run_gap(spec: ExperimentSpec) -> tuple[list[TrialRow], list[SummaryRow]]:
 
     def supervised_arm(experiment: str, n: int, base: int) -> list[TrialRow]:
         def one(index: int, stream: RngStream) -> TrialRow:
-            start = time.perf_counter()
             clf = _supervised_draw(model, n, stream, spec.use_fast_sampler)
             return _closed_form_row(
                 experiment, model, clf, spec, n_labeled=n, n_unlabeled=None,
                 relevant_fraction=None, trial=index - base, gamma=None,
-                seed=index, wall_time=time.perf_counter() - start)
+                seed=index)
         return _run_indexed(one, trials, spec.master_seed, base, spec.workers)
 
     def selftrain_arm(experiment: str, base: int) -> list[TrialRow]:
         def one(index: int, stream: RngStream) -> TrialRow:
-            start = time.perf_counter()
             res = _selftrain_draw(model, n0, n_tilde, spec.relevant_fraction,
                                   stream, spec.use_fast_sampler)
             return _closed_form_row(
                 experiment, model, res.final, spec, n_labeled=n0,
                 n_unlabeled=n_tilde, relevant_fraction=spec.relevant_fraction,
                 trial=index - base, gamma=res.pseudo_label_agreement,
-                seed=index, wall_time=time.perf_counter() - start)
+                seed=index)
         return _run_indexed(one, trials, spec.master_seed, base, spec.workers)
 
     arms = [
@@ -401,7 +392,6 @@ def run_unlabeled_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
 
         def one(index: int, stream: RngStream, n_tilde=n_tilde,
                 base=base) -> TrialRow:
-            start = time.perf_counter()
             if n_tilde == 0:
                 clf = _supervised_draw(model, n, stream, spec.use_fast_sampler)
                 gamma = None
@@ -414,8 +404,7 @@ def run_unlabeled_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
                 "unlabeled_sweep", model, clf, spec, n_labeled=n,
                 n_unlabeled=n_tilde,
                 relevant_fraction=spec.relevant_fraction if n_tilde else None,
-                trial=index - base, gamma=gamma, seed=index,
-                wall_time=time.perf_counter() - start)
+                trial=index - base, gamma=gamma, seed=index)
 
         point_rows = _run_indexed(one, trials, spec.master_seed, base,
                                   spec.workers)
@@ -449,14 +438,13 @@ def run_irrelevant_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
 
             def one(index: int, stream: RngStream, alpha=alpha, size=size,
                     base=base) -> TrialRow:
-                start = time.perf_counter()
                 res = _selftrain_draw(model, n, size, alpha, stream,
                                       spec.use_fast_sampler)
                 return _closed_form_row(
                     experiment, model, res.final, spec, n_labeled=n,
                     n_unlabeled=size, relevant_fraction=alpha,
                     trial=index - base, gamma=res.pseudo_label_agreement,
-                    seed=index, wall_time=time.perf_counter() - start)
+                    seed=index)
 
             point_rows = _run_indexed(one, trials, spec.master_seed, base,
                                       spec.workers)
@@ -492,14 +480,13 @@ def run_label_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
         base = j * trials
 
         def one(index: int, stream: RngStream, n=n, base=base) -> TrialRow:
-            start = time.perf_counter()
             res = _selftrain_draw(model, n, n_tilde, spec.relevant_fraction,
                                   stream, spec.use_fast_sampler)
             return _closed_form_row(
                 "label_sweep", model, res.final, spec, n_labeled=n,
                 n_unlabeled=n_tilde, relevant_fraction=spec.relevant_fraction,
                 trial=index - base, gamma=res.pseudo_label_agreement,
-                seed=index, wall_time=time.perf_counter() - start)
+                seed=index)
 
         point_rows = _run_indexed(one, trials, spec.master_seed, base,
                                   spec.workers)
@@ -531,7 +518,6 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
     trials = spec.trial_count
 
     def one(index: int, stream: RngStream):
-        start = time.perf_counter()
         labeled = sample_labeled(model, n, stream)
         pool, hidden = sample_mixture(model, n_tilde, spec.relevant_fraction,
                                       stream)
@@ -542,17 +528,16 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
         gamma = float(np.mean(pseudo * hidden))
         rst = rst_train(labeled, (pool, pseudo), config, stream)
         base = rst_train(labeled, None, config, stream)
-        elapsed = time.perf_counter() - start
         rst_row = _closed_form_row(
             "rst_demo:rst", model, LinearClassifier(theta=rst.model.theta),
             spec, n_labeled=n, n_unlabeled=n_tilde,
             relevant_fraction=spec.relevant_fraction, trial=index,
-            gamma=gamma, seed=index, wall_time=elapsed)
+            gamma=gamma, seed=index)
         base_row = _closed_form_row(
             "rst_demo:labeled_only", model,
             LinearClassifier(theta=base.model.theta), spec, n_labeled=n,
             n_unlabeled=None, relevant_fraction=None, trial=index, gamma=None,
-            seed=index, wall_time=0.0)
+            seed=index)
         return rst_row, base_row
 
     pairs = _run_indexed(one, trials, spec.master_seed, 0, spec.workers)

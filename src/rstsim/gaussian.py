@@ -10,6 +10,7 @@ misclassification probabilities reduce to Gaussian tail evaluations.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,18 +112,39 @@ def canonical_model(n0: int, d: int, epsilon: float,
     return GaussianModel(mu=np.ones(d), sigma=sigma, epsilon=epsilon, n0=n0)
 
 
-def sample_labeled(model: GaussianModel, n: int, stream: RngStream) -> LabeledSet:
-    """Draw n labeled samples.
+# Monte Carlo scores the sample in blocks of about this many scalars, so
+# its memory is O(n + block) rather than O(n d).
+_MC_BLOCK_SCALARS = 1 << 20
+
+
+def _labeled_blocks(model: GaussianModel, n: int, stream: RngStream,
+                    rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (ys, xs) for consecutive blocks of at most `rows` sample rows.
 
     Draw order (fixed for reproducibility): n label bits first, then the
-    (n, d) noise matrix row-major. x_i = y_i * mu + sigma * z_i.
+    (n, d) noise matrix row-major. x_i = y_i * mu + sigma * z_i. Every
+    block's xs is a view of one buffer that the next block overwrites.
     """
+    ys = 2 * stream.integers(0, 2, size=n, dtype=np.int64) - 1
+    rows = min(rows, n)
+    xs = np.empty((rows, model.d))
+    y_mu = np.empty_like(xs)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        x, m = xs[:stop - start], y_mu[:stop - start]
+        stream.standard_normal(out=x)
+        x *= model.sigma
+        np.multiply(ys[start:stop, None], model.mu, out=m)
+        x += m
+        yield ys[start:stop], x
+
+
+def sample_labeled(model: GaussianModel, n: int, stream: RngStream) -> LabeledSet:
+    """Draw n labeled samples, in the fixed draw order of _labeled_blocks."""
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ys = 2 * stream.integers(0, 2, size=n, dtype=np.int64) - 1
-    zs = stream.standard_normal((n, model.d))
-    xs = ys[:, None] * model.mu[None, :] + model.sigma * zs
+    ys, xs = next(_labeled_blocks(model, n, stream, n))
     return LabeledSet(xs=xs, ys=ys)
 
 
@@ -141,21 +163,26 @@ def _alignment_ratios(model: GaussianModel, clf: LinearClassifier) -> tuple[floa
     return mu_dot / (model.sigma * l2), l1 / (model.sigma * l2)
 
 
+def error_rates(model: GaussianModel, clf: LinearClassifier) -> tuple[float, float]:
+    """Exact (standard, robust) error rates from one alignment pass.
+
+    Standard: Q(mu^T theta / (sigma ||theta||_2)). Robust: the optimal
+    l-infinity attack shifts the score by epsilon * ||theta||_1 against
+    the label, giving Q((mu^T theta - epsilon ||theta||_1) / (sigma ||theta||_2)),
+    never smaller than the standard rate and equal to it when epsilon = 0.
+    """
+    align, l1_ratio = _alignment_ratios(model, clf)
+    return q_function(align), q_function(align - model.epsilon * l1_ratio)
+
+
 def standard_error(model: GaussianModel, clf: LinearClassifier) -> float:
-    """Exact clean misclassification probability Q(mu^T theta / (sigma ||theta||_2))."""
-    align, _ = _alignment_ratios(model, clf)
-    return q_function(align)
+    """Exact clean misclassification probability (see error_rates)."""
+    return error_rates(model, clf)[0]
 
 
 def robust_error(model: GaussianModel, clf: LinearClassifier) -> float:
-    """Exact worst-case l-infinity misclassification probability.
-
-    The optimal attack shifts the score by epsilon * ||theta||_1 against
-    the label, giving Q((mu^T theta - epsilon ||theta||_1) / (sigma ||theta||_2)).
-    Never smaller than standard_error; equal when epsilon = 0.
-    """
-    align, l1_ratio = _alignment_ratios(model, clf)
-    return q_function(align - model.epsilon * l1_ratio)
+    """Exact worst-case l-infinity misclassification probability (see error_rates)."""
+    return error_rates(model, clf)[1]
 
 
 def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
@@ -167,6 +194,10 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     sign(0) = +1, so a zero worst-case score counts as an error only for
     y = -1. Both rates use the same sample, so they are comparable and
     the robust rate dominates the standard rate realization-wise.
+
+    The sample is drawn exactly as sample_labeled(model, n_samples, stream)
+    would draw it, but scored one block of about 2^20 scalars at a time,
+    so memory is O(n_samples + block), not O(n_samples * d).
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -177,11 +208,13 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
             f"theta has dimension {theta.size}, model has dimension {model.d}")
     if float(np.sum(theta * theta)) == 0.0:
         raise ValueError("theta must be nonzero")
-    data = sample_labeled(model, n_samples, stream)
-    scores = np.einsum("ij,j->i", data.xs, theta)
-    preds = np.where(scores >= 0.0, 1, -1)
-    std_rate = float(np.mean(preds != data.ys))
-    margin = data.ys * scores - model.epsilon * float(np.sum(np.abs(theta)))
-    rob_miss = (margin < 0.0) | ((margin == 0.0) & (data.ys == -1))
-    rob_rate = float(np.mean(rob_miss))
-    return std_rate, rob_rate
+    l1 = float(np.sum(np.abs(theta)))
+    rows = max(1, _MC_BLOCK_SCALARS // model.d)
+    std_miss = rob_miss = 0
+    for ys, xs in _labeled_blocks(model, n_samples, stream, rows):
+        scores = np.einsum("ij,j->i", xs, theta)
+        std_miss += int(np.count_nonzero(np.where(scores >= 0.0, 1, -1) != ys))
+        margin = ys * scores - model.epsilon * l1
+        rob_miss += int(np.count_nonzero(
+            (margin < 0.0) | ((margin == 0.0) & (ys == -1))))
+    return std_miss / n_samples, rob_miss / n_samples

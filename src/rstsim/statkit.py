@@ -111,6 +111,21 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
 
 
+def _log_binomials(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # i = k..n and log C(n, i), the p-free part of the upper-tail terms
+    lf = _log_factorials(n)
+    i = np.arange(k, n + 1)
+    return i, lf[n] - lf[i] - lf[n - i]
+
+
+def _log_upper_tail(i: np.ndarray, log_binom: np.ndarray, n: int,
+                    p: float) -> float:
+    """log P(X >= k), X ~ Binomial(n, p), for 0 < p < 1, by log-sum-exp."""
+    log_terms = log_binom + i * math.log(p) + (n - i) * math.log1p(-p)
+    peak = log_terms.max()
+    return peak + math.log(np.exp(log_terms - peak).sum())
+
+
 def binomial_upper_tail(k: int, n: int, p: float) -> float:
     """Exact P(X >= k) for X ~ Binomial(n, p), summed in log space.
 
@@ -131,13 +146,8 @@ def binomial_upper_tail(k: int, n: int, p: float) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
-    lf = _log_factorials(n)
-    i = np.arange(k, n + 1)
-    log_terms = (lf[n] - lf[i] - lf[n - i]
-                 + i * math.log(p) + (n - i) * math.log1p(-p))
-    peak = log_terms.max()
-    total = peak + math.log(np.exp(log_terms - peak).sum())
-    return min(1.0, math.exp(total))
+    i, log_binom = _log_binomials(k, n)
+    return min(1.0, math.exp(_log_upper_tail(i, log_binom, n, p)))
 
 
 def clopper_pearson_lower(successes: int, draws: int, conf_alpha: float) -> float:
@@ -159,18 +169,14 @@ def clopper_pearson_lower(successes: int, draws: int, conf_alpha: float) -> floa
         raise ValueError(f"conf_alpha must lie strictly inside (0, 1), got {alpha!r}")
     if k == 0:
         return 0.0
-    lf = _log_factorials(n)
-    i = np.arange(k, n + 1)
-    log_binom = lf[n] - lf[i] - lf[n - i]
+    i, log_binom = _log_binomials(k, n)
 
     def tail(p: float) -> float:
         if p <= 0.0:
             return 0.0
         if p >= 1.0:
             return 1.0
-        log_terms = log_binom + i * math.log(p) + (n - i) * math.log1p(-p)
-        peak = log_terms.max()
-        return math.exp(peak + math.log(np.exp(log_terms - peak).sum()))
+        return math.exp(_log_upper_tail(i, log_binom, n, p))
 
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12:

@@ -1,6 +1,7 @@
 """Model construction, closed-form error laws, and Monte Carlo agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,32 @@ from rstsim.gaussian import (
     LabeledSet,
     LinearClassifier,
     canonical_model,
+    error_rates,
     mc_error_estimate,
     robust_error,
     sample_labeled,
     standard_error,
 )
+from rstsim import gaussian
 from rstsim.statkit import q_function, split_stream
+
+
+def _materialized_sample(model, n, stream):
+    # the whole-matrix sampler: n label bits, then the (n, d) noise row-major
+    ys = 2 * stream.integers(0, 2, size=n, dtype=np.int64) - 1
+    zs = stream.standard_normal((n, model.d))
+    return ys[:, None] * model.mu[None, :] + model.sigma * zs, ys
+
+
+def _materialized_mc(model, clf, n, stream):
+    # materialize-then-score reference for the blocked Monte Carlo
+    xs, ys = _materialized_sample(model, n, stream)
+    scores = np.einsum("ij,j->i", xs, clf.theta)
+    preds = np.where(scores >= 0.0, 1, -1)
+    std_rate = float(np.mean(preds != ys))
+    margin = ys * scores - model.epsilon * float(np.sum(np.abs(clf.theta)))
+    rob_miss = (margin < 0.0) | ((margin == 0.0) & (ys == -1))
+    return std_rate, float(np.mean(rob_miss))
 
 
 class TestCanonicalModel:
@@ -126,6 +147,21 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             standard_error(m, LinearClassifier(theta=np.ones(8)))
 
+    def test_error_rates_is_both_closed_forms(self):
+        stream = split_stream(14, 0)
+        for d, eps in ((1, 0.1), (16, 0.0), (32, 0.3), (1000, 0.45)):
+            m = canonical_model(4, d, eps)
+            for _ in range(5):
+                clf = LinearClassifier(theta=stream.standard_normal(d) + 0.2)
+                std, rob = error_rates(m, clf)
+                assert (std, rob) == (standard_error(m, clf), robust_error(m, clf))
+                theta = clf.theta
+                l2 = float(np.sqrt(np.sum(theta * theta)))
+                align = float(np.sum(m.mu * theta)) / (m.sigma * l2)
+                l1_ratio = float(np.sum(np.abs(theta))) / (m.sigma * l2)
+                assert std == q_function(align)
+                assert rob == q_function(align - m.epsilon * l1_ratio)
+
 
 class TestSampling:
     def test_shapes_and_labels(self):
@@ -134,6 +170,13 @@ class TestSampling:
         assert data.xs.shape == (37, 16)
         assert data.ys.shape == (37,)
         assert set(np.unique(data.ys)) <= {-1, 1}
+
+    def test_matches_materialized_formula(self):
+        m = canonical_model(4, 16, 0.25)
+        data = sample_labeled(m, 300, split_stream(23, 0))
+        xs, ys = _materialized_sample(m, 300, split_stream(23, 0))
+        assert np.array_equal(data.xs, xs)
+        assert np.array_equal(data.ys, ys)
 
     def test_deterministic_given_stream(self):
         m = canonical_model(4, 16, 0.25)
@@ -177,3 +220,62 @@ class TestMonteCarloAgreement:
         clf = LinearClassifier(theta=np.ones(8))
         with pytest.raises(ValueError):
             mc_error_estimate(m, clf, 0, split_stream(33, 0))
+
+
+class TestBlockedMonteCarlo:
+    """The blocked estimate equals materialize-then-score bit for bit."""
+
+    @staticmethod
+    def _both(model, theta, n, seed):
+        clf = LinearClassifier(theta=theta)
+        got = mc_error_estimate(model, clf, n, split_stream(seed, 0))
+        want = _materialized_mc(model, clf, n, split_stream(seed, 0))
+        return got, want
+
+    @pytest.mark.parametrize("d,n", [
+        (16, 1000),            # n below one block
+        (1024, 2500),          # blocks of 1024 rows, last one 452
+        (2**20 + 3, 3),        # d above the block: one row per block
+        (1, 2**20 + 5),        # d = 1: a full block plus 5 rows
+    ])
+    def test_matches_materialized_reference(self, d, n):
+        m = canonical_model(4, d, 0.2)
+        theta = split_stream(40, d).standard_normal(d) + 0.5
+        got, want = self._both(m, theta, n, 41)
+        assert got == want
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_matches_reference_at_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", block)
+        for d, n in ((3, 50), (8, 97), (100, 9)):
+            m = canonical_model(4, d, 0.3)
+            theta = split_stream(42, d).standard_normal(d)
+            got, want = self._both(m, theta, n, 43)
+            assert got == want
+
+    def test_ties_follow_sign_zero(self):
+        # sigma at the smallest subnormal rounds most noise to exactly 0,
+        # so many scores are exactly zero (standard ties) ...
+        m = GaussianModel(mu=np.zeros(2), sigma=5e-324, epsilon=0.0)
+        theta = np.ones(2)
+        xs, _ = _materialized_sample(m, 3000, split_stream(44, 0))
+        assert np.count_nonzero(xs @ theta == 0.0) > 100
+        got, want = self._both(m, theta, 3000, 44)
+        assert got == want
+        # ... and with mu = 1, epsilon = 1 every worst-case margin is 0
+        m = GaussianModel(mu=np.ones(1), sigma=5e-324, epsilon=1.0)
+        got, want = self._both(m, np.ones(1), 3000, 45)
+        assert got == want
+        assert got[0] == 0.0 and 0.4 < got[1] < 0.6
+
+    def test_traced_peak_is_one_block(self):
+        m = canonical_model(4, 1024, 0.25)
+        clf = LinearClassifier(theta=np.ones(1024))
+        tracemalloc.start()
+        try:
+            mc_error_estimate(m, clf, 20_000, split_stream(46, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the materialized sample alone would be 3 x 164 MB
+        assert peak < 32 * 2**20
