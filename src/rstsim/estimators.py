@@ -122,7 +122,7 @@ def self_train(labeled: LabeledSet, unlabeled: UnlabeledSet) -> SelfTrainResult:
             f"unlabeled d={unlabeled.xs.shape[1]}")
     intermediate = supervised_estimator(labeled)
     scores = np.einsum("ij,j->i", unlabeled.xs, intermediate.theta)
-    tilde_ys = np.where(scores >= 0.0, 1, -1).astype(np.int64)
+    tilde_ys = np.where(scores >= 0.0, 1, -1)
     final = np.mean(tilde_ys[:, None] * unlabeled.xs, axis=0)
     agreement = None
     if unlabeled.hidden_ys is not None:
@@ -205,8 +205,8 @@ def fast_selftrain_sample(model: GaussianModel, n_labeled: int,
     ys_irr = 2 * stream.integers(0, 2, size=n_irr, dtype=np.int64) - 1
     z = stream.standard_normal(model.d)
 
-    tilde_rel = np.where(ys_rel * m + u[:n_rel] >= 0.0, 1, -1).astype(np.int64)
-    tilde_irr = np.where(u[n_rel:] >= 0.0, 1, -1).astype(np.int64)
+    tilde_rel = np.where(ys_rel * m + u[:n_rel] >= 0.0, 1, -1)
+    tilde_irr = np.where(u[n_rel:] >= 0.0, 1, -1)
     a_signal = float(np.sum(tilde_rel * ys_rel))
     b_noise = float(np.sum(tilde_irr * ys_irr))
     u_along = float(np.sum(tilde_rel * u[:n_rel]) + np.sum(tilde_irr * u[n_rel:]))

@@ -524,7 +524,7 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
         stage1 = standard_train(labeled, spec.stage1_learning_rate,
                                 spec.stage1_steps, spec.stage1_batch, stream)
         scores = np.einsum("ij,j->i", pool.xs, stage1.theta)
-        pseudo = np.where(scores >= 0.0, 1, -1).astype(np.int64)
+        pseudo = np.where(scores >= 0.0, 1, -1)
         gamma = float(np.mean(pseudo * hidden))
         rst = rst_train(labeled, (pool, pseudo), config, stream)
         base = rst_train(labeled, None, config, stream)

@@ -10,12 +10,13 @@ misclassification probabilities reduce to Gaussian tail evaluations.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statkit import RngStream, q_function
+from .statkit import RngStream, q_function, split_stream
 
 
 def _as_float_vector(v, name: str) -> np.ndarray:
@@ -112,39 +113,35 @@ def canonical_model(n0: int, d: int, epsilon: float,
     return GaussianModel(mu=np.ones(d), sigma=sigma, epsilon=epsilon, n0=n0)
 
 
-# Monte Carlo scores the sample in blocks of about this many scalars, so
-# its memory is O(n + block) rather than O(n d).
+# Monte Carlo draws and scores its sample in chunks of about this many
+# scalars, so its memory is O(threads * chunk) rather than O(n d).
 _MC_BLOCK_SCALARS = 1 << 20
 
 
-def _labeled_blocks(model: GaussianModel, n: int, stream: RngStream,
-                    rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (ys, xs) for consecutive blocks of at most `rows` sample rows.
+def _draw_labeled(model: GaussianModel, stream: RngStream,
+                  xs: np.ndarray) -> np.ndarray:
+    """Fill xs, an (n, d) buffer, with n labeled samples; return the labels.
 
     Draw order (fixed for reproducibility): n label bits first, then the
-    (n, d) noise matrix row-major. x_i = y_i * mu + sigma * z_i. Every
-    block's xs is a view of one buffer that the next block overwrites.
+    (n, d) noise matrix row-major. x_i = y_i * mu + sigma * z_i, formed in
+    place: adding or subtracting mu is exactly y_i * mu for y_i = +-1.
     """
-    ys = 2 * stream.integers(0, 2, size=n, dtype=np.int64) - 1
-    rows = min(rows, n)
-    xs = np.empty((rows, model.d))
-    y_mu = np.empty_like(xs)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        x, m = xs[:stop - start], y_mu[:stop - start]
-        stream.standard_normal(out=x)
-        x *= model.sigma
-        np.multiply(ys[start:stop, None], model.mu, out=m)
-        x += m
-        yield ys[start:stop], x
+    ys = 2 * stream.integers(0, 2, size=xs.shape[0], dtype=np.int64) - 1
+    stream.standard_normal(out=xs)
+    xs *= model.sigma
+    pos = (ys > 0)[:, None]
+    np.add(xs, model.mu, out=xs, where=pos)
+    np.subtract(xs, model.mu, out=xs, where=~pos)
+    return ys
 
 
 def sample_labeled(model: GaussianModel, n: int, stream: RngStream) -> LabeledSet:
-    """Draw n labeled samples, in the fixed draw order of _labeled_blocks."""
+    """Draw n labeled samples, in the fixed draw order of _draw_labeled."""
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ys, xs = next(_labeled_blocks(model, n, stream, n))
+    xs = np.empty((n, model.d))
+    ys = _draw_labeled(model, stream, xs)
     return LabeledSet(xs=xs, ys=ys)
 
 
@@ -185,6 +182,13 @@ def robust_error(model: GaussianModel, clf: LinearClassifier) -> float:
     return error_rates(model, clf)[1]
 
 
+def _mc_threads() -> int:
+    """Cores this process may run on: the Monte Carlo thread count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
                       n_samples: int, stream: RngStream) -> tuple[float, float]:
     """Monte Carlo (standard, robust) error rates on fresh samples.
@@ -195,9 +199,14 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     y = -1. Both rates use the same sample, so they are comparable and
     the robust rate dominates the standard rate realization-wise.
 
-    The sample is drawn exactly as sample_labeled(model, n_samples, stream)
-    would draw it, but scored one block of about 2^20 scalars at a time,
-    so memory is O(n_samples + block), not O(n_samples * d).
+    Draw order: one seed = stream.integers(0, 2**63), then chunk k of
+    R = max(1, 2^20 // d) rows, rows [k R, min((k + 1) R, n_samples)), is
+    drawn as sample_labeled(model, rows_k, split_stream(seed, k)) would
+    draw it. The layout depends only on n_samples and d, and the miss
+    counts are exact integer sums, so the result does not depend on how
+    many threads run the chunks: one per core this process may run on
+    (os.sched_getaffinity), at most one per chunk, each reusing one chunk
+    buffer. Memory is O(threads * R * d) whatever n_samples is.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -210,11 +219,29 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
         raise ValueError("theta must be nonzero")
     l1 = float(np.sum(np.abs(theta)))
     rows = max(1, _MC_BLOCK_SCALARS // model.d)
-    std_miss = rob_miss = 0
-    for ys, xs in _labeled_blocks(model, n_samples, stream, rows):
-        scores = np.einsum("ij,j->i", xs, theta)
-        std_miss += int(np.count_nonzero(np.where(scores >= 0.0, 1, -1) != ys))
-        margin = ys * scores - model.epsilon * l1
-        rob_miss += int(np.count_nonzero(
-            (margin < 0.0) | ((margin == 0.0) & (ys == -1))))
-    return std_miss / n_samples, rob_miss / n_samples
+    n_chunks = -(-n_samples // rows)
+    seed = int(stream.integers(0, 2**63))
+    threads = min(_mc_threads(), n_chunks)
+
+    def misses(first: int) -> tuple[int, int]:
+        # (standard, robust) miss counts of chunks first, first + threads, ...
+        buf = np.empty((min(rows, n_samples), model.d))
+        std_miss = rob_miss = 0
+        for k in range(first, n_chunks, threads):
+            xs = buf[:min(rows, n_samples - k * rows)]
+            ys = _draw_labeled(model, split_stream(seed, k), xs)
+            scores = np.einsum("ij,j->i", xs, theta)
+            std_miss += int(np.count_nonzero(np.where(scores >= 0.0, 1, -1) != ys))
+            margin = ys * scores - model.epsilon * l1
+            rob_miss += int(np.count_nonzero(
+                (margin < 0.0) | ((margin == 0.0) & (ys == -1))))
+        return std_miss, rob_miss
+
+    if threads == 1:
+        counts = [misses(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            counts = list(pool.map(misses, range(threads)))
+    std_total = sum(std for std, _ in counts)
+    rob_total = sum(rob for _, rob in counts)
+    return std_total / n_samples, rob_total / n_samples

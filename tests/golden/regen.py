@@ -1,0 +1,46 @@
+"""Rewrite the golden CSV corpus: PYTHONPATH=src python tests/golden/regen.py
+
+The corpus holds the trial and summary CSVs of the seven subcommands, at
+the sizes of acceptance criterion 11, seed 17 and one worker. Run this
+only after a deliberate change of draws or output, and say in CHANGES.md
+which files changed and why.
+"""
+
+import os
+
+from rstsim.cli import main as cli_main
+
+SEED = 17
+# the cases of acceptance criterion 11
+CASES = {
+    "verify": ["verify", "--trials", "4", "--mc-samples", "2000"],
+    "gap": ["gap", "--trials", "3"],
+    "sweep-unlabeled": ["sweep-unlabeled", "--trials", "2",
+                        "--n-unlabeled-grid", "0,2000,8000"],
+    "sweep-irrelevant": ["sweep-irrelevant", "--trials", "2",
+                         "--alphas", "1,0.5,0", "--n-unlabeled", "2000"],
+    "sweep-labels": ["sweep-labels", "--trials", "2",
+                     "--n-labeled-grid", "2,4", "--n-unlabeled", "2000"],
+    "rst-demo": ["rst-demo", "--trials", "2"],
+    "certify-demo": ["certify-demo", "--trials", "6", "--d", "4",
+                     "--noise-sigma", "1.5", "--n0-selection", "20",
+                     "--n-estimation", "500", "--conf-alpha", "0.01",
+                     "--radii", "0,0.5,1"],
+}
+
+
+def write_corpus(directory: str) -> list[str]:
+    """Run every case into directory; return the names of the files written."""
+    names = []
+    for name, args in CASES.items():
+        out = os.path.join(directory, f"{name}.csv")
+        code = cli_main(args + ["--seed", str(SEED), "--workers", "1",
+                                "--out", out])
+        if code != 0:
+            raise RuntimeError(f"{name} exited {code}")
+        names += [f"{name}.csv", f"{name}.csv.summary.csv"]
+    return names
+
+
+if __name__ == "__main__":
+    write_corpus(os.path.dirname(os.path.abspath(__file__)))

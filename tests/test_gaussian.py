@@ -28,15 +28,22 @@ def _materialized_sample(model, n, stream):
     return ys[:, None] * model.mu[None, :] + model.sigma * zs, ys
 
 
-def _materialized_mc(model, clf, n, stream):
-    # materialize-then-score reference for the blocked Monte Carlo
-    xs, ys = _materialized_sample(model, n, stream)
-    scores = np.einsum("ij,j->i", xs, clf.theta)
-    preds = np.where(scores >= 0.0, 1, -1)
-    std_rate = float(np.mean(preds != ys))
-    margin = ys * scores - model.epsilon * float(np.sum(np.abs(clf.theta)))
-    rob_miss = (margin < 0.0) | ((margin == 0.0) & (ys == -1))
-    return std_rate, float(np.mean(rob_miss))
+def _chunked_mc(model, clf, n, stream):
+    # reference for the chunked Monte Carlo: one seed from the caller's
+    # stream, then chunk k of R rows drawn by sample_labeled from
+    # split_stream(seed, k) and scored on its own
+    seed = int(stream.integers(0, 2**63))
+    rows = max(1, gaussian._MC_BLOCK_SCALARS // model.d)
+    l1 = float(np.sum(np.abs(clf.theta)))
+    std_miss = rob_miss = 0
+    for k, start in enumerate(range(0, n, rows)):
+        data = sample_labeled(model, min(rows, n - start), split_stream(seed, k))
+        scores = np.einsum("ij,j->i", data.xs, clf.theta)
+        std_miss += int(np.count_nonzero(np.where(scores >= 0.0, 1, -1) != data.ys))
+        margin = data.ys * scores - model.epsilon * l1
+        rob_miss += int(np.count_nonzero(
+            (margin < 0.0) | ((margin == 0.0) & (data.ys == -1))))
+    return std_miss / n, rob_miss / n
 
 
 class TestCanonicalModel:
@@ -223,20 +230,20 @@ class TestMonteCarloAgreement:
 
 
 class TestBlockedMonteCarlo:
-    """The blocked estimate equals materialize-then-score bit for bit."""
+    """The chunked estimate equals the per-chunk reference bit for bit."""
 
     @staticmethod
     def _both(model, theta, n, seed):
         clf = LinearClassifier(theta=theta)
         got = mc_error_estimate(model, clf, n, split_stream(seed, 0))
-        want = _materialized_mc(model, clf, n, split_stream(seed, 0))
+        want = _chunked_mc(model, clf, n, split_stream(seed, 0))
         return got, want
 
     @pytest.mark.parametrize("d,n", [
-        (16, 1000),            # n below one block
-        (1024, 2500),          # blocks of 1024 rows, last one 452
-        (2**20 + 3, 3),        # d above the block: one row per block
-        (1, 2**20 + 5),        # d = 1: a full block plus 5 rows
+        (16, 1000),            # n below one chunk
+        (1024, 2500),          # chunks of 1024 rows, last one 452
+        (2**20 + 3, 3),        # d above the chunk size: one row per chunk
+        (1, 2**20 + 5),        # d = 1: a full chunk plus 5 rows
     ])
     def test_matches_materialized_reference(self, d, n):
         m = canonical_model(4, d, 0.2)
@@ -258,7 +265,8 @@ class TestBlockedMonteCarlo:
         # so many scores are exactly zero (standard ties) ...
         m = GaussianModel(mu=np.zeros(2), sigma=5e-324, epsilon=0.0)
         theta = np.ones(2)
-        xs, _ = _materialized_sample(m, 3000, split_stream(44, 0))
+        seed = int(split_stream(44, 0).integers(0, 2**63))
+        xs = sample_labeled(m, 3000, split_stream(seed, 0)).xs  # the one chunk
         assert np.count_nonzero(xs @ theta == 0.0) > 100
         got, want = self._both(m, theta, 3000, 44)
         assert got == want
@@ -268,7 +276,22 @@ class TestBlockedMonteCarlo:
         assert got == want
         assert got[0] == 0.0 and 0.4 < got[1] < 0.6
 
-    def test_traced_peak_is_one_block(self):
+    @pytest.mark.parametrize("block,d,n", [
+        (1 << 20, 1024, 4500),  # 5 chunks, the last one 404 rows
+        (7, 3, 50),             # 25 chunks of 2 rows
+    ])
+    def test_same_result_for_any_thread_count(self, monkeypatch, block, d, n):
+        monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", block)
+        m = canonical_model(4, d, 0.3)
+        clf = LinearClassifier(theta=split_stream(47, d).standard_normal(d) + 0.3)
+        want = _chunked_mc(m, clf, n, split_stream(48, 0))
+        for threads in (1, 2, 3, 5):
+            monkeypatch.setattr(gaussian, "_mc_threads", lambda: threads)
+            assert mc_error_estimate(m, clf, n, split_stream(48, 0)) == want
+
+    def test_traced_peak_is_one_block(self, monkeypatch):
+        # two threads, each holding one chunk buffer of 1024 x 1024 floats
+        monkeypatch.setattr(gaussian, "_mc_threads", lambda: 2)
         m = canonical_model(4, 1024, 0.25)
         clf = LinearClassifier(theta=np.ones(1024))
         tracemalloc.start()
