@@ -9,18 +9,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .experiments import (
     ExperimentSpec,
     RUNNERS,
     check_results,
+    default_rst_config,
     summary_csv_lines,
     summary_path_for,
     trial_csv_lines,
     write_csv,
 )
 from .gaussian import canonical_model
-from .rst import RstConfig
 from .smoothing import SmoothingConfig
 
 SUBCOMMAND_KINDS = {
@@ -310,28 +311,15 @@ def _build_spec(subcommand: str, options: dict) -> ExperimentSpec:
                 fields[key] = options[key]
         rst_keys = ("beta", "w_unlabeled", "learning_rate", "grad_steps",
                     "batch_size", "reg_kind")
-        if any(key in options for key in rst_keys):
-            fields["rst_config"] = RstConfig(
-                beta=float(options.get("beta", 3.0)),
-                w_unlabeled=float(options.get("w_unlabeled", 1.0)),
-                epsilon=eps,
-                learning_rate=float(options.get("learning_rate", 1e-3)),
-                grad_steps=int(options.get("grad_steps", 50)),
-                batch_size=int(options.get("batch_size", 256)),
-                reg_kind=options.get("reg_kind", "adversarial_exact"))
+        given = {key: options[key] for key in rst_keys if key in options}
+        fields["rst_config"] = replace(default_rst_config(eps), **given)
     if kind == "certify_demo":
         smoothing_keys = ("noise_sigma", "n0_selection", "n_estimation",
                           "conf_alpha")
-        if any(key in options for key in smoothing_keys):
-            sigma = options.get("noise_sigma")
-            if sigma is None:
-                sigma = canonical_model(n0, d, eps,
-                                        allow_large_epsilon=True).sigma
-            fields["smoothing"] = SmoothingConfig(
-                noise_sigma=float(sigma),
-                n0_selection=int(options.get("n0_selection", 100)),
-                n_estimation=int(options.get("n_estimation", 10_000)),
-                conf_alpha=float(options.get("conf_alpha", 1e-3)))
+        given = {key: options[key] for key in smoothing_keys if key in options}
+        given.setdefault("noise_sigma", canonical_model(
+            n0, d, eps, allow_large_epsilon=True).sigma)
+        fields["smoothing"] = SmoothingConfig(**given)
         if "radii" in options:
             fields["radii"] = tuple(options["radii"])
     return ExperimentSpec(**fields)

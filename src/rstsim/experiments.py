@@ -5,6 +5,13 @@ Trials are embarrassingly parallel: trial j of an experiment always uses
 split_stream(master_seed, global_index_j), with global indices assigned in
 fixed blocks per arm or grid point, so output is byte-identical for any
 worker count. Reductions happen in index order after all trials complete.
+
+The four closed-form drivers (gap and the three sweeps) only validate their
+grid and list their arms; one runner, _run_arms, draws each arm's estimator,
+scores it in closed form and summarizes the arm. Arm j of the list runs on
+the index block [j * trial_count, (j + 1) * trial_count), so the order of
+the list fixes every trial's seed: irrelevant_sweep's scaled curve follows
+its fixed curve and starts at len(alpha_grid) * trial_count.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import (
-    SelfTrainResult,
     fast_selftrain_sample,
     fast_supervised_sample,
     sample_mixture,
@@ -50,10 +56,6 @@ TRIAL_HEADER = ("experiment,n0,d,epsilon,n_labeled,n_unlabeled,"
                 "relevant_fraction,trial,std_err,rob_err,gamma,seed")
 SUMMARY_HEADER = "experiment,grid_key,grid_value,metric,mean,ci95_half_width,trials"
 
-EXPERIMENT_KINDS = ("verify_closed_form", "gap", "unlabeled_sweep",
-                    "irrelevant_sweep", "label_sweep", "rst_demo",
-                    "certify_demo")
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -83,7 +85,7 @@ class ExperimentSpec:
     use_fast_sampler: bool | None = None
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trial_count < 1:
             raise ValueError("trial_count must be >= 1")
@@ -129,10 +131,8 @@ class SummaryRow:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".17g")
+        return format_float(value)
     return str(value)
 
 
@@ -208,23 +208,6 @@ def _wants_fast(n_rows: int, d: int, override: bool | None, label: str) -> bool:
     return override
 
 
-def _supervised_draw(model: GaussianModel, n: int, stream: RngStream,
-                     override: bool | None) -> LinearClassifier:
-    if _wants_fast(n, model.d, override, "labeled sampling"):
-        return fast_supervised_sample(model, n, stream)
-    return supervised_estimator(sample_labeled(model, n, stream))
-
-
-def _selftrain_draw(model: GaussianModel, n: int, n_unlabeled: int,
-                    alpha: float, stream: RngStream,
-                    override: bool | None) -> SelfTrainResult:
-    if _wants_fast(n_unlabeled, model.d, override, "unlabeled sampling"):
-        return fast_selftrain_sample(model, n, n_unlabeled, alpha, stream)
-    labeled = sample_labeled(model, n, stream)
-    pool, _ = sample_mixture(model, n_unlabeled, alpha, stream)
-    return self_train(labeled, pool)
-
-
 def selftrain_pool_threshold(n0: int, d: int, epsilon: float) -> int:
     """Unlabeled-pool size at which self-training reaches low robust error."""
     return math.ceil(288.0 * n0 * epsilon**2 * math.sqrt(d / n0))
@@ -258,6 +241,69 @@ def _summaries_for(experiment: str, grid_key: str, grid_value: str,
                               grid_value=grid_value, metric=metric, mean=mean,
                               ci95_half_width=ci, trials=len(values)))
     return out
+
+
+def _labeled_count(spec: ExperimentSpec) -> int:
+    return spec.n_labeled if spec.n_labeled is not None else spec.n0
+
+
+def _pool_size(spec: ExperimentSpec) -> int:
+    """The self-training pool: spec.n_unlabeled, else the 288-threshold."""
+    n_tilde = (spec.n_unlabeled if spec.n_unlabeled is not None
+               else selftrain_pool_threshold(spec.n0, spec.d, spec.epsilon))
+    if n_tilde < 1:
+        raise ValueError(f"n_unlabeled must be >= 1, got {n_tilde}")
+    return n_tilde
+
+
+def _run_arms(spec: ExperimentSpec, arms) -> tuple[list[TrialRow],
+                                                   list[SummaryRow]]:
+    """Run spec.trial_count closed-form trials per arm; summarize each arm.
+
+    An arm is (experiment, grid_key, grid_value, n_labeled, n_unlabeled,
+    alpha). It self-trains on n_unlabeled points when that is > 0 and draws
+    the supervised estimator otherwise; n_unlabeled goes to the trial rows
+    as given. Arm j runs on the index block [j * trials, (j + 1) * trials).
+    """
+    model = spec.model()
+    override = spec.use_fast_sampler
+    trials = spec.trial_count
+
+    def draw(n: int, n_unlabeled: int | None, alpha: float,
+             stream: RngStream) -> tuple[LinearClassifier, float | None]:
+        if not n_unlabeled:
+            if _wants_fast(n, model.d, override, "labeled sampling"):
+                return fast_supervised_sample(model, n, stream), None
+            return supervised_estimator(sample_labeled(model, n, stream)), None
+        if _wants_fast(n_unlabeled, model.d, override, "unlabeled sampling"):
+            res = fast_selftrain_sample(model, n, n_unlabeled, alpha, stream)
+        else:
+            labeled = sample_labeled(model, n, stream)
+            pool, _ = sample_mixture(model, n_unlabeled, alpha, stream)
+            res = self_train(labeled, pool)
+        return res.final, res.pseudo_label_agreement
+
+    rows: list[TrialRow] = []
+    summaries: list[SummaryRow] = []
+    for j, (experiment, grid_key, grid_value, n, n_unlabeled,
+            alpha) in enumerate(arms):
+        base = j * trials
+
+        def one(index: int, stream: RngStream, experiment=experiment, n=n,
+                n_unlabeled=n_unlabeled, alpha=alpha, base=base) -> TrialRow:
+            clf, gamma = draw(n, n_unlabeled, alpha, stream)
+            return _closed_form_row(
+                experiment, model, clf, spec, n_labeled=n,
+                n_unlabeled=n_unlabeled,
+                relevant_fraction=alpha if n_unlabeled else None,
+                trial=index - base, gamma=gamma, seed=index)
+
+        arm_rows = _run_indexed(one, trials, spec.master_seed, base,
+                                spec.workers)
+        rows.extend(arm_rows)
+        summaries.extend(_summaries_for(experiment, grid_key, grid_value,
+                                        arm_rows))
+    return rows, summaries
 
 
 def run_verify_closed_form(spec: ExperimentSpec) -> tuple[list[TrialRow],
@@ -330,46 +376,15 @@ def run_gap(spec: ExperimentSpec) -> tuple[list[TrialRow], list[SummaryRow]]:
     """Three-arm comparison: supervised at n0, supervised at the robust
     sample-complexity threshold, and self-training at n0 labels plus the
     unlabeled threshold."""
-    model = spec.model()
-    n0 = spec.n_labeled if spec.n_labeled is not None else spec.n0
+    n0 = _labeled_count(spec)
     n_big = supervised_label_threshold(spec.n0, spec.d, spec.epsilon)
-    n_tilde = (spec.n_unlabeled if spec.n_unlabeled is not None
-               else selftrain_pool_threshold(spec.n0, spec.d, spec.epsilon))
-    trials = spec.trial_count
-    rows: list[TrialRow] = []
-    summaries: list[SummaryRow] = []
-
-    def supervised_arm(experiment: str, n: int, base: int) -> list[TrialRow]:
-        def one(index: int, stream: RngStream) -> TrialRow:
-            clf = _supervised_draw(model, n, stream, spec.use_fast_sampler)
-            return _closed_form_row(
-                experiment, model, clf, spec, n_labeled=n, n_unlabeled=None,
-                relevant_fraction=None, trial=index - base, gamma=None,
-                seed=index)
-        return _run_indexed(one, trials, spec.master_seed, base, spec.workers)
-
-    def selftrain_arm(experiment: str, base: int) -> list[TrialRow]:
-        def one(index: int, stream: RngStream) -> TrialRow:
-            res = _selftrain_draw(model, n0, n_tilde, spec.relevant_fraction,
-                                  stream, spec.use_fast_sampler)
-            return _closed_form_row(
-                experiment, model, res.final, spec, n_labeled=n0,
-                n_unlabeled=n_tilde, relevant_fraction=spec.relevant_fraction,
-                trial=index - base, gamma=res.pseudo_label_agreement,
-                seed=index)
-        return _run_indexed(one, trials, spec.master_seed, base, spec.workers)
-
-    arms = [
-        ("gap:supervised_n0", supervised_arm("gap:supervised_n0", n0, 0)),
-        ("gap:supervised_scaled",
-         supervised_arm("gap:supervised_scaled", n_big, trials)),
-        ("gap:selftrain", selftrain_arm("gap:selftrain", 2 * trials)),
-    ]
-    for name, arm_rows in arms:
-        rows.extend(arm_rows)
-        summaries.extend(_summaries_for(name, "arm", name.split(":")[1],
-                                        arm_rows))
-    return rows, summaries
+    alpha = spec.relevant_fraction
+    return _run_arms(spec, [
+        ("gap:supervised_n0", "arm", "supervised_n0", n0, None, alpha),
+        ("gap:supervised_scaled", "arm", "supervised_scaled", n_big, None,
+         alpha),
+        ("gap:selftrain", "arm", "selftrain", n0, _pool_size(spec), alpha),
+    ])
 
 
 def run_unlabeled_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
@@ -382,36 +397,10 @@ def run_unlabeled_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
         raise ValueError("n_unlabeled_grid must be ascending")
     if any(g < 0 for g in grid):
         raise ValueError("n_unlabeled_grid entries must be >= 0")
-    model = spec.model()
-    n = spec.n_labeled if spec.n_labeled is not None else spec.n0
-    trials = spec.trial_count
-    rows: list[TrialRow] = []
-    summaries: list[SummaryRow] = []
-    for j, n_tilde in enumerate(grid):
-        base = j * trials
-
-        def one(index: int, stream: RngStream, n_tilde=n_tilde,
-                base=base) -> TrialRow:
-            if n_tilde == 0:
-                clf = _supervised_draw(model, n, stream, spec.use_fast_sampler)
-                gamma = None
-            else:
-                res = _selftrain_draw(model, n, n_tilde,
-                                      spec.relevant_fraction, stream,
-                                      spec.use_fast_sampler)
-                clf, gamma = res.final, res.pseudo_label_agreement
-            return _closed_form_row(
-                "unlabeled_sweep", model, clf, spec, n_labeled=n,
-                n_unlabeled=n_tilde,
-                relevant_fraction=spec.relevant_fraction if n_tilde else None,
-                trial=index - base, gamma=gamma, seed=index)
-
-        point_rows = _run_indexed(one, trials, spec.master_seed, base,
-                                  spec.workers)
-        rows.extend(point_rows)
-        summaries.extend(_summaries_for("unlabeled_sweep", "n_unlabeled",
-                                        str(n_tilde), point_rows))
-    return rows, summaries
+    n = _labeled_count(spec)
+    return _run_arms(spec, [
+        ("unlabeled_sweep", "n_unlabeled", str(n_tilde), n, n_tilde,
+         spec.relevant_fraction) for n_tilde in grid])
 
 
 def run_irrelevant_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
@@ -424,40 +413,13 @@ def run_irrelevant_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
         raise ValueError("irrelevant_sweep needs a nonempty alpha_grid")
     if any(not (0.0 <= a <= 1.0) for a in grid):
         raise ValueError("alpha_grid entries must lie in [0, 1]")
-    model = spec.model()
-    n = spec.n_labeled if spec.n_labeled is not None else spec.n0
-    n_tilde = (spec.n_unlabeled if spec.n_unlabeled is not None
-               else selftrain_pool_threshold(spec.n0, spec.d, spec.epsilon))
-    trials = spec.trial_count
-    rows: list[TrialRow] = []
-    summaries: list[SummaryRow] = []
-
-    def curve(experiment: str, alphas, sizes, base0: int):
-        for j, (alpha, size) in enumerate(zip(alphas, sizes)):
-            base = base0 + j * trials
-
-            def one(index: int, stream: RngStream, alpha=alpha, size=size,
-                    base=base) -> TrialRow:
-                res = _selftrain_draw(model, n, size, alpha, stream,
-                                      spec.use_fast_sampler)
-                return _closed_form_row(
-                    experiment, model, res.final, spec, n_labeled=n,
-                    n_unlabeled=size, relevant_fraction=alpha,
-                    trial=index - base, gamma=res.pseudo_label_agreement,
-                    seed=index)
-
-            point_rows = _run_indexed(one, trials, spec.master_seed, base,
-                                      spec.workers)
-            rows.extend(point_rows)
-            summaries.extend(_summaries_for(experiment, "relevant_fraction",
-                                            format_float(alpha), point_rows))
-
-    curve("irrelevant_sweep:fixed", grid, [n_tilde] * len(grid), 0)
-    scaled_alphas = [a for a in grid if a > 0.0]
-    scaled_sizes = [math.ceil(n_tilde / (a * a)) for a in scaled_alphas]
-    curve("irrelevant_sweep:scaled", scaled_alphas, scaled_sizes,
-          len(grid) * trials)
-    return rows, summaries
+    n = _labeled_count(spec)
+    n_tilde = _pool_size(spec)
+    fixed = [("irrelevant_sweep:fixed", "relevant_fraction", format_float(a),
+              n, n_tilde, a) for a in grid]
+    scaled = [("irrelevant_sweep:scaled", "relevant_fraction", format_float(a),
+               n, math.ceil(n_tilde / (a * a)), a) for a in grid if a > 0.0]
+    return _run_arms(spec, fixed + scaled)
 
 
 def run_label_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
@@ -470,30 +432,10 @@ def run_label_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
         raise ValueError("n_labeled_grid entries must be >= 1")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_labeled_grid must be ascending")
-    model = spec.model()
-    n_tilde = (spec.n_unlabeled if spec.n_unlabeled is not None
-               else selftrain_pool_threshold(spec.n0, spec.d, spec.epsilon))
-    trials = spec.trial_count
-    rows: list[TrialRow] = []
-    summaries: list[SummaryRow] = []
-    for j, n in enumerate(grid):
-        base = j * trials
-
-        def one(index: int, stream: RngStream, n=n, base=base) -> TrialRow:
-            res = _selftrain_draw(model, n, n_tilde, spec.relevant_fraction,
-                                  stream, spec.use_fast_sampler)
-            return _closed_form_row(
-                "label_sweep", model, res.final, spec, n_labeled=n,
-                n_unlabeled=n_tilde, relevant_fraction=spec.relevant_fraction,
-                trial=index - base, gamma=res.pseudo_label_agreement,
-                seed=index)
-
-        point_rows = _run_indexed(one, trials, spec.master_seed, base,
-                                  spec.workers)
-        rows.extend(point_rows)
-        summaries.extend(_summaries_for("label_sweep", "n_labeled", str(n),
-                                        point_rows))
-    return rows, summaries
+    n_tilde = _pool_size(spec)
+    return _run_arms(spec, [
+        ("label_sweep", "n_labeled", str(n), n, n_tilde,
+         spec.relevant_fraction) for n in grid])
 
 
 def default_rst_config(epsilon: float) -> RstConfig:
@@ -509,7 +451,7 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
     training, both trained with the same budget; the margin is the mean
     robust-error improvement."""
     model = spec.model()
-    n = spec.n_labeled if spec.n_labeled is not None else spec.n0
+    n = _labeled_count(spec)
     n_tilde = spec.n_unlabeled if spec.n_unlabeled is not None else 3_000
     if n_tilde < 1:
         raise ValueError("rst_demo needs n_unlabeled >= 1")

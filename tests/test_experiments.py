@@ -258,6 +258,21 @@ def test_label_sweep_structure_and_validation():
         run_label_sweep(ExperimentSpec(**base, n_labeled_grid=(4, 2)))
 
 
+@pytest.mark.parametrize("kind,grid", [
+    ("gap", {}),
+    ("irrelevant_sweep", {"alpha_grid": (1.0, 0.5)}),
+    ("label_sweep", {"n_labeled_grid": (2, 4)}),
+])
+def test_empty_unlabeled_pool_is_refused(kind, grid):
+    # only sweep-unlabeled's grid may ask for no pool; elsewhere an empty
+    # pool must not quietly turn a self-training arm into supervision
+    from rstsim.experiments import RUNNERS
+    spec = ExperimentSpec(kind=kind, n0=5, d=24, epsilon=0.2, trial_count=1,
+                          n_unlabeled=0, **grid)
+    with pytest.raises(ValueError, match="n_unlabeled must be >= 1"):
+        RUNNERS[kind](spec)
+
+
 def _small_rst_spec(**kw):
     base = dict(kind="rst_demo", n0=8, d=10, epsilon=0.2, trial_count=2,
                 n_unlabeled=20, master_seed=3,
@@ -436,6 +451,44 @@ def test_check_certify_deviation():
                        grid_value="1")
     failures = check_results(spec, [], rows)
     assert len(failures) == 1
+
+
+def test_check_unlabeled_trend_slack():
+    spec = ExperimentSpec(kind="unlabeled_sweep", allow_large_epsilon=True,
+                          trial_count=1)
+    # slack = 1e-6 + 2 * sqrt(0.01^2 + 0.01^2) = 0.0283
+    rows = [_summary("unlabeled_sweep", "rob_err", 0.50, "0", ci=0.01),
+            _summary("unlabeled_sweep", "rob_err", 0.52, "10", ci=0.01)]
+    assert check_results(spec, [], rows) == []
+    rows[1] = _summary("unlabeled_sweep", "rob_err", 0.54, "10", ci=0.01)
+    failures = check_results(spec, [], rows)
+    assert len(failures) == 1 and "rose from 0.5000" in failures[0]
+
+
+def test_check_label_plateau_ignores_points_below_n0():
+    spec = ExperimentSpec(kind="label_sweep", n0=4, allow_large_epsilon=True,
+                          trial_count=1)
+    # n = 1 < n0 is far off the plateau and must not count
+    rows = [_summary("label_sweep", "rob_err", 0.90, "1", ci=0.01),
+            _summary("label_sweep", "rob_err", 0.10, "4", ci=0.01),
+            _summary("label_sweep", "rob_err", 0.12, "8", ci=0.01)]
+    assert check_results(spec, [], rows) == []
+    rows[2] = _summary("label_sweep", "rob_err", 0.14, "8", ci=0.01)
+    failures = check_results(spec, [], rows)
+    assert len(failures) == 1
+    assert "n=4 and n=8" in failures[0]
+
+
+def test_check_verify_tolerance_excess():
+    spec = ExperimentSpec(kind="verify_closed_form", allow_large_epsilon=True,
+                          trial_count=1)
+    rows = [_summary("verify_closed_form", "max_tolerance_excess_std", -1e-3),
+            _summary("verify_closed_form", "max_tolerance_excess_rob", -2e-3)]
+    assert check_results(spec, [], rows) == []
+    rows[1] = _summary("verify_closed_form", "max_tolerance_excess_rob", 1e-4)
+    failures = check_results(spec, [], rows)
+    assert len(failures) == 1
+    assert failures[0].startswith("max_tolerance_excess_rob")
 
 
 # ------------------------------------------------------------- determinism
