@@ -36,15 +36,19 @@ from .gaussian import (
     error_rates,
     mc_error_estimate,
     sample_labeled,
+    thread_budget,
 )
 from .rst import LogisticModel, RstConfig, rst_train, standard_train
-from .smoothing import SmoothingConfig, certify, linf_radius_from_l2
+from .smoothing import (
+    SmoothingConfig,
+    certified_accuracy_curve,
+    linf_radius_from_l2,
+    min_votes_for_radius,
+)
 from .statkit import (
     RngStream,
     binomial_upper_tail,
-    clopper_pearson_lower,
     gaussian_cdf,
-    inverse_gaussian_cdf,
     split_stream,
 )
 
@@ -128,43 +132,32 @@ class SummaryRow:
     trials: int
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
-
-
 def format_float(value: float) -> str:
     """17-significant-digit rendering used everywhere a float is serialized."""
     return format(float(value), ".17g")
 
 
+def _csv_lines(header: str, rows, float_fields: set[str]) -> list[str]:
+    """Header, then rows in its field order; None is an empty cell."""
+    def cell(row, field):
+        value = getattr(row, field)
+        if value is None:
+            return ""
+        if field in float_fields or isinstance(value, float):
+            return format_float(value)
+        return str(value)
+
+    fields = header.split(",")
+    return [header] + [",".join(cell(r, f) for f in fields) for r in rows]
+
+
 def trial_csv_lines(rows: list[TrialRow]) -> list[str]:
-    lines = [TRIAL_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            r.experiment, _fmt(r.n0), _fmt(r.d), _fmt(float(r.epsilon)),
-            _fmt(r.n_labeled), _fmt(r.n_unlabeled),
-            _fmt(None if r.relevant_fraction is None else float(r.relevant_fraction)),
-            _fmt(r.trial), _fmt(None if r.std_err is None else float(r.std_err)),
-            _fmt(None if r.rob_err is None else float(r.rob_err)),
-            _fmt(None if r.gamma is None else float(r.gamma)), _fmt(r.seed),
-        ]))
-    return lines
+    return _csv_lines(TRIAL_HEADER, rows, {"epsilon", "relevant_fraction",
+                                           "std_err", "rob_err", "gamma"})
 
 
 def summary_csv_lines(rows: list[SummaryRow]) -> list[str]:
-    lines = [SUMMARY_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            r.experiment, r.grid_key, r.grid_value, r.metric,
-            _fmt(float(r.mean)),
-            _fmt(None if r.ci95_half_width is None else float(r.ci95_half_width)),
-            _fmt(r.trials),
-        ]))
-    return lines
+    return _csv_lines(SUMMARY_HEADER, rows, {"mean", "ci95_half_width"})
 
 
 def write_csv(path: str, lines: list[str]) -> None:
@@ -321,6 +314,9 @@ def run_verify_closed_form(spec: ExperimentSpec) -> tuple[list[TrialRow],
     for i in range(n_pairs):
         dims.append(2 if i % 5 < 2 else (16 if i % 5 < 4 else 1024))
 
+    # the pairs run on spec.workers threads, which share the cores
+    threads = thread_budget(spec.workers)
+
     def one_pair(index: int, stream: RngStream):
         i = index
         d = dims[i]
@@ -331,7 +327,8 @@ def run_verify_closed_form(spec: ExperimentSpec) -> tuple[list[TrialRow],
         else:
             theta = stream.standard_normal(d) + model.mu / math.sqrt(d)
         clf = LinearClassifier(theta=theta)
-        std_mc, rob_mc = mc_error_estimate(model, clf, spec.mc_samples, stream)
+        std_mc, rob_mc = mc_error_estimate(model, clf, spec.mc_samples, stream,
+                                           threads)
         std_err, rob_err = error_rates(model, clf)
         closed = TrialRow(
             experiment="verify_closed_form:closed", n0=spec.n0, d=d,
@@ -360,15 +357,12 @@ def run_verify_closed_form(spec: ExperimentSpec) -> tuple[list[TrialRow],
         excess_std.append(g_std - tolerance(mc.std_err))
         excess_rob.append(g_rob - tolerance(mc.rob_err))
     summaries = [
-        SummaryRow("verify_closed_form", "aggregate", "all", "max_abs_gap_std",
-                   max(gaps_std), None, n_pairs),
-        SummaryRow("verify_closed_form", "aggregate", "all", "max_abs_gap_rob",
-                   max(gaps_rob), None, n_pairs),
-        SummaryRow("verify_closed_form", "aggregate", "all",
-                   "max_tolerance_excess_std", max(excess_std), None, n_pairs),
-        SummaryRow("verify_closed_form", "aggregate", "all",
-                   "max_tolerance_excess_rob", max(excess_rob), None, n_pairs),
-    ]
+        SummaryRow("verify_closed_form", "aggregate", "all", metric,
+                   max(values), None, n_pairs)
+        for metric, values in (("max_abs_gap_std", gaps_std),
+                               ("max_abs_gap_rob", gaps_rob),
+                               ("max_tolerance_excess_std", excess_std),
+                               ("max_tolerance_excess_rob", excess_rob))]
     return rows, summaries
 
 
@@ -496,30 +490,6 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
     return rows, summaries
 
 
-def min_votes_for_radius(radius: float, config: SmoothingConfig) -> int:
-    """Smallest estimation-stage vote count certifying at least this radius.
-
-    Returns n_estimation + 1 when no count suffices. Monotone in radius.
-    """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    lo, hi = 0, config.n_estimation + 1
-
-    def certifies(k: int) -> bool:
-        p = clopper_pearson_lower(k, config.n_estimation, config.conf_alpha)
-        if p <= 0.5:
-            return False
-        return config.noise_sigma * inverse_gaussian_cdf(p) >= radius
-
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if certifies(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def analytic_certified_accuracy(model: LogisticModel, xs: np.ndarray,
                                 ys: np.ndarray, radii, config: SmoothingConfig
                                 ) -> list[tuple[float, float, float]]:
@@ -560,7 +530,8 @@ def run_certify_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
     """Certified accuracy curve of the smoothed mean-direction classifier.
 
     Test points are fresh draws from the model; the base classifier is the
-    halfspace along mu. Per-trial CSV is header-only (certification results
+    halfspace along mu, with exact vote counts, certified in one loop (not
+    split across workers). Per-trial CSV is header-only (certification results
     do not fit the error-rate schema); the curve lands in the summary file
     as certified_accuracy / analytic_accuracy / radius_linf per radius. The
     analytic rows carry 1.96 x the protocol's exact standard deviation in
@@ -572,36 +543,15 @@ def run_certify_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
     radii = tuple(float(r) for r in spec.radii)
     if not radii:
         radii = tuple(config.noise_sigma * f for f in (0.0, 0.5, 1.0, 1.5, 2.0))
-    if any(r < 0 for r in radii):
-        raise ValueError("radii must be nonnegative")
-    if any(b < a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be ascending")
     n_points = spec.trial_count
     points = sample_labeled(model, n_points, split_stream(spec.master_seed, 0))
     base_model = LogisticModel(theta=model.mu.copy())
-    theta = base_model.theta
-
-    def oracle(batch):
-        scores = np.einsum("ij,j->i", np.asarray(batch), theta)
-        return np.where(scores >= 0.0, 1, -1)
-
-    def one(index: int, stream: RngStream) -> float:
-        i = index - 1
-        res = certify(oracle, points.xs[i], config, stream)
-        if res.certified and res.label == int(points.ys[i]):
-            return res.radius
-        return 0.0
-
-    certified = _run_indexed(one, n_points, spec.master_seed, 1, spec.workers)
-    certified = np.asarray(certified)
+    curve = certified_accuracy_curve(base_model, points.xs, points.ys, radii,
+                                     config, split_stream(spec.master_seed, 1))
     analytic = analytic_certified_accuracy(base_model, points.xs, points.ys,
                                            radii, config)
     summaries: list[SummaryRow] = []
-    for (r, mean_a, sd_a) in analytic:
-        if r > 0:
-            acc = float(np.mean(certified >= r))
-        else:
-            acc = float(np.mean(certified > 0.0))
+    for (_, acc), (r, mean_a, sd_a) in zip(curve, analytic):
         ci = 1.96 * math.sqrt(max(acc * (1 - acc), 0.0) / n_points)
         key = format_float(r)
         summaries.append(SummaryRow("certify_demo", "radius_l2", key,

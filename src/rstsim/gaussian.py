@@ -183,14 +183,20 @@ def robust_error(model: GaussianModel, clf: LinearClassifier) -> float:
 
 
 def _mc_threads() -> int:
-    """Cores this process may run on: the Monte Carlo thread count."""
+    """Cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
+def thread_budget(callers: int) -> int:
+    """Chunk threads per estimate when callers run at once: a core share."""
+    return max(1, _mc_threads() // callers)
+
+
 def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
-                      n_samples: int, stream: RngStream) -> tuple[float, float]:
+                      n_samples: int, stream: RngStream,
+                      threads: int | None = None) -> tuple[float, float]:
     """Monte Carlo (standard, robust) error rates on fresh samples.
 
     The robust event is y * x^T theta - epsilon * ||theta||_1 < 0, i.e.
@@ -204,9 +210,9 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     drawn as sample_labeled(model, rows_k, split_stream(seed, k)) would
     draw it. The layout depends only on n_samples and d, and the miss
     counts are exact integer sums, so the result does not depend on how
-    many threads run the chunks: one per core this process may run on
-    (os.sched_getaffinity), at most one per chunk, each reusing one chunk
-    buffer. Memory is O(threads * R * d) whatever n_samples is.
+    many threads run the chunks: at most threads (default: the cores this
+    process may run on) and one per chunk, the caller among them, each
+    reusing one buffer. Memory is O(threads * R * d) for any n_samples.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -221,7 +227,9 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     rows = max(1, _MC_BLOCK_SCALARS // model.d)
     n_chunks = -(-n_samples // rows)
     seed = int(stream.integers(0, 2**63))
-    threads = min(_mc_threads(), n_chunks)
+    threads = min(thread_budget(1) if threads is None else threads, n_chunks)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     def misses(first: int) -> tuple[int, int]:
         # (standard, robust) miss counts of chunks first, first + threads, ...
@@ -237,11 +245,8 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
                 (margin < 0.0) | ((margin == 0.0) & (ys == -1))))
         return std_miss, rob_miss
 
-    if threads == 1:
-        counts = [misses(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(misses, range(threads)))
-    std_total = sum(std for std, _ in counts)
-    rob_total = sum(rob for _, rob in counts)
+    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
+        others = pool.map(misses, range(1, threads))
+        counts = [misses(0), *others]
+    std_total, rob_total = map(sum, zip(*counts))
     return std_total / n_samples, rob_total / n_samples

@@ -25,17 +25,13 @@ _REG_KINDS = ("adversarial_exact", "adversarial_pg", "stability")
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    es = np.exp(arr[~pos])
-    out[~pos] = es / (1.0 + es)
-    return out.reshape(np.shape(s))
+    s = np.asarray(s, dtype=np.float64)
+    e = np.exp(-np.abs(s))
+    return np.where(s >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _clamp_probs(p: np.ndarray) -> np.ndarray:
-    return np.clip(p, _CLAMP, 1.0 - _CLAMP)
+    return np.minimum(np.maximum(p, _CLAMP), 1.0 - _CLAMP)
 
 
 def _sigmoid_pair(a: float) -> tuple[float, float]:
@@ -203,17 +199,18 @@ def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
     best_val = np.full(b, -1.0)
     best_x = xs.copy()
     for start_sign in (1.0, -1.0):
-        cur = np.clip(xs + start_sign * delta, lo, hi)
+        cur = xs + start_sign * delta
         for it in range(steps + 1):
+            # project onto the ball in place, in np.clip's order
+            np.minimum(np.maximum(cur, lo, out=cur), hi, out=cur)
             q = _clamp_probs(_sigmoid(np.einsum("ij,j->i", cur, theta)))
             val = _kl_vec(p, q)
             better = val > best_val
             best_val = np.where(better, val, best_val)
-            best_x[better] = cur[better]
+            np.copyto(best_x, cur, where=better[:, None])
             if it == steps:
                 break
-            direction = np.sign(q - p)[:, None] * sgn_theta[None, :]
-            cur = np.clip(cur + step_size * direction, lo, hi)
+            cur += (step_size * np.sign(q - p))[:, None] * sgn_theta
     return best_val, best_x
 
 

@@ -1,21 +1,29 @@
-"""Randomized smoothing certification over a black-box base classifier.
+"""Randomized smoothing certification over a base classifier.
 
 The protocol: take a plurality vote over noisy evaluations to select a
 candidate label, re-estimate its vote probability on fresh noise, lower
 bound that probability with a Clopper-Pearson interval, and certify the
 l2 radius noise_sigma * Phi^-1(p_lower) when the bound clears 1/2.
+
+A LogisticModel base is the halfspace sign(theta^T x), ties to +1, which
+votes +1 under N(0, sigma^2 I) noise with probability Phi(theta^T x /
+(sigma ||theta||)); its vote counts are drawn as exact binomials. Any other
+base is a batch oracle evaluated on drawn noise, the reference path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .rst import LogisticModel
 from .statkit import (
     RngStream,
     clopper_pearson_lower,
+    gaussian_cdf,
     inverse_gaussian_cdf,
     split_stream,
 )
@@ -67,13 +75,27 @@ class CertifyResult:
             raise ValueError("abstention carries no label and zero radius")
 
 
+def _halfspace_p_plus(theta: np.ndarray, x: np.ndarray, sigma: float) -> float:
+    """Probability that sign(theta^T (x + noise)), ties to +1, votes +1."""
+    if theta.shape != x.shape:
+        raise ValueError("x and theta dimensions differ")
+    l2 = math.sqrt(float(np.sum(theta * theta)))
+    if l2 == 0.0:  # every score is 0, a tie
+        return 1.0
+    return gaussian_cdf(float(np.sum(theta * x)) / (sigma * l2))
+
+
 def _count_noisy_votes(base, x: np.ndarray, n_draws: int, sigma: float,
                        stream: RngStream, target: int) -> int:
-    """Evaluate base on n_draws noisy copies of x; count votes for target."""
+    """Votes for target among base's labels of n_draws noisy copies of x:
+    one exact binomial draw for a LogisticModel, else oracle evaluations."""
+    if isinstance(base, LogisticModel):
+        p_plus = _halfspace_p_plus(base.theta, x, sigma)
+        return int(stream.binomial(n_draws, p_plus if target == 1
+                                   else 1.0 - p_plus))
     votes = 0
-    done = 0
     rows_per_chunk = max(1, _CHUNK_SCALARS // x.size)
-    while done < n_draws:
+    for done in range(0, n_draws, rows_per_chunk):
         rows = min(rows_per_chunk, n_draws - done)
         noise = sigma * stream.standard_normal((rows, x.size))
         labels = np.asarray(base(x[None, :] + noise))
@@ -83,32 +105,36 @@ def _count_noisy_votes(base, x: np.ndarray, n_draws: int, sigma: float,
         if not np.all(np.isin(labels, (-1, 1))):
             raise ValueError("oracle labels must be +-1")
         votes += int(np.sum(labels == target))
-        done += rows
     return votes
 
 
-def certify(base, x, config: SmoothingConfig, stream: RngStream) -> CertifyResult:
-    """Run the two-stage certification protocol at one input point.
-
-    base is a batch oracle mapping an (m, d) array to m labels in {-1, +1}.
-    Selection and estimation noise come from disjoint substreams seeded by
-    two draws from the provided stream (draw order: one integers(2) call),
-    so the Clopper-Pearson guarantee sees fresh estimation noise. The
-    selection plurality tie at even counts goes to label -1.
-    """
+def _vote_counts(base, x, config: SmoothingConfig, stream: RngStream) -> tuple[int, int]:
+    """(selected label, its estimation-stage votes) at x, drawn as certify
+    documents; certified_accuracy_curve shares these draws."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a 1-d vector")
     seeds = stream.integers(0, 2**63, size=2)
     selection = split_stream(int(seeds[0]), 0)
     estimation = split_stream(int(seeds[1]), 1)
-
     plus = _count_noisy_votes(base, x, config.n0_selection, config.noise_sigma,
                               selection, 1)
     y_hat = 1 if plus > config.n0_selection - plus else -1
+    return y_hat, _count_noisy_votes(base, x, config.n_estimation,
+                                     config.noise_sigma, estimation, y_hat)
 
-    k = _count_noisy_votes(base, x, config.n_estimation, config.noise_sigma,
-                           estimation, y_hat)
+
+def certify(base, x, config: SmoothingConfig, stream: RngStream) -> CertifyResult:
+    """Run the two-stage certification protocol at one input point.
+
+    base is a batch oracle mapping an (m, d) array to m labels in {-1, +1},
+    or a LogisticModel (exact vote counts). Selection and estimation noise
+    come from disjoint substreams seeded by two draws from the provided
+    stream (draw order: one integers(2) call), so the Clopper-Pearson
+    guarantee sees fresh estimation noise. The selection plurality tie at
+    even counts goes to label -1.
+    """
+    y_hat, k = _vote_counts(base, x, config, stream)
     p_lower = clopper_pearson_lower(k, config.n_estimation, config.conf_alpha)
     if p_lower > 0.5:
         radius = config.noise_sigma * inverse_gaussian_cdf(p_lower)
@@ -116,6 +142,25 @@ def certify(base, x, config: SmoothingConfig, stream: RngStream) -> CertifyResul
                              p_lower=p_lower, votes_top=k)
     return CertifyResult(certified=False, label=None, radius=0.0,
                          p_lower=p_lower, votes_top=k)
+
+
+@lru_cache
+def min_votes_for_radius(radius: float, config: SmoothingConfig) -> int:
+    """Smallest estimation-stage vote count certifying at least this radius.
+
+    Returns n_estimation + 1 when no count suffices. Monotone in radius.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    lo, hi = 0, config.n_estimation + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        p = clopper_pearson_lower(mid, config.n_estimation, config.conf_alpha)
+        if p > 0.5 and config.noise_sigma * inverse_gaussian_cdf(p) >= radius:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def linf_radius_from_l2(r: float, d: int) -> float:
@@ -133,10 +178,12 @@ def certified_accuracy_curve(base, xs, ys, radii, config: SmoothingConfig,
                              stream: RngStream) -> list[tuple[float, float]]:
     """Certified accuracy at each radius over a labeled point set.
 
-    A point counts at radius r when its run certified the true label with
-    a radius of at least r, so the curve is nonincreasing by construction.
-    Each point gets its own substream (draw order: one integers(n) call on
-    the provided stream), making results independent of evaluation order.
+    A point counts at radius r when its selected label is the true one and
+    its vote count reaches min_votes_for_radius(r): exactly when certify's
+    radius is >= r (r > 0) or it certifies at all (r = 0), since the bound
+    grows with the count. Each point gets its own substream (draw order:
+    one integers(n) call on the provided stream), making results
+    independent of evaluation order.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys)
@@ -149,12 +196,13 @@ def certified_accuracy_curve(base, xs, ys, radii, config: SmoothingConfig,
         raise ValueError("radii must be nonnegative")
     if any(b < a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be sorted ascending")
+    need = np.array([min_votes_for_radius(r, config) for r in radii])
     n_points = xs.shape[0]
     seeds = stream.integers(0, 2**63, size=n_points)
-    certified_radii = np.zeros(n_points)
+    hits = np.zeros(len(radii), dtype=np.int64)
     for i in range(n_points):
-        res = certify(base, xs[i], config, split_stream(int(seeds[i]), i))
-        if res.certified and res.label == int(ys[i]):
-            certified_radii[i] = res.radius
-    return [(r, float(np.mean(certified_radii >= r)) if r > 0
-             else float(np.mean(certified_radii > 0.0))) for r in radii]
+        y_hat, k = _vote_counts(base, xs[i], config,
+                                split_stream(int(seeds[i]), i))
+        if y_hat == int(ys[i]):
+            hits += k >= need
+    return [(r, float(h / n_points)) for r, h in zip(radii, hits)]

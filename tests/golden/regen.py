@@ -1,9 +1,14 @@
 """Rewrite the golden CSV corpus: PYTHONPATH=src python tests/golden/regen.py
 
 The corpus holds the trial and summary CSVs of the seven subcommands, at
-the sizes of acceptance criterion 11, seed 17 and one worker. Run this
-only after a deliberate change of draws or output, and say in CHANGES.md
-which files changed and why.
+the sizes of acceptance criterion 11, seed 17 and one worker, and of two
+more cases that those sizes leave blind: rst-demo with the projected
+gradient regularizer, whose ascent kernel none of the criterion-11 cases
+runs, and certify-demo at its default d and noise sigma with 40 points,
+whose accuracies sit away from 0 and 1 so that a change of vote draws
+shows (criterion 11's six points certify the same five under any
+plausible draws). Run this only after a deliberate change of draws or
+output, and say in CHANGES.md which files changed and why.
 """
 
 import os
@@ -27,6 +32,9 @@ CASES = {
                      "--n-estimation", "500", "--conf-alpha", "0.01",
                      "--radii", "0,0.5,1"],
 }
+CASES["rst-demo-pg"] = ["rst-demo", "--reg-kind", "adversarial_pg",
+                        "--trials", "1"]
+CASES["certify-demo-40"] = ["certify-demo", "--trials", "40"]
 
 
 def write_corpus(directory: str) -> list[str]:

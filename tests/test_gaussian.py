@@ -227,6 +227,9 @@ class TestMonteCarloAgreement:
         clf = LinearClassifier(theta=np.ones(8))
         with pytest.raises(ValueError):
             mc_error_estimate(m, clf, 0, split_stream(33, 0))
+        for threads in (0, -1):
+            with pytest.raises(ValueError):
+                mc_error_estimate(m, clf, 10, split_stream(33, 0), threads)
 
 
 class TestBlockedMonteCarlo:
@@ -288,6 +291,9 @@ class TestBlockedMonteCarlo:
         for threads in (1, 2, 3, 5):
             monkeypatch.setattr(gaussian, "_mc_threads", lambda: threads)
             assert mc_error_estimate(m, clf, n, split_stream(48, 0)) == want
+            # an explicit budget overrides the core count
+            assert mc_error_estimate(m, clf, n, split_stream(48, 0),
+                                     threads=6 - threads) == want
 
     def test_traced_peak_is_one_block(self, monkeypatch):
         # two threads, each holding one chunk buffer of 1024 x 1024 floats

@@ -9,9 +9,12 @@ from rstsim.rst import LogisticModel, smoothed_predict_exact
 from rstsim.smoothing import (
     CertifyResult,
     SmoothingConfig,
+    _halfspace_p_plus,
+    _vote_counts,
     certified_accuracy_curve,
     certify,
     linf_radius_from_l2,
+    min_votes_for_radius,
 )
 from rstsim.statkit import (
     binomial_upper_tail,
@@ -257,3 +260,132 @@ class TestAccuracyCurve:
         with pytest.raises(ValueError):
             certified_accuracy_curve(base, xs, np.array([1, 2]), [0.1], cfg,
                                      split_stream(215, 2))
+
+
+class TestExactVoteCounts:
+    """A LogisticModel base draws its vote counts as binomials; a callable
+    base is the oracle reference."""
+
+    def test_draw_order_is_two_binomials_on_the_substreams(self):
+        cfg = SmoothingConfig(noise_sigma=0.5, n0_selection=30, n_estimation=700)
+        theta, x = np.array([1.0, -2.0, 0.5]), np.array([0.3, -0.1, 0.2])
+        p_plus = gaussian_cdf(float(theta @ x) / (0.5 * math.sqrt(5.25)))
+        seeds = split_stream(221, 0).integers(0, 2**63, size=2)
+        plus = split_stream(int(seeds[0]), 0).binomial(30, p_plus)
+        y_hat = 1 if plus > 30 - plus else -1
+        k = split_stream(int(seeds[1]), 1).binomial(
+            700, p_plus if y_hat == 1 else 1.0 - p_plus)
+        got = _vote_counts(LogisticModel(theta=theta), x, cfg,
+                           split_stream(221, 0))
+        assert got == (y_hat, k)
+
+    def test_zero_theta_votes_all_plus_like_the_oracle(self):
+        # every score is exactly 0 and the oracle's tie goes to +1
+        cfg = SmoothingConfig(n0_selection=20, n_estimation=500)
+        x = np.array([0.4, -1.0])
+        assert _halfspace_p_plus(np.zeros(2), x, cfg.noise_sigma) == 1.0
+        for t in range(5):
+            exact = certify(LogisticModel(theta=np.zeros(2)), x, cfg,
+                            split_stream(222, t))
+            oracle = certify(linear_oracle(np.zeros(2)), x, cfg,
+                             split_stream(222, t))
+            assert exact == oracle
+            assert exact.label == 1 and exact.votes_top == cfg.n_estimation
+
+    def test_boundary_point_votes_plus_with_probability_half(self):
+        # theta^T x = 0: the oracle votes +1 exactly when theta^T noise >= 0
+        theta, x = np.array([1.0, -1.0]), np.array([2.0, 2.0])
+        assert _halfspace_p_plus(theta, x, 0.25) == 0.5
+        cfg = SmoothingConfig(n0_selection=20, n_estimation=2_000)
+        outcomes = [certify(LogisticModel(theta=theta), x, cfg,
+                            split_stream(223, t)).certified
+                    for t in range(200)]
+        assert np.mean(outcomes) <= 0.05
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            certify(LogisticModel(theta=np.ones(3)), np.ones(2),
+                    SmoothingConfig(), split_stream(224, 0))
+
+    @pytest.mark.parametrize("p_target", [0.5, 0.2, 0.7, 0.95])
+    def test_both_paths_draw_binomial_counts(self, p_target):
+        # The estimation-stage +1 count is Binomial(N, p_plus) and the
+        # selected label is +1 with probability P(Binomial(n0, p_plus) >
+        # n0 / 2), independently, on both paths. A chi-square test of the
+        # joint (label, count) histogram over 2,400 substreams, cells of
+        # expected count below 5 pooled, rejects at p < 1e-4: with the 8
+        # tests here a correct sampler fails one with probability < 1e-3.
+        from scipy import stats
+
+        cfg = SmoothingConfig(noise_sigma=0.5, n0_selection=10, n_estimation=20)
+        theta = np.array([1.0, 0.0])
+        x = np.array([0.5 * inverse_gaussian_cdf(p_target), 0.0])
+        p_plus = _halfspace_p_plus(theta, x, 0.5)
+        n, n0, runs = cfg.n_estimation, cfg.n0_selection, 2_400
+        sel = stats.binom.sf(n0 // 2, n0, p_plus)
+        pmf = stats.binom.pmf(np.arange(n + 1), n, p_plus)
+        expected = runs * np.concatenate([(1.0 - sel) * pmf, sel * pmf])
+        small = expected < 5.0
+        for base in (LogisticModel(theta=theta), linear_oracle(theta)):
+            observed = np.zeros(2 * (n + 1))
+            for t in range(runs):
+                y_hat, k = _vote_counts(base, x, cfg, split_stream(225, t))
+                plus = k if y_hat == 1 else n - k
+                observed[(y_hat == 1) * (n + 1) + plus] += 1
+            obs = np.append(observed[~small], observed[small].sum())
+            exp = np.append(expected[~small], expected[small].sum())
+            chi2 = float(np.sum((obs - exp) ** 2 / exp))
+            p_value = stats.chi2.sf(chi2, obs.size - 1)
+            assert p_value > 1e-4, (type(base).__name__, p_target, chi2)
+
+    def test_curve_rule_matches_per_point_certify_radii(self):
+        # the old rule: certify every point and compare its radius with r
+        # (r > 0) or with 0 (r = 0), on the same per-point substreams
+        cfg = SmoothingConfig(noise_sigma=0.5, n0_selection=30,
+                              n_estimation=1_000, conf_alpha=0.01)
+        theta = np.array([1.0, 0.5])
+        base = linear_oracle(theta)
+        xs = split_stream(226, 0).standard_normal((60, 2)) * 0.6
+        ys = np.where(xs @ theta >= 0, 1, -1)
+        ys[:5] = -ys[:5]
+        seeds = split_stream(226, 1).integers(0, 2**63, size=len(xs))
+        radii_old = np.zeros(len(xs))
+        for i in range(len(xs)):
+            res = certify(base, xs[i], cfg, split_stream(int(seeds[i]), i))
+            if res.certified and res.label == int(ys[i]):
+                radii_old[i] = res.radius
+        hit = np.sort(radii_old[radii_old > 0])
+        assert hit.size > 10
+        radii = sorted({0.0, 0.1, float(hit[hit.size // 2]),
+                        float(hit[-1]), 1.0})
+        curve = certified_accuracy_curve(base, xs, ys, radii, cfg,
+                                         split_stream(226, 1))
+        old = [(r, float(np.mean(radii_old >= r)) if r > 0
+                else float(np.mean(radii_old > 0.0))) for r in radii]
+        assert curve == old
+        assert 0.0 < dict(curve)[float(hit[-1])] < dict(curve)[0.0]
+
+    def test_curve_bounds_only_the_radius_thresholds(self, monkeypatch):
+        import rstsim.smoothing as sm
+
+        calls = []
+        real = sm.clopper_pearson_lower
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sm, "clopper_pearson_lower", counted)
+        min_votes_for_radius.cache_clear()
+        cfg = SmoothingConfig(n0_selection=20, n_estimation=1_000)
+        xs = split_stream(227, 0).standard_normal((50, 2))
+        ys = np.where(xs[:, 0] >= 0, 1, -1)
+        radii = [0.0, 0.1, 0.2]
+        model = LogisticModel(theta=np.array([1.0, 0.0]))
+        certified_accuracy_curve(model, xs, ys, radii, cfg, split_stream(227, 1))
+        # one bisection over 0..N + 1 per radius, none per point
+        per_radius = math.ceil(math.log2(cfg.n_estimation + 2))
+        assert 0 < len(calls) <= len(radii) * per_radius
+        before = len(calls)
+        certified_accuracy_curve(model, xs, ys, radii, cfg, split_stream(227, 2))
+        assert len(calls) == before
