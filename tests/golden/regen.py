@@ -6,8 +6,8 @@ more cases that those sizes leave blind: rst-demo with the projected
 gradient regularizer, whose ascent kernel none of the criterion-11 cases
 runs, and certify-demo at its default d and noise sigma with 40 points,
 whose accuracies sit away from 0 and 1 so that a change of vote draws
-shows (criterion 11's six points certify the same five under any
-plausible draws). Run this only after a deliberate change of draws or
+shows (criterion 11's six points certified the same five under both the
+oracle and the exact binomial vote draws). Run this only after a deliberate change of draws or
 output, and say in CHANGES.md which files changed and why.
 """
 
