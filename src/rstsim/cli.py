@@ -21,7 +21,7 @@ from .experiments import (
     trial_csv_lines,
     write_csv,
 )
-from .gaussian import canonical_model
+from .gaussian import canonical_model, thread_budget
 from .smoothing import SmoothingConfig
 
 SUBCOMMAND_KINDS = {
@@ -163,7 +163,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed; trial j uses substream j")
     parser.add_argument("--workers", type=int, default=None,
-                        help="thread count; output is identical for any value")
+                        help="thread count (default: the cores this process "
+                             "may run on); output is identical for any value")
     parser.add_argument("--out", type=str, default=None,
                         help="trial CSV path; summary lands at <out>.summary.csv")
     parser.add_argument("--config", type=str, default=None,
@@ -202,7 +203,8 @@ def build_parser() -> _Parser:
         parsers[name].add_argument(
             "--use-fast-sampler", choices=("auto", "always", "never"),
             default=None,
-            help="auto switches on above the materialization budget")
+            help="auto and always draw from the exact estimator law; never "
+                 "materializes the data (refused above the budget)")
     parsers["sweep-unlabeled"].add_argument(
         "--n-unlabeled-grid", type=str, default=None,
         help="comma separated ascending pool sizes; 0 means supervised only")
@@ -281,7 +283,7 @@ def _build_spec(subcommand: str, options: dict) -> ExperimentSpec:
         "allow_large_epsilon": allow,
         "trial_count": int(options.get("trials", builtin["trials"])),
         "master_seed": int(options.get("seed", 0)),
-        "workers": int(options.get("workers", 1)),
+        "workers": int(options.get("workers", thread_budget(1))),
     }
     if "n_labeled" in options:
         fields["n_labeled"] = int(options["n_labeled"])

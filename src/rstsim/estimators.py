@@ -5,7 +5,10 @@ and a two-stage self-training procedure that pseudo-labels an unlabeled pool
 with the supervised classifier and then averages pseudo-label * input. Both
 have fast samplers that draw from the exact estimator distribution without
 materializing the data matrix, which is what makes the large-d regimes
-(d ~ 10^6, n_unlabeled ~ 10^5) cheap to simulate.
+(d ~ 10^6, n_unlabeled ~ 10^5) cheap to simulate. The fast draws come
+factored, theta = a mu + b z1 + c z, so scoring one takes six inner products
+and one pass for ||theta||_1; the pool enters only through running sums over
+fixed chunks of scalar normals, so memory is O(d + chunk) for any pool.
 """
 
 from __future__ import annotations
@@ -81,19 +84,69 @@ def supervised_estimator(data: LabeledSet) -> LinearClassifier:
     return LinearClassifier(theta=theta)
 
 
+@dataclass(frozen=True)
+class FactoredDraw:
+    """One estimator theta = a mu + b z1 + c z, held in factored form.
+
+    z1 and z are the standard normal d-vectors the draw made (z is None
+    when c = 0); gram = (mu.mu, mu.z1, mu.z, z1.z1, z1.z, z.z). A draw is
+    used once: theta and stats build theta in z1's buffer, overwriting z.
+    """
+
+    a: float
+    b: float
+    c: float
+    z1: np.ndarray
+    z: np.ndarray | None
+    gram: tuple[float, float, float, float, float, float]
+    agreement: float | None = None
+
+    def theta(self, mu: np.ndarray) -> np.ndarray:
+        """theta as a d-vector, built in z1's buffer."""
+        theta, spare = self.z1, self.z
+        theta *= self.b
+        if spare is None:
+            spare = np.empty_like(theta)
+        else:
+            theta += np.multiply(spare, self.c, out=spare)
+        theta += np.multiply(mu, self.a, out=spare)
+        return theta
+
+    def stats(self, mu: np.ndarray) -> tuple[float, float, float]:
+        """(mu^T theta, ||theta||_2) from gram, then ||theta||_1 in one pass."""
+        mm, m1, mz, s11, s1z, szz = self.gram
+        a, b, c = self.a, self.b, self.c
+        sq = (a * a * mm + b * b * s11 + c * c * szz
+              + 2.0 * (a * b * m1 + a * c * mz + b * c * s1z))
+        theta = self.theta(mu)
+        l1 = float(np.sum(np.abs(theta, out=theta)))
+        return a * mm + b * m1 + c * mz, math.sqrt(max(sq, 0.0)), l1
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    # c_einsum, not BLAS: the summation order does not depend on
+    # thread-pool state, so trial bytes do not depend on the worker count
+    return float(np.einsum("i,i->", u, v))
+
+
+def supervised_draw(model: GaussianModel, n_labeled: int,
+                    stream: RngStream) -> FactoredDraw:
+    """The supervised average of n samples, distributed exactly as
+    mu + (sigma / sqrt(n)) z1. Draw order: one standard_normal(d) call."""
+    if int(n_labeled) < 1:
+        raise ValueError(f"n_labeled must be >= 1, got {n_labeled}")
+    mu, z1 = model.mu, stream.standard_normal(model.d)
+    return FactoredDraw(1.0, model.sigma / math.sqrt(int(n_labeled)), 0.0, z1,
+                        None, (_dot(mu, mu), _dot(mu, z1), 0.0, _dot(z1, z1),
+                               0.0, 0.0))
+
+
 def fast_supervised_sample(model: GaussianModel, n_labeled: int,
                            stream: RngStream) -> LinearClassifier:
-    """Draw the supervised estimator without materializing data.
-
-    The average of y_i x_i over n samples is distributed exactly as
-    mu + (sigma / sqrt(n)) z with z standard normal, so a single d-draw
-    suffices. Draw order: one standard_normal(d) call.
-    """
-    n_labeled = int(n_labeled)
-    if n_labeled < 1:
-        raise ValueError(f"n_labeled must be >= 1, got {n_labeled}")
-    z = stream.standard_normal(model.d)
-    return LinearClassifier(theta=model.mu + (model.sigma / math.sqrt(n_labeled)) * z)
+    """Draw the supervised estimator without materializing data: the
+    theta of supervised_draw, with its one standard_normal(d) call."""
+    return LinearClassifier(
+        theta=supervised_draw(model, n_labeled, stream).theta(model.mu))
 
 
 def pseudo_label(clf: LinearClassifier, x) -> int:
@@ -132,9 +185,18 @@ def self_train(labeled: LabeledSet, unlabeled: UnlabeledSet) -> SelfTrainResult:
                            pseudo_label_agreement=agreement)
 
 
-def _relevant_count(n_unlabeled: int, relevant_fraction: float) -> int:
+def _pool_split(n_unlabeled: int, relevant_fraction: float) -> tuple[int, int]:
+    """(relevant, irrelevant) point counts of a pool."""
+    n_unlabeled = int(n_unlabeled)
+    if n_unlabeled < 1:
+        raise ValueError(f"n_unlabeled must be >= 1, got {n_unlabeled}")
+    relevant_fraction = float(relevant_fraction)
+    if not (0.0 <= relevant_fraction <= 1.0):
+        raise ValueError(
+            f"relevant_fraction must be in [0, 1], got {relevant_fraction}")
     # round half up, so fraction 0.5 of 10 points gives exactly 5
-    return int(math.floor(relevant_fraction * n_unlabeled + 0.5))
+    n_rel = int(math.floor(relevant_fraction * n_unlabeled + 0.5))
+    return n_rel, n_unlabeled - n_rel
 
 
 def sample_mixture(model: GaussianModel, n_unlabeled: int,
@@ -148,14 +210,8 @@ def sample_mixture(model: GaussianModel, n_unlabeled: int,
     never depend on it. Draw order: n hidden labels, the (n, d) noise matrix,
     then one shuffle permutation.
     """
-    n_unlabeled = int(n_unlabeled)
-    if n_unlabeled < 1:
-        raise ValueError(f"n_unlabeled must be >= 1, got {n_unlabeled}")
-    relevant_fraction = float(relevant_fraction)
-    if not (0.0 <= relevant_fraction <= 1.0):
-        raise ValueError(
-            f"relevant_fraction must be in [0, 1], got {relevant_fraction}")
-    n_rel = _relevant_count(n_unlabeled, relevant_fraction)
+    n_rel, n_irr = _pool_split(n_unlabeled, relevant_fraction)
+    n_unlabeled = n_rel + n_irr
     ys = 2 * stream.integers(0, 2, size=n_unlabeled, dtype=np.int64) - 1
     zs = stream.standard_normal((n_unlabeled, model.d))
     relevant = np.zeros(n_unlabeled, dtype=bool)
@@ -167,53 +223,71 @@ def sample_mixture(model: GaussianModel, n_unlabeled: int,
     return pool, pool.hidden_ys
 
 
+# the pool's scalar normals are drawn and summed this many at a time
+_POOL_CHUNK = 1 << 16
+
+
+def _pool_sums(m: float, sigma: float, n_rel: int, n_irr: int,
+               stream: RngStream) -> tuple[int, float]:
+    """(A, U) of a pool of n_rel signal and n_irr noise points, label-free.
+
+    A signal point's w = y u ~ N(0, sigma^2) does not depend on its label
+    y; it adds sign(m + w) (ties to +1) to A and sign(m + w) w to U. A
+    noise point adds |u| to U. Draw order: the n_rel, then the n_irr
+    normals, in chunks of _POOL_CHUNK into one reused buffer.
+    """
+    buf = np.empty(min(_POOL_CHUNK, max(n_rel, n_irr)))
+    agree, along = 0, 0.0
+    for count, signal in ((n_rel, True), (n_irr, False)):
+        for start in range(0, count, _POOL_CHUNK):
+            w = stream.standard_normal(out=buf[:min(_POOL_CHUNK, count - start)])
+            w *= sigma
+            if signal:
+                wrong = w < -m  # exactly when m + w < 0
+                agree += w.size - 2 * int(np.count_nonzero(wrong))
+                np.negative(w, out=w, where=wrong)
+            along += float(np.sum(w if signal else np.abs(w, out=w)))
+    return agree, along
+
+
+def selftrain_draw(model: GaussianModel, n_labeled: int, n_unlabeled: int,
+                   relevant_fraction: float, stream: RngStream) -> FactoredDraw:
+    """The final self-training estimator, factored, with its agreement.
+
+    O(d + n_unlabeled) time, O(d + chunk) memory. Given the intermediate's
+    direction pi = (mu + s z1) / ||mu + s z1||, a pool point enters only
+    through its hidden label and u = pi^T noise ~ N(0, sigma^2): the final
+    average is (A/n) mu + (U/n) pi + (sigma/sqrt(n)) (z - (pi^T z) pi) with
+    A, U from _pool_sums, and the noise points' labels, independent of u,
+    agree B = 2 Binomial(n_irr, 1/2) - n_irr times. Draw order: z1
+    (supervised_draw), the pool's normals, the binomial, then z.
+    """
+    n_rel, n_irr = _pool_split(n_unlabeled, relevant_fraction)
+    n = n_rel + n_irr
+    first = supervised_draw(model, n_labeled, stream)
+    mm, m1, _, s11, _, _ = first.gram
+    s, z1 = first.b, first.z1
+    norm = math.sqrt(mm + 2.0 * s * m1 + s * s * s11)
+    agree, along = _pool_sums((mm + s * m1) / norm, model.sigma, n_rel, n_irr,
+                              stream)
+    noise_agree = 2 * int(stream.binomial(n_irr, 0.5)) - n_irr
+    z = stream.standard_normal(model.d)
+    mz, s1z, szz = _dot(model.mu, z), _dot(z1, z), _dot(z, z)
+    c = model.sigma / math.sqrt(n)
+    # the coefficient of pi, U/n - c pi^T z, over ||mu + s z1||
+    k = (along / n - c * (mz + s * s1z) / norm) / norm
+    return FactoredDraw(agree / n + k, k * s, c, z1, z,
+                        (mm, m1, mz, s11, s1z, szz), (agree + noise_agree) / n)
+
+
 def fast_selftrain_sample(model: GaussianModel, n_labeled: int,
                           n_unlabeled: int, relevant_fraction: float,
                           stream: RngStream) -> SelfTrainResult:
-    """Draw (intermediate, final) from the exact self-training distribution.
-
-    Cost is O(d + n_unlabeled) instead of O(n_unlabeled * d).
-    Conditioned on the intermediate direction pi, each unlabeled point only
-    enters through its hidden label and the scalar noise projection
-    u = pi^T noise ~ N(0, sigma^2): the pseudo-label is sign(y mu^T pi + u)
-    for signal points and sign(u) for noise points, and the final average
-    decomposes as (A/n) mu + (U/n) pi + g with A = sum pseudo*y over signal
-    points, U = sum pseudo*u over all points, and g one Gaussian draw
-    projected orthogonal to pi, scaled by sigma/sqrt(n).
-
-    Draw order: intermediate's standard_normal(d), relevant hidden labels,
-    all n_unlabeled noise projections, irrelevant hidden labels, final
-    standard_normal(d) for the orthogonal remainder.
-    """
-    n_unlabeled = int(n_unlabeled)
-    if n_unlabeled < 1:
-        raise ValueError(f"n_unlabeled must be >= 1, got {n_unlabeled}")
-    relevant_fraction = float(relevant_fraction)
-    if not (0.0 <= relevant_fraction <= 1.0):
-        raise ValueError(
-            f"relevant_fraction must be in [0, 1], got {relevant_fraction}")
-    intermediate = fast_supervised_sample(model, n_labeled, stream)
-    theta_hat = intermediate.theta
-    norm = float(np.sqrt(np.sum(theta_hat * theta_hat)))
-    pi = theta_hat / norm
-    m = float(np.sum(model.mu * pi))
-
-    n_rel = _relevant_count(n_unlabeled, relevant_fraction)
-    n_irr = n_unlabeled - n_rel
-    ys_rel = 2 * stream.integers(0, 2, size=n_rel, dtype=np.int64) - 1
-    u = model.sigma * stream.standard_normal(n_unlabeled)
-    ys_irr = 2 * stream.integers(0, 2, size=n_irr, dtype=np.int64) - 1
-    z = stream.standard_normal(model.d)
-
-    tilde_rel = np.where(ys_rel * m + u[:n_rel] >= 0.0, 1, -1)
-    tilde_irr = np.where(u[n_rel:] >= 0.0, 1, -1)
-    a_signal = float(np.sum(tilde_rel * ys_rel))
-    b_noise = float(np.sum(tilde_irr * ys_irr))
-    u_along = float(np.sum(tilde_rel * u[:n_rel]) + np.sum(tilde_irr * u[n_rel:]))
-
-    g = (model.sigma / math.sqrt(n_unlabeled)) * (z - float(np.sum(pi * z)) * pi)
-    final = (a_signal / n_unlabeled) * model.mu + (u_along / n_unlabeled) * pi + g
-    agreement = (a_signal + b_noise) / n_unlabeled
-    return SelfTrainResult(intermediate=intermediate,
-                           final=LinearClassifier(theta=final),
-                           pseudo_label_agreement=agreement)
+    """Draw (intermediate, final) from the exact self-training distribution,
+    with the draws of selftrain_draw, as d-vectors."""
+    draw = selftrain_draw(model, n_labeled, n_unlabeled, relevant_fraction,
+                          stream)
+    theta_hat = model.mu + (model.sigma / math.sqrt(int(n_labeled))) * draw.z1
+    return SelfTrainResult(intermediate=LinearClassifier(theta=theta_hat),
+                           final=LinearClassifier(theta=draw.theta(model.mu)),
+                           pseudo_label_agreement=draw.agreement)

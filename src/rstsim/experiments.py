@@ -23,18 +23,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import (
-    fast_selftrain_sample,
-    fast_supervised_sample,
     sample_mixture,
     self_train,
+    selftrain_draw,
+    supervised_draw,
     supervised_estimator,
 )
 from .gaussian import (
     GaussianModel,
     LinearClassifier,
+    alignment_stats,
     canonical_model,
     error_rates,
     mc_error_estimate,
+    rates_from_stats,
     sample_labeled,
     thread_budget,
 )
@@ -52,8 +54,8 @@ from .statkit import (
     split_stream,
 )
 
-# naive materialization is refused above this many matrix entries;
-# the fast samplers take over (they draw from the same distribution)
+# use_fast_sampler=False (materialized draws, the cross-check) is refused
+# above this many matrix entries
 FAST_PATH_BUDGET = 100_000_000
 
 TRIAL_HEADER = ("experiment,n0,d,epsilon,n_labeled,n_unlabeled,"
@@ -190,15 +192,13 @@ def _run_indexed(fn, count: int, master_seed: int, base_index: int,
 
 
 def _wants_fast(n_rows: int, d: int, override: bool | None, label: str) -> bool:
-    over_budget = n_rows * d > FAST_PATH_BUDGET
-    if override is None:
-        return over_budget
-    if override is False and over_budget:
+    """The fast sampler, unless override is False (refused over budget)."""
+    if override is False and n_rows * d > FAST_PATH_BUDGET:
         raise ValueError(
             f"materialization budget exceeded for {label}: {n_rows} x {d} "
             f"> {FAST_PATH_BUDGET}; enable the fast sampler "
             "(use_fast_sampler=True or leave it unset)")
-    return override
+    return override is not False
 
 
 def selftrain_pool_threshold(n0: int, d: int, epsilon: float) -> int:
@@ -211,10 +211,11 @@ def supervised_label_threshold(n0: int, d: int, epsilon: float) -> int:
     return math.ceil(4.0 * n0 * epsilon**2 * math.sqrt(d / n0))
 
 
-def _closed_form_row(experiment: str, model: GaussianModel, clf,
+def _closed_form_row(experiment: str, model: GaussianModel, stats,
                      spec: ExperimentSpec, *, n_labeled, n_unlabeled,
                      relevant_fraction, trial, gamma, seed) -> TrialRow:
-    std_err, rob_err = error_rates(model, clf)
+    """stats = (mu^T theta, ||theta||_2, ||theta||_1) of the trial's theta."""
+    std_err, rob_err = rates_from_stats(model, *stats)
     return TrialRow(
         experiment=experiment, n0=spec.n0, d=spec.d, epsilon=spec.epsilon,
         n_labeled=n_labeled, n_unlabeled=n_unlabeled,
@@ -263,18 +264,20 @@ def _run_arms(spec: ExperimentSpec, arms) -> tuple[list[TrialRow],
     trials = spec.trial_count
 
     def draw(n: int, n_unlabeled: int | None, alpha: float,
-             stream: RngStream) -> tuple[LinearClassifier, float | None]:
+             stream: RngStream) -> tuple[tuple, float | None]:
+        # (mu^T theta, ||theta||_2, ||theta||_1) and the agreement
         if not n_unlabeled:
             if _wants_fast(n, model.d, override, "labeled sampling"):
-                return fast_supervised_sample(model, n, stream), None
-            return supervised_estimator(sample_labeled(model, n, stream)), None
+                return supervised_draw(model, n, stream).stats(model.mu), None
+            clf = supervised_estimator(sample_labeled(model, n, stream))
+            return alignment_stats(model, clf), None
         if _wants_fast(n_unlabeled, model.d, override, "unlabeled sampling"):
-            res = fast_selftrain_sample(model, n, n_unlabeled, alpha, stream)
-        else:
-            labeled = sample_labeled(model, n, stream)
-            pool, _ = sample_mixture(model, n_unlabeled, alpha, stream)
-            res = self_train(labeled, pool)
-        return res.final, res.pseudo_label_agreement
+            fd = selftrain_draw(model, n, n_unlabeled, alpha, stream)
+            return fd.stats(model.mu), fd.agreement
+        labeled = sample_labeled(model, n, stream)
+        pool, _ = sample_mixture(model, n_unlabeled, alpha, stream)
+        res = self_train(labeled, pool)
+        return alignment_stats(model, res.final), res.pseudo_label_agreement
 
     rows: list[TrialRow] = []
     summaries: list[SummaryRow] = []
@@ -284,9 +287,9 @@ def _run_arms(spec: ExperimentSpec, arms) -> tuple[list[TrialRow],
 
         def one(index: int, stream: RngStream, experiment=experiment, n=n,
                 n_unlabeled=n_unlabeled, alpha=alpha, base=base) -> TrialRow:
-            clf, gamma = draw(n, n_unlabeled, alpha, stream)
+            stats, gamma = draw(n, n_unlabeled, alpha, stream)
             return _closed_form_row(
-                experiment, model, clf, spec, n_labeled=n,
+                experiment, model, stats, spec, n_labeled=n,
                 n_unlabeled=n_unlabeled,
                 relevant_fraction=alpha if n_unlabeled else None,
                 trial=index - base, gamma=gamma, seed=index)
@@ -465,13 +468,15 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
         rst = rst_train(labeled, (pool, pseudo), config, stream)
         base = rst_train(labeled, None, config, stream)
         rst_row = _closed_form_row(
-            "rst_demo:rst", model, LinearClassifier(theta=rst.model.theta),
+            "rst_demo:rst", model,
+            alignment_stats(model, LinearClassifier(theta=rst.model.theta)),
             spec, n_labeled=n, n_unlabeled=n_tilde,
             relevant_fraction=spec.relevant_fraction, trial=index,
             gamma=gamma, seed=index)
         base_row = _closed_form_row(
             "rst_demo:labeled_only", model,
-            LinearClassifier(theta=base.model.theta), spec, n_labeled=n,
+            alignment_stats(model, LinearClassifier(theta=base.model.theta)),
+            spec, n_labeled=n,
             n_unlabeled=None, relevant_fraction=None, trial=index, gamma=None,
             seed=index)
         return rst_row, base_row

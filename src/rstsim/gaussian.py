@@ -145,7 +145,9 @@ def sample_labeled(model: GaussianModel, n: int, stream: RngStream) -> LabeledSe
     return LabeledSet(xs=xs, ys=ys)
 
 
-def _alignment_ratios(model: GaussianModel, clf: LinearClassifier) -> tuple[float, float]:
+def alignment_stats(model: GaussianModel,
+                    clf: LinearClassifier) -> tuple[float, float, float]:
+    """(mu^T theta, ||theta||_2, ||theta||_1), the statistics error_rates needs."""
     theta = clf.theta
     if theta.shape != model.mu.shape:
         raise ValueError(
@@ -153,23 +155,29 @@ def _alignment_ratios(model: GaussianModel, clf: LinearClassifier) -> tuple[floa
     # ufunc reductions, not BLAS dot: summation order must not depend on
     # ambient thread-pool state (byte-stable CSV across worker counts).
     l2 = float(np.sqrt(np.sum(theta * theta)))
-    if l2 == 0.0:
-        raise ValueError("theta must be nonzero")
     mu_dot = float(np.sum(model.mu * theta))
-    l1 = float(np.sum(np.abs(theta)))
-    return mu_dot / (model.sigma * l2), l1 / (model.sigma * l2)
+    return mu_dot, l2, float(np.sum(np.abs(theta)))
 
 
-def error_rates(model: GaussianModel, clf: LinearClassifier) -> tuple[float, float]:
-    """Exact (standard, robust) error rates from one alignment pass.
+def rates_from_stats(model: GaussianModel, mu_dot: float, l2: float,
+                     l1: float) -> tuple[float, float]:
+    """Exact (standard, robust) error rates of a theta with these statistics.
 
     Standard: Q(mu^T theta / (sigma ||theta||_2)). Robust: the optimal
     l-infinity attack shifts the score by epsilon * ||theta||_1 against
     the label, giving Q((mu^T theta - epsilon ||theta||_1) / (sigma ||theta||_2)),
     never smaller than the standard rate and equal to it when epsilon = 0.
     """
-    align, l1_ratio = _alignment_ratios(model, clf)
+    if l2 == 0.0:
+        raise ValueError("theta must be nonzero")
+    align = mu_dot / (model.sigma * l2)
+    l1_ratio = l1 / (model.sigma * l2)
     return q_function(align), q_function(align - model.epsilon * l1_ratio)
+
+
+def error_rates(model: GaussianModel, clf: LinearClassifier) -> tuple[float, float]:
+    """Exact (standard, robust) error rates of clf (see rates_from_stats)."""
+    return rates_from_stats(model, *alignment_stats(model, clf))
 
 
 def standard_error(model: GaussianModel, clf: LinearClassifier) -> float:

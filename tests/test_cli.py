@@ -170,6 +170,16 @@ def test_absent_fields_serialize_empty(tmp_path):
     assert row[4] == "" and row[5] == "" and row[6] == "" and row[10] == ""
 
 
+def test_workers_default_to_the_cores(monkeypatch):
+    from rstsim import gaussian
+    from rstsim.cli import _build_spec
+    monkeypatch.setattr(gaussian, "_mc_threads", lambda: 8)
+    assert _build_spec("gap", {}).workers == 8
+    assert _build_spec("verify", {}).workers == 8
+    # more workers than cores stay accepted
+    assert _build_spec("gap", {"workers": 16}).workers == 16
+
+
 def test_worker_count_does_not_change_bytes(tmp_path):
     out1 = str(tmp_path / "a.csv")
     out2 = str(tmp_path / "b.csv")

@@ -1,10 +1,12 @@
 """Supervised averaging, self-training, mixtures, and the fast samplers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rstsim import estimators
 from rstsim.estimators import (
     SelfTrainResult,
     UnlabeledSet,
@@ -13,13 +15,18 @@ from rstsim.estimators import (
     pseudo_label,
     sample_mixture,
     self_train,
+    selftrain_draw,
+    supervised_draw,
     supervised_estimator,
 )
 from rstsim.gaussian import (
     GaussianModel,
     LabeledSet,
     LinearClassifier,
+    alignment_stats,
     canonical_model,
+    error_rates,
+    rates_from_stats,
     robust_error,
     sample_labeled,
 )
@@ -263,3 +270,131 @@ class TestFastSelfTrain:
             fast_selftrain_sample(m, 4, 0, 1.0, split_stream(77, 1))
         with pytest.raises(ValueError):
             fast_selftrain_sample(m, 4, 10, -0.1, split_stream(77, 2))
+
+
+def _random_mu_model():
+    # a non-canonical mean: no two coordinates alike, some negative
+    mu = np.random.default_rng(5).normal(0.3, 1.0, 40)
+    return GaussianModel(mu=mu, sigma=1.7, epsilon=0.05)
+
+
+_FACTORED_CASES = [
+    ("supervised", canonical_model(4, 64, 0.25), None),
+    ("supervised", _random_mu_model(), None),
+    ("selftrain", canonical_model(4, 64, 0.25), 1.0),  # n_irr = 0
+    ("selftrain", canonical_model(4, 64, 0.25), 0.25),
+    ("selftrain", canonical_model(4, 64, 0.25), 0.0),
+    ("selftrain", _random_mu_model(), 1.0),
+    ("selftrain", _random_mu_model(), 0.25),
+    ("selftrain", _random_mu_model(), 0.0),
+]
+
+
+def _factored(kind, model, alpha, stream):
+    if kind == "supervised":
+        return supervised_draw(model, 3, stream)
+    return selftrain_draw(model, 3, 700, alpha, stream)
+
+
+class TestFactoredScores:
+    @pytest.mark.parametrize("kind,model,alpha", _FACTORED_CASES)
+    def test_direct_score_matches_materialized(self, kind, model, alpha):
+        # the same draw scored twice: from the Gram scalars and one pass,
+        # and by materializing theta and scoring it as any classifier
+        for t in range(5):
+            direct = _factored(kind, model, alpha, split_stream(81, t)).stats(
+                model.mu)
+            clf = LinearClassifier(theta=_factored(
+                kind, model, alpha, split_stream(81, t)).theta(model.mu))
+            reference = alignment_stats(model, clf)
+            for got, want in zip(direct, reference):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            for got, want in zip(rates_from_stats(model, *direct),
+                                 error_rates(model, clf)):
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_samplers_return_the_materialized_draw(self):
+        m = _random_mu_model()
+        theta = supervised_draw(m, 3, split_stream(82, 0)).theta(m.mu)
+        clf = fast_supervised_sample(m, 3, split_stream(82, 0))
+        assert np.array_equal(clf.theta, theta)
+        assert np.array_equal(clf.theta,
+                              m.mu + (m.sigma / math.sqrt(3))
+                              * split_stream(82, 0).standard_normal(m.d))
+        draw = selftrain_draw(m, 3, 700, 0.25, split_stream(82, 1))
+        z1 = draw.z1.copy()
+        res = fast_selftrain_sample(m, 3, 700, 0.25, split_stream(82, 1))
+        assert np.array_equal(res.final.theta, draw.theta(m.mu))
+        assert np.array_equal(res.intermediate.theta,
+                              m.mu + (m.sigma / math.sqrt(3)) * z1)
+        assert res.pseudo_label_agreement == draw.agreement
+
+
+def _reference_pool(m, sigma, n_rel, n_irr, stream, labels):
+    # per point, with explicit labels: signal point i has noise projection
+    # u = y w, pseudo-label sign(y m + u); a noise point has u = v
+    w = sigma * stream.standard_normal(n_rel)
+    v = sigma * stream.standard_normal(n_irr)
+    y = 2 * labels.integers(0, 2, size=n_rel) - 1
+    u = y * w
+    tilde = np.where(y * m + u >= 0.0, 1, -1)
+    tilde_irr = np.where(v >= 0.0, 1, -1)
+    return (int(np.sum(tilde * y)),
+            float(np.sum(tilde * u)) + float(np.sum(tilde_irr * v)))
+
+
+class TestLabelFreePool:
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("n_rel,n_irr", [(1000, 537), (300, 0), (0, 250)])
+    def test_matches_per_point_reference(self, monkeypatch, chunk, n_rel,
+                                         n_irr):
+        monkeypatch.setattr(estimators, "_POOL_CHUNK", chunk)
+        for t, m in enumerate((0.0, 0.8, -1.3)):
+            stream, ref_stream = split_stream(91, t), split_stream(91, t)
+            agree, along = estimators._pool_sums(m, 1.9, n_rel, n_irr, stream)
+            want_a, want_u = _reference_pool(m, 1.9, n_rel, n_irr, ref_stream,
+                                             np.random.default_rng(t))
+            assert agree == want_a
+            assert along == pytest.approx(want_u, rel=1e-12, abs=0.0)
+            assert stream.bit_generator.state == ref_stream.bit_generator.state
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("alpha", [1.0, 0.25, 0.0])
+    def test_draw_matches_decomposition(self, monkeypatch, chunk, alpha):
+        # reference: theta_hat materialized, the pool per point with labels,
+        # B from the binomial, final = (A/n) mu + (U/n) pi + c (z - pi^T z pi)
+        monkeypatch.setattr(estimators, "_POOL_CHUNK", chunk)
+        m = _random_mu_model()
+        n, n_tilde = 3, 777
+        n_rel = math.floor(alpha * n_tilde + 0.5)
+        n_irr = n_tilde - n_rel
+        for t in range(3):
+            stream, ref = split_stream(92, t), split_stream(92, t)
+            draw = selftrain_draw(m, n, n_tilde, alpha, stream)
+            theta_hat = m.mu + (m.sigma / math.sqrt(n)) * ref.standard_normal(m.d)
+            pi = theta_hat / math.sqrt(float(np.sum(theta_hat * theta_hat)))
+            a_sum, u_sum = _reference_pool(float(np.sum(m.mu * pi)), m.sigma,
+                                           n_rel, n_irr, ref,
+                                           np.random.default_rng(t))
+            b_sum = 2 * int(ref.binomial(n_irr, 0.5)) - n_irr
+            z = ref.standard_normal(m.d)
+            c = m.sigma / math.sqrt(n_tilde)
+            want = ((a_sum / n_tilde) * m.mu + (u_sum / n_tilde) * pi
+                    + c * (z - float(np.sum(pi * z)) * pi))
+            assert draw.agreement == (a_sum + b_sum) / n_tilde
+            got = draw.theta(m.mu)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert stream.bit_generator.state == ref.bit_generator.state
+
+    def test_memory_does_not_grow_with_the_pool(self):
+        # 10^7 pool points; arrays of per-point labels and projections
+        # peak near 280 MB
+        m = canonical_model(4, 64, 0.25)
+        tracemalloc.start()
+        try:
+            res = fast_selftrain_sample(m, 4, 10**7, 0.5, split_stream(93, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert -1.0 <= res.pseudo_label_agreement <= 1.0
+        assert peak < 2 * 2**20

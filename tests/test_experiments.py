@@ -227,6 +227,16 @@ def test_gap_naive_path_runs_under_budget():
     assert all(r.n_unlabeled == 40 and r.gamma is not None for r in st)
 
 
+def test_auto_sampler_is_the_fast_one_at_any_size():
+    spec = ExperimentSpec(kind="gap", n0=6, d=12, epsilon=0.2,
+                          trial_count=2, n_unlabeled=40, master_seed=2)
+    auto = trial_csv_lines(run_gap(spec)[0])
+    assert auto == trial_csv_lines(
+        run_gap(replace(spec, use_fast_sampler=True))[0])
+    assert auto != trial_csv_lines(
+        run_gap(replace(spec, use_fast_sampler=False))[0])
+
+
 def test_unlabeled_sweep_zero_sentinel():
     spec = ExperimentSpec(kind="unlabeled_sweep", n0=5, d=24, epsilon=0.2,
                           trial_count=2, n_unlabeled_grid=(0, 10, 30),
