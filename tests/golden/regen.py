@@ -7,7 +7,9 @@ gradient regularizer, whose ascent kernel none of the criterion-11 cases
 runs, and certify-demo at its default d and noise sigma with 40 points,
 whose accuracies sit away from 0 and 1 so that a change of vote draws
 shows (criterion 11's six points certified the same five under both the
-oracle and the exact binomial vote draws). Run this only after a deliberate change of draws or
+oracle and the exact binomial vote draws). Two more rst-demo cases cover
+the stability regularizer and a run of four trials, which rst-demo trains
+as one full lockstep group of three and one partial group. Run this only after a deliberate change of draws or
 output, and say in CHANGES.md which files changed and why.
 """
 
@@ -35,6 +37,9 @@ CASES = {
 CASES["rst-demo-pg"] = ["rst-demo", "--reg-kind", "adversarial_pg",
                         "--trials", "1"]
 CASES["certify-demo-40"] = ["certify-demo", "--trials", "40"]
+CASES["rst-demo-stability"] = ["rst-demo", "--reg-kind", "stability",
+                               "--trials", "2"]
+CASES["rst-demo-groups"] = ["rst-demo", "--trials", "4"]
 
 
 def write_corpus(directory: str) -> list[str]:
