@@ -137,7 +137,7 @@ def supervised_draw(model: GaussianModel, n_labeled: int,
         raise ValueError(f"n_labeled must be >= 1, got {n_labeled}")
     mu, z1 = model.mu, stream.standard_normal(model.d)
     return FactoredDraw(1.0, model.sigma / math.sqrt(int(n_labeled)), 0.0, z1,
-                        None, (_dot(mu, mu), _dot(mu, z1), 0.0, _dot(z1, z1),
+                        None, (model.mu_sq, _dot(mu, z1), 0.0, _dot(z1, z1),
                                0.0, 0.0))
 
 
@@ -213,13 +213,17 @@ def sample_mixture(model: GaussianModel, n_unlabeled: int,
     n_rel, n_irr = _pool_split(n_unlabeled, relevant_fraction)
     n_unlabeled = n_rel + n_irr
     ys = 2 * stream.integers(0, 2, size=n_unlabeled, dtype=np.int64) - 1
-    zs = stream.standard_normal((n_unlabeled, model.d))
+    xs = stream.standard_normal((n_unlabeled, model.d))
+    xs *= model.sigma
+    # adding or subtracting mu is exactly y mu + sigma z for y = +-1
+    pos = (ys[:n_rel] > 0)[:, None]
+    np.add(xs[:n_rel], model.mu, out=xs[:n_rel], where=pos)
+    np.subtract(xs[:n_rel], model.mu, out=xs[:n_rel], where=~pos)
     relevant = np.zeros(n_unlabeled, dtype=bool)
     relevant[:n_rel] = True
-    signal = np.where(relevant[:, None], ys[:, None] * model.mu[None, :], 0.0)
-    xs = signal + model.sigma * zs
     perm = stream.permutation(n_unlabeled)
-    pool = UnlabeledSet(xs=xs[perm], relevant=relevant[perm], hidden_ys=ys[perm])
+    pool = UnlabeledSet(xs=np.take(xs, perm, axis=0), relevant=relevant[perm],
+                        hidden_ys=ys[perm])
     return pool, pool.hidden_ys
 
 

@@ -40,7 +40,12 @@ from .gaussian import (
     sample_labeled,
     thread_budget,
 )
-from .rst import LogisticModel, RstConfig, rst_train, standard_train
+from .rst import (
+    LogisticModel,
+    RstConfig,
+    rst_train_lockstep,
+    standard_train_lockstep,
+)
 from .smoothing import (
     SmoothingConfig,
     certified_accuracy_curve,
@@ -57,6 +62,8 @@ from .statkit import (
 # use_fast_sampler=False (materialized draws, the cross-check) is refused
 # above this many matrix entries
 FAST_PATH_BUDGET = 100_000_000
+# rst-demo trains as many trials together as fit this many row scalars
+_RST_GROUP_SCALARS = 1 << 20
 
 TRIAL_HEADER = ("experiment,n0,d,epsilon,n_labeled,n_unlabeled,"
                 "relevant_fraction,trial,std_err,rob_err,gamma,seed")
@@ -257,7 +264,8 @@ def _run_arms(spec: ExperimentSpec, arms) -> tuple[list[TrialRow],
     An arm is (experiment, grid_key, grid_value, n_labeled, n_unlabeled,
     alpha). It self-trains on n_unlabeled points when that is > 0 and draws
     the supervised estimator otherwise; n_unlabeled goes to the trial rows
-    as given. Arm j runs on the index block [j * trials, (j + 1) * trials).
+    as given. Arm j runs on the index block [j * trials, (j + 1) * trials),
+    and all blocks share one trial pool.
     """
     model = spec.model()
     override = spec.use_fast_sampler
@@ -279,26 +287,22 @@ def _run_arms(spec: ExperimentSpec, arms) -> tuple[list[TrialRow],
         res = self_train(labeled, pool)
         return alignment_stats(model, res.final), res.pseudo_label_agreement
 
-    rows: list[TrialRow] = []
+    def one(index: int, stream: RngStream) -> TrialRow:
+        experiment, _, _, n, n_unlabeled, alpha = arms[index // trials]
+        stats, gamma = draw(n, n_unlabeled, alpha, stream)
+        return _closed_form_row(
+            experiment, model, stats, spec, n_labeled=n,
+            n_unlabeled=n_unlabeled,
+            relevant_fraction=alpha if n_unlabeled else None,
+            trial=index % trials, gamma=gamma, seed=index)
+
+    # one pool over every arm's block, so no worker idles at an arm's end
+    rows = _run_indexed(one, len(arms) * trials, spec.master_seed, 0,
+                        spec.workers)
     summaries: list[SummaryRow] = []
-    for j, (experiment, grid_key, grid_value, n, n_unlabeled,
-            alpha) in enumerate(arms):
-        base = j * trials
-
-        def one(index: int, stream: RngStream, experiment=experiment, n=n,
-                n_unlabeled=n_unlabeled, alpha=alpha, base=base) -> TrialRow:
-            stats, gamma = draw(n, n_unlabeled, alpha, stream)
-            return _closed_form_row(
-                experiment, model, stats, spec, n_labeled=n,
-                n_unlabeled=n_unlabeled,
-                relevant_fraction=alpha if n_unlabeled else None,
-                trial=index - base, gamma=gamma, seed=index)
-
-        arm_rows = _run_indexed(one, trials, spec.master_seed, base,
-                                spec.workers)
-        rows.extend(arm_rows)
+    for j, (experiment, grid_key, grid_value, *_) in enumerate(arms):
         summaries.extend(_summaries_for(experiment, grid_key, grid_value,
-                                        arm_rows))
+                                        rows[j * trials:(j + 1) * trials]))
     return rows, summaries
 
 
@@ -446,7 +450,18 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
                                                 list[SummaryRow]]:
     """Paired comparison of robust self-training against labeled-only robust
     training, both trained with the same budget; the margin is the mean
-    robust-error improvement."""
+    robust-error improvement.
+
+    Trials run in lockstep groups of G = max(1, 2^20 // ((n + n~) d)),
+    capped at the trial count, one group after another on the calling
+    thread: each group's rows sit in one reused (G, n + n~, d) buffer,
+    labeled rows first, and its three trainings (stage one, robust
+    self-training, labeled-only on the first n rows) each step the G
+    problems together.
+    Trial j draws from split_stream(master_seed, j) in the one-trial order:
+    labeled set, pool, stage one, robust self-training, labeled-only. So
+    rows do not depend on G, and spec.workers does not split the trials.
+    """
     model = spec.model()
     n = _labeled_count(spec)
     n_tilde = spec.n_unlabeled if spec.n_unlabeled is not None else 3_000
@@ -455,33 +470,49 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
     config = (spec.rst_config if spec.rst_config is not None
               else default_rst_config(spec.epsilon))
     trials = spec.trial_count
+    n_rows = n + n_tilde
+    group = min(trials, max(1, _RST_GROUP_SCALARS // (n_rows * model.d)))
 
-    def one(index: int, stream: RngStream):
-        labeled = sample_labeled(model, n, stream)
-        pool, hidden = sample_mixture(model, n_tilde, spec.relevant_fraction,
-                                      stream)
-        stage1 = standard_train(labeled, spec.stage1_learning_rate,
-                                spec.stage1_steps, spec.stage1_batch, stream)
-        scores = np.einsum("ij,j->i", pool.xs, stage1.theta)
+    def trial_row(experiment: str, theta: np.ndarray, index: int, **fields):
+        return _closed_form_row(
+            experiment, model,
+            alignment_stats(model, LinearClassifier(theta=theta)), spec,
+            n_labeled=n, trial=index, seed=index, **fields)
+
+    pairs = []
+    buffer = np.empty((group, n_rows, model.d))
+    for start in range(0, trials, group):
+        indices = range(start, min(start + group, trials))
+        streams = [split_stream(spec.master_seed, i) for i in indices]
+        xs = buffer[:len(indices)]
+        ys = np.empty((len(indices), n_rows))
+        hidden = np.empty((len(indices), n_tilde), dtype=np.int64)
+        for g, stream in enumerate(streams):
+            labeled = sample_labeled(model, n, stream)
+            pool, hidden[g] = sample_mixture(model, n_tilde,
+                                             spec.relevant_fraction, stream)
+            xs[g, :n], xs[g, n:], ys[g, :n] = labeled.xs, pool.xs, labeled.ys
+            del labeled, pool  # the next draw need not hold this pool too
+        stage1 = standard_train_lockstep(
+            xs, ys, n, spec.stage1_learning_rate, spec.stage1_steps,
+            spec.stage1_batch, streams)
+        scores = np.einsum("...ij,...j->...i", xs[:, n:], stage1)
         pseudo = np.where(scores >= 0.0, 1, -1)
-        gamma = float(np.mean(pseudo * hidden))
-        rst = rst_train(labeled, (pool, pseudo), config, stream)
-        base = rst_train(labeled, None, config, stream)
-        rst_row = _closed_form_row(
-            "rst_demo:rst", model,
-            alignment_stats(model, LinearClassifier(theta=rst.model.theta)),
-            spec, n_labeled=n, n_unlabeled=n_tilde,
-            relevant_fraction=spec.relevant_fraction, trial=index,
-            gamma=gamma, seed=index)
-        base_row = _closed_form_row(
-            "rst_demo:labeled_only", model,
-            alignment_stats(model, LinearClassifier(theta=base.model.theta)),
-            spec, n_labeled=n,
-            n_unlabeled=None, relevant_fraction=None, trial=index, gamma=None,
-            seed=index)
-        return rst_row, base_row
-
-    pairs = _run_indexed(one, trials, spec.master_seed, 0, spec.workers)
+        gammas = np.mean(pseudo * hidden, axis=-1)
+        ys[:, n:] = pseudo
+        weights = np.full(ys.shape, config.w_unlabeled)
+        weights[:, :n] = 1.0
+        rst, _ = rst_train_lockstep(xs, ys, weights, n, n_rows, config,
+                                    streams)
+        base, _ = rst_train_lockstep(xs, ys, weights, n, n, config, streams)
+        for g, index in enumerate(indices):
+            pairs.append((
+                trial_row("rst_demo:rst", rst[g], index, n_unlabeled=n_tilde,
+                          relevant_fraction=spec.relevant_fraction,
+                          gamma=float(gammas[g])),
+                trial_row("rst_demo:labeled_only", base[g], index,
+                          n_unlabeled=None, relevant_fraction=None,
+                          gamma=None)))
     rst_rows = [p[0] for p in pairs]
     base_rows = [p[1] for p in pairs]
     rows = [row for pair in pairs for row in pair]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,12 @@ class GaussianModel:
     @property
     def d(self) -> int:
         return self.mu.size
+
+    @cached_property
+    def mu_sq(self) -> float:
+        """mu^T mu, computed once per model with c_einsum, as the factored
+        draws compute their other inner products."""
+        return float(np.einsum("i,i->", self.mu, self.mu))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,19 @@ pseudo-labeled rows). Three regularizers are provided: the exact worst-case
 KL over an l-infinity ball (closed form for linear scores), a projected
 gradient ascent approximation of the same quantity, and a Gaussian noise
 stability penalty. Training is plain minibatch SGD from zero.
+
+One SGD loop trains G problems of one shape stacked on a leading axis,
+stepped together, so the Python and numpy call overhead of a step is paid
+once per group; standard_train and rst_train are its one-problem case.
+Each problem draws from its own stream in the one-problem order, and every
+array operation is per element or reduces along the last axis, so each
+problem's parameters and loss trace equal its one-problem run bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +189,8 @@ def adversarial_reg_exact(model: LogisticModel, x,
 
 def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
                     steps: int, step_size: float,
-                    stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
+                    streams: Sequence[RngStream]
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Best-iterate PG ascent on the prediction KL, one row per example.
 
     Draws a single uniform perturbation per example and runs one ascent
@@ -189,28 +198,31 @@ def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
     a lone chain only ever climbs toward the extreme point on its own side
     of the clean score, so the pair is what finds the global one. Steps are
     sign steps of the x'-gradient (q - p) theta followed by projection onto
-    the ball. Returns (best KL values, best iterates).
+    the ball. theta is (d,) or (G, d) and xs (b, d) or (G, b, d), with one
+    stream per problem, drawn from in problem order. Returns (best KL
+    values, best iterates).
     """
-    b, d = xs.shape
-    delta = stream.uniform(-epsilon, epsilon, size=(b, d))
+    delta = np.stack([s.uniform(-epsilon, epsilon, size=xs.shape[-2:])
+                      for s in streams]).reshape(xs.shape)
     lo, hi = xs - epsilon, xs + epsilon
-    p = _clamp_probs(_sigmoid(np.einsum("ij,j->i", xs, theta)))
-    sgn_theta = np.sign(theta)
-    best_val = np.full(b, -1.0)
+    p = _clamp_probs(_sigmoid(np.einsum("...ij,...j->...i", xs, theta)))
+    sgn_theta = np.sign(theta)[..., None, :]
+    best_val = np.full(xs.shape[:-1], -1.0)
     best_x = xs.copy()
     for start_sign in (1.0, -1.0):
         cur = xs + start_sign * delta
         for it in range(steps + 1):
             # project onto the ball in place, in np.clip's order
             np.minimum(np.maximum(cur, lo, out=cur), hi, out=cur)
-            q = _clamp_probs(_sigmoid(np.einsum("ij,j->i", cur, theta)))
+            q = _clamp_probs(_sigmoid(np.einsum("...ij,...j->...i", cur,
+                                                theta)))
             val = _kl_vec(p, q)
             better = val > best_val
             best_val = np.where(better, val, best_val)
-            np.copyto(best_x, cur, where=better[:, None])
+            np.copyto(best_x, cur, where=better[..., None])
             if it == steps:
                 break
-            cur += (step_size * np.sign(q - p))[:, None] * sgn_theta
+            cur += (step_size * np.sign(q - p))[..., None] * sgn_theta
     return best_val, best_x
 
 
@@ -235,7 +247,7 @@ def adversarial_reg_pg(model: LogisticModel, x, epsilon: float, steps: int,
     if x.shape != model.theta.shape:
         raise ValueError("x and theta dimensions differ")
     vals, worst = _pg_worst_batch(model.theta, x[None, :], epsilon, steps,
-                                  step_size, stream)
+                                  step_size, [stream])
     return float(vals[0]), worst[0]
 
 
@@ -274,7 +286,8 @@ def stability_reg(model: LogisticModel, x, noise_sigma: float, n_noise: int,
 
 def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                      weights: np.ndarray, config: RstConfig,
-                     stream: RngStream | None = None) -> tuple[float, np.ndarray]:
+                     stream: RngStream | Sequence[RngStream] | None = None
+                     ) -> tuple[float | np.ndarray, np.ndarray]:
     """Weighted mean of per-example standard loss + beta * regularizer.
 
     Single source of truth for training and for gradient checks. For the
@@ -284,36 +297,49 @@ def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     pg and stability kinds consume draws from stream (required for them):
     pg one uniform start block, stability one (n, noise_samples, d) normal
     block.
+
+    Problems may be stacked on a leading axis: theta (G, d), xs (G, b, d),
+    ys and weights (G, b), and stream a sequence of G streams, drawn from in
+    problem order. The call then returns (G,) values and (G, d) gradients,
+    each equal to the one-problem call on that problem's slice and stream:
+    every operation is per element or reduces along the last axis.
     """
     theta = np.asarray(theta, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    n = xs.shape[0]
+    stacked = theta.ndim == 2
+    if xs.ndim != theta.ndim + 1 or xs.shape[:-2] != theta.shape[:-1]:
+        raise ValueError("xs must be (b, d) for theta (d,) and (G, b, d) "
+                         "for theta (G, d)")
+    n = xs.shape[-2]
     if n < 1:
         raise ValueError("need at least one example")
-    if ys.shape != (n,) or weights.shape != (n,):
+    if ys.shape != xs.shape[:-1] or weights.shape != xs.shape[:-1]:
         raise ValueError("xs, ys, weights lengths differ")
-    total_w = float(np.sum(weights))
-    if total_w <= 0:
+    total_w = np.sum(weights, axis=-1)
+    if np.any(total_w <= 0):
         raise ValueError("weights must have positive total")
+    streams = stream if stacked or stream is None else [stream]
+    # a scalar per problem, as a column against per-example and d arrays
+    total_col = total_w[..., None]
 
-    s = np.einsum("ij,j->i", xs, theta)
+    s = np.einsum("...ij,...j->...i", xs, theta)
     std_vals = np.logaddexp(0.0, -ys * s)
     c_std = -ys * _sigmoid(-ys * s)
 
     beta = config.beta
     if beta == 0.0:
-        value = float(np.sum(weights * std_vals) / total_w)
-        grad = np.einsum("i,ij->j", weights * c_std, xs) / total_w
-        return value, grad
+        value = np.sum(weights * std_vals, axis=-1) / total_w
+        grad = np.einsum("...i,...ij->...j", weights * c_std, xs) / total_col
+        return (value, grad) if stacked else (float(value), grad)
 
     p_raw = _sigmoid(s)
     pc = _clamp_probs(p_raw)
     p_free = ((p_raw > _CLAMP) & (p_raw < 1.0 - _CLAMP)).astype(np.float64)
 
     if config.reg_kind == "adversarial_exact":
-        shift = config.epsilon * float(np.sum(np.abs(theta)))
+        shift = (config.epsilon * np.sum(np.abs(theta), axis=-1))[..., None]
         q_hi_raw = _sigmoid(s + shift)
         q_lo_raw = _sigmoid(s - shift)
         kl_hi = _kl_vec(pc, _clamp_probs(q_hi_raw))
@@ -327,51 +353,152 @@ def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
         coef_p = dkl_dp * p_raw * (1.0 - p_raw) * p_free
         coef_q = (qc - pc) * q_free
         side = np.where(take_hi, 1.0, -1.0)
-        value = float(np.sum(weights * (std_vals + beta * reg_vals)) / total_w)
+        value = (np.sum(weights * (std_vals + beta * reg_vals), axis=-1)
+                 / total_w)
         # endpoint x* = x + side * eps * sign(theta): split its contribution
         # into the x part and the sign(theta) part
         per_x = weights * (c_std + beta * (coef_p + coef_q))
-        grad = np.einsum("i,ij->j", per_x, xs) / total_w
-        grad = grad + (float(np.sum(weights * beta * coef_q * side)) / total_w
-                       * config.epsilon) * np.sign(theta)
-        return value, grad
-
-    if config.reg_kind == "adversarial_pg":
+        grad = np.einsum("...i,...ij->...j", per_x, xs) / total_col
+        grad = grad + (np.sum(weights * beta * coef_q * side, axis=-1)
+                       / total_w * config.epsilon)[..., None] * np.sign(theta)
+    elif config.reg_kind == "adversarial_pg":
         if stream is None:
             raise ValueError("adversarial_pg needs a stream")
         _, worst = _pg_worst_batch(theta, xs, config.epsilon, config.pg_steps,
-                                   config.pg_step_size, stream)
-        q_raw = _sigmoid(np.einsum("ij,j->i", worst, theta))
+                                   config.pg_step_size, streams)
+        q_raw = _sigmoid(np.einsum("...ij,...j->...i", worst, theta))
         qc = _clamp_probs(q_raw)
         q_free = ((q_raw > _CLAMP) & (q_raw < 1.0 - _CLAMP)).astype(np.float64)
         reg_vals = _kl_vec(pc, qc)
         dkl_dp = np.log(pc / qc) - np.log((1.0 - pc) / (1.0 - qc))
         coef_p = dkl_dp * p_raw * (1.0 - p_raw) * p_free
         coef_q = (qc - pc) * q_free
-        value = float(np.sum(weights * (std_vals + beta * reg_vals)) / total_w)
-        grad = np.einsum("i,ij->j", weights * (c_std + beta * coef_p), xs) / total_w
-        grad = grad + np.einsum("i,ij->j", weights * beta * coef_q, worst) / total_w
-        return value, grad
+        value = (np.sum(weights * (std_vals + beta * reg_vals), axis=-1)
+                 / total_w)
+        grad = np.einsum("...i,...ij->...j", weights * (c_std + beta * coef_p),
+                         xs) / total_col
+        grad = grad + np.einsum("...i,...ij->...j", weights * beta * coef_q,
+                                worst) / total_col
+    else:  # stability
+        if stream is None:
+            raise ValueError("stability needs a stream")
+        k, d = config.noise_samples, xs.shape[-1]
+        noise = config.noise_sigma * np.stack(
+            [st.standard_normal((n, k, d)) for st in streams]
+        ).reshape(xs.shape[:-1] + (k, d))
+        noisy = xs[..., None, :] + noise
+        q_raw = _sigmoid(np.einsum("...nkj,...j->...nk", noisy, theta))
+        qc = _clamp_probs(q_raw)
+        q_free = ((q_raw > _CLAMP) & (q_raw < 1.0 - _CLAMP)).astype(np.float64)
+        reg_vals = np.mean(_kl_vec(pc[..., None], qc), axis=-1)
+        dkl_dp = np.mean(np.log(pc[..., None] / qc)
+                         - np.log((1.0 - pc[..., None]) / (1.0 - qc)), axis=-1)
+        coef_p = dkl_dp * p_raw * (1.0 - p_raw) * p_free
+        coef_q = (qc - pc[..., None]) * q_free / k
+        value = (np.sum(weights * (std_vals + beta * reg_vals), axis=-1)
+                 / total_w)
+        grad = np.einsum("...i,...ij->...j", weights * (c_std + beta * coef_p),
+                         xs) / total_col
+        grad = grad + np.einsum("...nk,...nkj->...j",
+                                weights[..., None] * beta * coef_q,
+                                noisy) / total_col
+    return (value, grad) if stacked else (float(value), grad)
 
-    # stability
-    if stream is None:
-        raise ValueError("stability needs a stream")
-    k = config.noise_samples
-    noise = config.noise_sigma * stream.standard_normal((n, k, xs.shape[1]))
-    noisy = xs[:, None, :] + noise
-    q_raw = _sigmoid(np.einsum("nkj,j->nk", noisy, theta))
-    qc = _clamp_probs(q_raw)
-    q_free = ((q_raw > _CLAMP) & (q_raw < 1.0 - _CLAMP)).astype(np.float64)
-    reg_vals = np.mean(_kl_vec(pc[:, None], qc), axis=1)
-    dkl_dp = np.mean(np.log(pc[:, None] / qc)
-                     - np.log((1.0 - pc[:, None]) / (1.0 - qc)), axis=1)
-    coef_p = dkl_dp * p_raw * (1.0 - p_raw) * p_free
-    coef_q = (qc - pc[:, None]) * q_free / k
-    value = float(np.sum(weights * (std_vals + beta * reg_vals)) / total_w)
-    grad = np.einsum("i,ij->j", weights * (c_std + beta * coef_p), xs) / total_w
-    grad = grad + np.einsum("nk,nkj->j", weights[:, None] * beta * coef_q,
-                            noisy) / total_w
-    return value, grad
+
+def _lockstep_sgd(update: Callable, xs: np.ndarray, ys: np.ndarray,
+                  weights: np.ndarray | None, n_labeled: int, n_rows: int,
+                  batch_size: int, equal_parts: bool, grad_steps: int,
+                  streams: Sequence[RngStream]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """SGD from zero on G stacked problems, stepped together.
+
+    xs is a (G, N, d) row buffer and ys, weights (G, N); problem g trains
+    on the first n_rows rows of its slice, the first n_labeled of them
+    labeled. Each step gathers the batch rows with one np.take on the
+    flattened buffer and sets (values, theta) = update(theta, bx, by, bw)
+    on the (G, b, d) batch; values (or None) fill the returned (G,
+    grad_steps) trace. batch_size = 0 is the full batch. Per-step draw
+    order: each problem in problem order draws its batch indices from its
+    own stream (labeled block first under equal parts); then update's
+    draws.
+    """
+    count, stride, d = xs.shape
+    flat_xs = xs.reshape(-1, d)
+    flat_ys = ys.reshape(-1)
+    flat_w = None if weights is None else weights.reshape(-1)
+    offsets = np.arange(count)[:, None] * stride
+    half = batch_size // 2
+
+    def indices(stream):
+        if not equal_parts:
+            return stream.integers(0, n_rows, size=batch_size)
+        lab = stream.integers(0, n_labeled, size=batch_size - half)
+        unl = n_labeled + stream.integers(0, n_rows - n_labeled, size=half)
+        return np.concatenate([lab, unl])
+
+    theta = np.zeros((count, d))
+    trace = np.empty((count, grad_steps))
+    for step in range(grad_steps):
+        if batch_size == 0:
+            bx, by = xs[:, :n_rows], ys[:, :n_rows]
+            bw = None if weights is None else weights[:, :n_rows]
+        else:
+            idx = np.stack([indices(s) for s in streams])
+            idx += offsets
+            bx, by = np.take(flat_xs, idx, axis=0), np.take(flat_ys, idx)
+            bw = None if flat_w is None else np.take(flat_w, idx)
+        values, theta = update(theta, bx, by, bw)
+        if values is not None:
+            trace[:, step] = values
+    return theta, trace
+
+
+def standard_train_lockstep(xs: np.ndarray, ys: np.ndarray, n_rows: int,
+                            learning_rate: float, grad_steps: int,
+                            batch_size: int,
+                            streams: Sequence[RngStream]) -> np.ndarray:
+    """standard_train on G stacked problems: (G, d) parameters.
+
+    xs is a (G, N, d) row buffer and ys (G, N) float labels; problem g
+    trains on the first n_rows rows of its slice with streams[g]. Row g of
+    the result equals standard_train on that problem alone.
+    """
+
+    def update(theta, bx, by, _):
+        # (rate * sum) / b, not rate * mean: stage one's rounding order
+        c = -by * _sigmoid(-by * np.einsum("...ij,...j->...i", bx, theta))
+        return None, theta - learning_rate * np.einsum(
+            "...i,...ij->...j", c, bx) / bx.shape[-2]
+
+    theta, _ = _lockstep_sgd(update, xs, ys, None, n_rows, n_rows, batch_size,
+                             False, grad_steps, streams)
+    return theta
+
+
+def rst_train_lockstep(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray,
+                       n_labeled: int, n_rows: int, config: RstConfig,
+                       streams: Sequence[RngStream]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """rst_train on G stacked problems: (G, d) parameters, (G, steps) traces.
+
+    xs is a (G, N, d) row buffer, ys and weights (G, N); problem g trains
+    on the first n_rows rows of its slice, the first n_labeled of them
+    labeled, with streams[g]. Row g of each result equals rst_train on
+    that problem alone.
+    """
+    if config.equal_parts_batches:
+        if config.batch_size < 2:
+            raise ValueError("equal_parts_batches needs batch_size >= 2")
+        if n_rows == n_labeled:
+            raise ValueError("equal_parts_batches needs unlabeled rows")
+
+    def update(theta, bx, by, bw):
+        values, grads = robust_objective(theta, bx, by, bw, config, streams)
+        return values, theta - config.learning_rate * grads
+
+    return _lockstep_sgd(update, xs, ys, weights, n_labeled, n_rows,
+                         config.batch_size, config.equal_parts_batches,
+                         config.grad_steps, streams)
 
 
 def standard_train(data: LabeledSet, learning_rate: float, grad_steps: int,
@@ -390,18 +517,10 @@ def standard_train(data: LabeledSet, learning_rate: float, grad_steps: int,
     batch_size = int(batch_size)
     if grad_steps < 1 or batch_size < 0:
         raise ValueError("grad_steps must be >= 1 and batch_size >= 0")
-    xs = data.xs
-    ys = data.ys.astype(np.float64)
-    theta = np.zeros(xs.shape[1])
-    for _ in range(grad_steps):
-        if batch_size == 0:
-            bx, by = xs, ys
-        else:
-            idx = stream.integers(0, data.n, size=batch_size)
-            bx, by = xs[idx], ys[idx]
-        c = -by * _sigmoid(-by * np.einsum("ij,j->i", bx, theta))
-        theta = theta - learning_rate * np.einsum("i,ij->j", c, bx) / bx.shape[0]
-    return LogisticModel(theta=theta)
+    theta = standard_train_lockstep(
+        data.xs[None], data.ys.astype(np.float64)[None], data.n,
+        learning_rate, grad_steps, batch_size, [stream])
+    return LogisticModel(theta=theta[0])
 
 
 def rst_train(labeled: LabeledSet,
@@ -423,7 +542,6 @@ def rst_train(labeled: LabeledSet,
     xs_parts = [labeled.xs]
     ys_parts = [labeled.ys.astype(np.float64)]
     w_parts = [np.ones(labeled.n)]
-    n_unlabeled = 0
     if unlabeled_with_pseudo is not None:
         pool, pseudo = unlabeled_with_pseudo
         pseudo = np.asarray(pseudo)
@@ -433,38 +551,16 @@ def rst_train(labeled: LabeledSet,
             raise ValueError("need one pseudo-label per unlabeled row")
         if not np.all(np.isin(pseudo, (-1, 1))):
             raise ValueError("pseudo-labels must be +-1")
-        n_unlabeled = pool.n
         xs_parts.append(pool.xs)
         ys_parts.append(pseudo.astype(np.float64))
         w_parts.append(np.full(pool.n, config.w_unlabeled))
     xs = np.concatenate(xs_parts, axis=0)
-    ys = np.concatenate(ys_parts)
-    weights = np.concatenate(w_parts)
-    n_pool = xs.shape[0]
-
-    if config.equal_parts_batches:
-        if config.batch_size < 2:
-            raise ValueError("equal_parts_batches needs batch_size >= 2")
-        if n_unlabeled == 0:
-            raise ValueError("equal_parts_batches needs unlabeled rows")
-
-    theta = np.zeros(xs.shape[1])
-    trace = np.empty(config.grad_steps)
-    for step in range(config.grad_steps):
-        if config.batch_size == 0:
-            idx = slice(None)
-        elif config.equal_parts_batches:
-            half = config.batch_size // 2
-            lab_idx = stream.integers(0, labeled.n, size=config.batch_size - half)
-            unl_idx = labeled.n + stream.integers(0, n_unlabeled, size=half)
-            idx = np.concatenate([lab_idx, unl_idx])
-        else:
-            idx = stream.integers(0, n_pool, size=config.batch_size)
-        value, grad = robust_objective(theta, xs[idx], ys[idx], weights[idx],
-                                       config, stream)
-        trace[step] = value
-        theta = theta - config.learning_rate * grad
-    return RstTrainResult(model=LogisticModel(theta=theta), loss_trace=trace)
+    theta, trace = rst_train_lockstep(
+        xs[None], np.concatenate(ys_parts)[None],
+        np.concatenate(w_parts)[None], labeled.n, xs.shape[0], config,
+        [stream])
+    return RstTrainResult(model=LogisticModel(theta=theta[0]),
+                          loss_trace=trace[0])
 
 
 def smoothed_predict_exact(model: LogisticModel, x,

@@ -1,16 +1,17 @@
 """Rewrite the golden CSV corpus: PYTHONPATH=src python tests/golden/regen.py
 
 The corpus holds the trial and summary CSVs of the seven subcommands, at
-the sizes of acceptance criterion 11, seed 17 and one worker, and of two
+the sizes of acceptance criterion 11, seed 17 and one worker, and of four
 more cases that those sizes leave blind: rst-demo with the projected
 gradient regularizer, whose ascent kernel none of the criterion-11 cases
-runs, and certify-demo at its default d and noise sigma with 40 points,
-whose accuracies sit away from 0 and 1 so that a change of vote draws
-shows (criterion 11's six points certified the same five under both the
-oracle and the exact binomial vote draws). Two more rst-demo cases cover
-the stability regularizer and a run of four trials, which rst-demo trains
-as one full lockstep group of three and one partial group. Run this only after a deliberate change of draws or
-output, and say in CHANGES.md which files changed and why.
+runs; certify-demo at its default d and noise sigma with 40 points, whose
+accuracies sit away from 0 and 1 so that a change of vote draws shows
+(criterion 11's six points certified the same five under both the oracle
+and the exact binomial vote draws); rst-demo with the stability
+regularizer; and rst-demo with four trials, which it trains as one full
+lockstep group of three and one partial group. Run this only after a
+deliberate change of draws or output, and say in CHANGES.md which files
+changed and why.
 """
 
 import os

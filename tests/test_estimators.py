@@ -182,6 +182,30 @@ class TestSampleMixture:
         assert np.all(np.abs(pool.xs[~rel, 0]) < 1.0)
         del signs
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0, 0.37])
+    @pytest.mark.parametrize("model", [
+        canonical_model(30, 100, 0.2),
+        GaussianModel(mu=split_stream(66, 9).standard_normal(17), sigma=1.7,
+                      epsilon=0.1)], ids=["canonical", "random_mu"])
+    def test_equals_the_broadcast_formula(self, alpha, model):
+        # the formula the in-place sampler replaced: y mu + sigma z on the
+        # signal rows, sigma z on the rest, then the permutation
+        for seed in range(5):
+            ref, stream = split_stream(66, seed), split_stream(66, seed)
+            n_rel = int(math.floor(alpha * 301 + 0.5))
+            ys = 2 * ref.integers(0, 2, size=301, dtype=np.int64) - 1
+            zs = ref.standard_normal((301, model.d))
+            relevant = np.arange(301) < n_rel
+            signal = np.where(relevant[:, None],
+                              ys[:, None] * model.mu[None, :], 0.0)
+            xs = signal + model.sigma * zs
+            perm = ref.permutation(301)
+            pool, hidden = sample_mixture(model, 301, alpha, stream)
+            assert np.array_equal(pool.xs, xs[perm])
+            assert np.array_equal(pool.relevant, relevant[perm])
+            assert np.array_equal(hidden, ys[perm])
+            assert stream.bit_generator.state == ref.bit_generator.state
+
     def test_rejects_bad_fraction(self):
         m = canonical_model(4, 4, 0.25)
         with pytest.raises(ValueError):
@@ -294,6 +318,20 @@ def _factored(kind, model, alpha, stream):
     if kind == "supervised":
         return supervised_draw(model, 3, stream)
     return selftrain_draw(model, 3, 700, alpha, stream)
+
+
+def test_mu_sq_is_computed_once_per_model(monkeypatch):
+    m = GaussianModel(mu=split_stream(67, 0).standard_normal(50), sigma=1.3,
+                      epsilon=0.1)
+    want = float(np.einsum("i,i->", m.mu, m.mu))
+    calls = []
+    real = np.einsum
+    monkeypatch.setattr(np, "einsum",
+                        lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    draws = [supervised_draw(m, 3, split_stream(67, k)) for k in range(4)]
+    assert all(draw.gram[0] == want for draw in draws)
+    # one mu.mu for the model, then mu.z1 and z1.z1 per draw
+    assert len(calls) == 1 + 2 * len(draws)
 
 
 class TestFactoredScores:

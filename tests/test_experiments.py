@@ -1,6 +1,7 @@
 """Tests for the experiment drivers, CSV emission, and the check gate."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -347,6 +348,60 @@ def test_rst_demo_paired_rows_and_margin():
     assert len(margin) == 1
     diffs = [b.rob_err - r.rob_err for r, b in zip(rst, base)]
     assert margin[0].mean == pytest.approx(float(np.mean(diffs)), abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["adversarial_exact", "adversarial_pg",
+                                  "stability"])
+def test_rst_demo_rows_do_not_depend_on_the_group_size(monkeypatch, kind):
+    from rstsim import experiments
+    spec = _small_rst_spec(trial_count=5, rst_config=RstConfig(
+        beta=1.0, epsilon=0.2, learning_rate=0.01, grad_steps=3, batch_size=4,
+        reg_kind=kind, pg_steps=2))
+    row_scalars = (8 + 20) * 10
+
+    def lines(group):
+        monkeypatch.setattr(experiments, "_RST_GROUP_SCALARS",
+                            group * row_scalars)
+        rows, summaries = run_rst_demo(spec)
+        return trial_csv_lines(rows), summary_csv_lines(summaries)
+
+    one = lines(1)
+    assert all(lines(group) == one for group in (2, 3, 5, 50))
+
+
+def test_rst_demo_memory_at_defaults():
+    # one reused group buffer of 3 x 3,030 rows, plus the two copies of one
+    # pool that sample_mixture holds while it permutes
+    spec = ExperimentSpec(kind="rst_demo", n0=30, d=100, epsilon=0.5,
+                          allow_large_epsilon=True, trial_count=10, workers=2)
+    tracemalloc.start()
+    try:
+        run_rst_demo(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (3 * 3_030 * 100 + 2 * 3_000 * 100) + 2**20
+
+
+def test_arms_share_one_trial_pool(monkeypatch):
+    from rstsim import experiments
+    calls = []
+    real = experiments._run_indexed
+
+    def counted(fn, count, master_seed, base_index, workers):
+        calls.append((count, base_index))
+        return real(fn, count, master_seed, base_index, workers)
+
+    monkeypatch.setattr(experiments, "_run_indexed", counted)
+    spec = ExperimentSpec(kind="irrelevant_sweep", n0=5, d=24, epsilon=0.2,
+                          trial_count=3, n_unlabeled=30,
+                          alpha_grid=(1.0, 0.5, 0.0), workers=2)
+    rows, summaries = run_irrelevant_sweep(spec)
+    # three fixed arms and two scaled ones
+    assert calls == [(15, 0)]
+    assert [r.seed for r in rows] == list(range(15))
+    assert [r.trial for r in rows] == [0, 1, 2] * 5
+    assert [s.trials for s in summaries] == [3] * len(summaries)
 
 
 def test_rst_demo_check_gate():

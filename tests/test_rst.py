@@ -16,10 +16,12 @@ from rstsim.rst import (
     kl_bernoulli,
     robust_objective,
     rst_train,
+    rst_train_lockstep,
     smoothed_predict_exact,
     stability_reg,
     standard_loss,
     standard_train,
+    standard_train_lockstep,
 )
 from rstsim.statkit import q_function, split_stream
 
@@ -374,6 +376,129 @@ class TestTraining:
             RstConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             RstConfig(reg_kind="something_else")
+
+
+REG_KINDS = ("adversarial_exact", "adversarial_pg", "stability")
+
+
+def _problems(count, n=5, n_tilde=9, d=6, seed=140):
+    """count same-shape problems: (labeled set, pool, pseudo-labels)."""
+    m = canonical_model(4, d, 0.2)
+    out = []
+    for g in range(count):
+        stream = split_stream(seed, g)
+        labeled = sample_labeled(m, n, stream)
+        pool, _ = sample_mixture(m, n_tilde, 0.75, stream)
+        pseudo = np.where(stream.standard_normal(n_tilde) >= 0, 1, -1)
+        out.append((labeled, pool, pseudo))
+    return out
+
+
+def _stacked(problems, w_unlabeled):
+    """The (G, n + n~, d) row buffer, labeled rows first, labels, weights."""
+    n = problems[0][0].n
+    xs = np.stack([np.concatenate([lab.xs, pool.xs])
+                   for lab, pool, _ in problems])
+    ys = np.stack([np.concatenate([lab.ys, pseudo]).astype(float)
+                   for lab, _, pseudo in problems])
+    weights = np.full(ys.shape, w_unlabeled)
+    weights[:, :n] = 1.0
+    return xs, ys, weights
+
+
+def _streams(count, seed=150):
+    return [split_stream(seed, g) for g in range(count)]
+
+
+def _states(streams):
+    return [s.bit_generator.state for s in streams]
+
+
+class TestLockstep:
+    """G problems stepped together equal G one-problem runs, exactly."""
+
+    @pytest.mark.parametrize("kind", REG_KINDS)
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_stacked_objective_equals_per_problem_calls(self, kind, beta,
+                                                        count):
+        stream = split_stream(141, count)
+        thetas = stream.standard_normal((count, 7))
+        xs = 2.0 * stream.standard_normal((count, 11, 7))
+        ys = np.where(stream.random((count, 11)) < 0.5, 1.0, -1.0)
+        weights = 0.5 + stream.random((count, 11))
+        cfg = RstConfig(beta=beta, epsilon=0.3, reg_kind=kind,
+                        noise_samples=3, pg_steps=4, pg_step_size=0.05)
+        stacked = _streams(count)
+        values, grads = robust_objective(thetas, xs, ys, weights, cfg, stacked)
+        assert values.shape == (count,) and grads.shape == (count, 7)
+        single = _streams(count)
+        for g in range(count):
+            value, grad = robust_objective(thetas[g], xs[g], ys[g],
+                                           weights[g], cfg, single[g])
+            assert isinstance(value, float) and grad.shape == (7,)
+            assert value == values[g]
+            assert np.array_equal(grad, grads[g])
+        assert _states(stacked) == _states(single)
+
+    @pytest.mark.parametrize("kind", REG_KINDS)
+    @pytest.mark.parametrize("batch_size,equal_parts",
+                             [(0, False), (4, False), (4, True), (5, True)])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_rst_lockstep_equals_rst_train(self, kind, batch_size,
+                                           equal_parts, count):
+        problems = _problems(count)
+        n, n_rows = problems[0][0].n, 14
+        cfg = RstConfig(beta=2.0, w_unlabeled=0.6, epsilon=0.2,
+                        learning_rate=0.05, grad_steps=6,
+                        batch_size=batch_size, reg_kind=kind,
+                        equal_parts_batches=equal_parts, noise_samples=2,
+                        pg_steps=3)
+        xs, ys, weights = _stacked(problems, cfg.w_unlabeled)
+        arms = [(n_rows, lambda lab, pool, pseudo: (pool, pseudo))]
+        if not equal_parts:
+            arms.append((n, lambda lab, pool, pseudo: None))
+        for rows, unlabeled in arms:
+            stacked = _streams(count)
+            thetas, traces = rst_train_lockstep(xs, ys, weights, n, rows, cfg,
+                                                stacked)
+            single = _streams(count)
+            for g, problem in enumerate(problems):
+                res = rst_train(problem[0], unlabeled(*problem), cfg,
+                                single[g])
+                assert np.array_equal(res.model.theta, thetas[g])
+                assert np.array_equal(res.loss_trace, traces[g])
+            assert _states(stacked) == _states(single)
+
+    @pytest.mark.parametrize("batch_size", [0, 3])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_standard_lockstep_equals_standard_train(self, batch_size, count):
+        # the labeled rows are the first n of a longer buffer
+        problems = _problems(count)
+        xs, ys, _ = _stacked(problems, 1.0)
+        stacked = _streams(count)
+        thetas = standard_train_lockstep(xs, ys, 5, 0.1, 7, batch_size,
+                                         stacked)
+        single = _streams(count)
+        for g, (labeled, _, _) in enumerate(problems):
+            model = standard_train(labeled, 0.1, 7, batch_size, single[g])
+            assert np.array_equal(model.theta, thetas[g])
+        assert _states(stacked) == _states(single)
+
+    def test_equal_parts_needs_unlabeled_rows(self):
+        xs, ys, weights = _stacked(_problems(2), 1.0)
+        cfg = RstConfig(batch_size=4, equal_parts_batches=True)
+        with pytest.raises(ValueError, match="unlabeled rows"):
+            rst_train_lockstep(xs, ys, weights, 5, 5, cfg, _streams(2))
+
+    def test_objective_rejects_mismatched_stacking(self):
+        cfg = RstConfig()
+        with pytest.raises(ValueError):
+            robust_objective(np.zeros((2, 3)), np.zeros((4, 3)), np.ones(4),
+                             np.ones(4), cfg)
+        with pytest.raises(ValueError):
+            robust_objective(np.zeros((2, 3)), np.zeros((3, 4, 3)),
+                             np.ones((3, 4)), np.ones((3, 4)), cfg)
 
 
 class TestSmoothedPredictExact:
