@@ -211,6 +211,7 @@ def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
     best_x = xs.copy()
     for start_sign in (1.0, -1.0):
         cur = xs + start_sign * delta
+        move_sign = None
         for it in range(steps + 1):
             # project onto the ball in place, in np.clip's order
             np.minimum(np.maximum(cur, lo, out=cur), hi, out=cur)
@@ -219,10 +220,22 @@ def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
             val = _kl_vec(p, q)
             better = val > best_val
             best_val = np.where(better, val, best_val)
-            np.copyto(best_x, cur, where=better[..., None])
+            # a masked copy costs several plain ones, and early in a chain
+            # every row improves
+            if better.all():
+                np.copyto(best_x, cur)
+            elif better.any():
+                np.copyto(best_x, cur, where=better[..., None])
             if it == steps:
                 break
-            cur += (step_size * np.sign(q - p))[..., None] * sgn_theta
+            # a row's score moves one way along a chain, so its step sign
+            # does not change; the (b, d) step block is rebuilt only if
+            # rounding ever flips one
+            sign = np.sign(q - p)
+            if move_sign is None or not np.array_equal(sign, move_sign):
+                move_sign = sign
+                move = (step_size * sign)[..., None] * sgn_theta
+            cur += move
     return best_val, best_x
 
 

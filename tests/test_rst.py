@@ -10,6 +10,10 @@ from rstsim.estimators import UnlabeledSet, sample_mixture
 from rstsim.gaussian import LabeledSet, canonical_model, sample_labeled
 from rstsim.rst import (
     LogisticModel,
+    _clamp_probs,
+    _kl_vec,
+    _pg_worst_batch,
+    _sigmoid,
     RstConfig,
     adversarial_reg_exact,
     adversarial_reg_pg,
@@ -173,6 +177,45 @@ class TestAdversarialPG:
         b = adversarial_reg_pg(model, x, 0.3, 20, 0.03, split_stream(107, 0))
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
+
+    @staticmethod
+    def _reference_ascent(theta, xs, epsilon, steps, step_size, stream):
+        # every step rebuilds the (b, d) step block and masks the copy of
+        # the improved rows
+        delta = stream.uniform(-epsilon, epsilon, size=xs.shape)
+        lo, hi = xs - epsilon, xs + epsilon
+        p = _clamp_probs(_sigmoid(np.einsum("ij,j->i", xs, theta)))
+        best_val, best_x = np.full(xs.shape[0], -1.0), xs.copy()
+        for start_sign in (1.0, -1.0):
+            cur = xs + start_sign * delta
+            for it in range(steps + 1):
+                np.minimum(np.maximum(cur, lo, out=cur), hi, out=cur)
+                q = _clamp_probs(_sigmoid(np.einsum("ij,j->i", cur, theta)))
+                val = _kl_vec(p, q)
+                better = val > best_val
+                best_val = np.where(better, val, best_val)
+                np.copyto(best_x, cur, where=better[:, None])
+                if it == steps:
+                    break
+                cur += (step_size * np.sign(q - p))[:, None] * np.sign(theta)
+        return best_val, best_x
+
+    def test_ascent_equals_the_reference(self):
+        # zero weights, zero radius, steps past the corner and q == p rows
+        stream = split_stream(109, 0)
+        for t in range(60):
+            b, d = int(stream.integers(1, 30)), int(stream.integers(1, 12))
+            theta = stream.standard_normal(d) * [0.0, 0.1, 3.0][t % 3]
+            theta[stream.random(d) < 0.3] = 0.0
+            xs = 2.0 * stream.standard_normal((b, d))
+            eps = [0.0, 0.1, 0.5][t % 3 - 1]
+            steps, step_size = int(stream.integers(1, 12)), [0.01, 0.3][t % 2]
+            want = self._reference_ascent(theta, xs, eps, steps, step_size,
+                                          split_stream(109, 100 + t))
+            got = _pg_worst_batch(theta, xs, eps, steps, step_size,
+                                  [split_stream(109, 100 + t)])
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
     def test_rejects_bad_arguments(self):
         model = LogisticModel(theta=np.ones(2))
