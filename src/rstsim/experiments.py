@@ -5,6 +5,8 @@ Trials are embarrassingly parallel: trial j of an experiment always uses
 split_stream(master_seed, global_index_j), with global indices assigned in
 fixed blocks per arm or grid point, so output is byte-identical for any
 worker count. Reductions happen in index order after all trials complete.
+rst-demo keeps the seeds but trains its trials in lockstep groups on the
+calling thread instead (run_rst_demo).
 
 The four closed-form drivers (gap and the three sweeps) only validate their
 grid and list their arms; one runner, _run_arms, draws each arm's estimator,
