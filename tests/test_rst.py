@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import rstsim.rst as rst_module
 from rstsim.estimators import UnlabeledSet, sample_mixture
 from rstsim.gaussian import LabeledSet, canonical_model, sample_labeled
 from rstsim.rst import (
@@ -181,7 +182,9 @@ class TestAdversarialPG:
     @staticmethod
     def _reference_ascent(theta, xs, epsilon, steps, step_size, stream):
         # every step rebuilds the (b, d) step block and masks the copy of
-        # the improved rows
+        # the improved rows; the sigmoid is looked up when called, as the
+        # kernel does, so a test may patch it
+        _sigmoid = rst_module._sigmoid
         delta = stream.uniform(-epsilon, epsilon, size=xs.shape)
         lo, hi = xs - epsilon, xs + epsilon
         p = _clamp_probs(_sigmoid(np.einsum("ij,j->i", xs, theta)))
@@ -216,6 +219,21 @@ class TestAdversarialPG:
                                   [split_stream(109, 100 + t)])
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
+
+    def test_ascent_follows_step_signs_that_change(self, monkeypatch):
+        # a sigmoid that wiggles makes q - p change sign along a chain, so
+        # the kernel must rebuild its step block
+        real = rst_module._sigmoid
+        monkeypatch.setattr(rst_module, "_sigmoid",
+                            lambda s: real(s) + 0.05 * np.sin(40.0 * s))
+        stream = split_stream(110, 0)
+        theta = stream.standard_normal(6)
+        xs = stream.standard_normal((40, 6))
+        want = self._reference_ascent(theta, xs, 0.5, 15, 0.05,
+                                      split_stream(110, 1))
+        got = _pg_worst_batch(theta, xs, 0.5, 15, 0.05, [split_stream(110, 1)])
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
     def test_rejects_bad_arguments(self):
         model = LogisticModel(theta=np.ones(2))
