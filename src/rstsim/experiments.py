@@ -459,10 +459,10 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
     thread: each group's rows sit in one reused (G, n + n~, d) buffer,
     labeled rows first, and its three trainings (stage one, robust
     self-training, labeled-only on the first n rows) each step the G
-    problems together.
-    Trial j draws from split_stream(master_seed, j) in the one-trial order:
-    labeled set, pool, stage one, robust self-training, labeled-only. So
-    rows do not depend on G, and spec.workers does not split the trials.
+    problems together. Trial j draws from split_stream(master_seed, j) in
+    the one-trial order: labeled set, pool, stage one, robust
+    self-training, labeled-only. So rows do not depend on G, and
+    spec.workers does not split the trials.
     """
     model = spec.model()
     n = _labeled_count(spec)
