@@ -8,8 +8,10 @@ runs; certify-demo at its default d and noise sigma with 40 points, whose
 accuracies sit away from 0 and 1 so that a change of vote draws shows
 (criterion 11's six points certified the same five under both the oracle
 and the exact binomial vote draws); rst-demo with the stability
-regularizer; and rst-demo with four trials, which it trains as one full
-lockstep group of three and one partial group. Run this only after a
+regularizer; rst-demo with four trials, which it trains as one full
+lockstep group of three and one partial group; and verify at 30,001 Monte
+Carlo samples, whose d = 1,024 pair ends on a partial chunk and a partial
+row block. Run this only after a
 deliberate change of draws or output, and say in CHANGES.md which files
 changed and why.
 """
@@ -41,6 +43,7 @@ CASES["certify-demo-40"] = ["certify-demo", "--trials", "40"]
 CASES["rst-demo-stability"] = ["rst-demo", "--reg-kind", "stability",
                                "--trials", "2"]
 CASES["rst-demo-groups"] = ["rst-demo", "--trials", "4"]
+CASES["verify-ragged"] = ["verify", "--trials", "5", "--mc-samples", "30001"]
 
 
 def write_corpus(directory: str) -> list[str]:
