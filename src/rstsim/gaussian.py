@@ -120,25 +120,32 @@ def canonical_model(n0: int, d: int, epsilon: float,
     return GaussianModel(mu=np.ones(d), sigma=sigma, epsilon=epsilon, n0=n0)
 
 
-# Monte Carlo draws and scores its sample in chunks of about this many
-# scalars, so its memory is O(threads * chunk) rather than O(n d).
+# Monte Carlo draws chunks of about _MC_BLOCK_SCALARS, one substream each,
+# in row blocks of about _MC_ROW_BLOCK_SCALARS: memory O(threads * block).
 _MC_BLOCK_SCALARS = 1 << 20
+_MC_ROW_BLOCK_SCALARS = 1 << 17
 
 
-def _draw_labeled(model: GaussianModel, stream: RngStream,
-                  xs: np.ndarray) -> np.ndarray:
-    """Fill xs, an (n, d) buffer, with n labeled samples; return the labels.
+def _draw_labeled(model: GaussianModel, stream: RngStream, n: int,
+                  buf: np.ndarray, take=None) -> np.ndarray:
+    """Draw n labeled samples into buf block by block; return the labels.
 
     Draw order (fixed for reproducibility): n label bits first, then the
-    (n, d) noise matrix row-major. x_i = y_i * mu + sigma * z_i, formed in
-    place: adding or subtracting mu is exactly y_i * mu for y_i = +-1.
+    (n, d) noise matrix row-major, len(buf) rows at a time. Each block's
+    x_i = y_i * mu + sigma * z_i is formed in place in buf (adding or
+    subtracting mu is exactly y_i * mu for y_i = +-1), then handed to
+    take(first_row, xs) when given. One block when len(buf) >= n.
     """
-    ys = 2 * stream.integers(0, 2, size=xs.shape[0], dtype=np.int64) - 1
-    stream.standard_normal(out=xs)
-    xs *= model.sigma
-    pos = (ys > 0)[:, None]
-    np.add(xs, model.mu, out=xs, where=pos)
-    np.subtract(xs, model.mu, out=xs, where=~pos)
+    ys = 2 * stream.integers(0, 2, size=n, dtype=np.int64) - 1
+    for r0 in range(0, n, len(buf)):
+        xs = buf[:min(len(buf), n - r0)]
+        stream.standard_normal(out=xs)
+        xs *= model.sigma
+        pos = (ys[r0:r0 + len(xs)] > 0)[:, None]
+        np.add(xs, model.mu, out=xs, where=pos)
+        np.subtract(xs, model.mu, out=xs, where=~pos)
+        if take is not None:
+            take(r0, xs)
     return ys
 
 
@@ -148,8 +155,7 @@ def sample_labeled(model: GaussianModel, n: int, stream: RngStream) -> LabeledSe
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     xs = np.empty((n, model.d))
-    ys = _draw_labeled(model, stream, xs)
-    return LabeledSet(xs=xs, ys=ys)
+    return LabeledSet(xs=xs, ys=_draw_labeled(model, stream, n, xs))
 
 
 def alignment_stats(model: GaussianModel,
@@ -226,8 +232,10 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     draw it. The layout depends only on n_samples and d, and the miss
     counts are exact integer sums, so the result does not depend on how
     many threads run the chunks: at most threads (default: the cores this
-    process may run on) and one per chunk, the caller among them, each
-    reusing one buffer. Memory is O(threads * R * d) for any n_samples.
+    process may run on) and one per chunk, the caller among them. A thread
+    draws a chunk in the same order in row blocks of max(1, 2^17 // d) into
+    one reused buffer and scores each into the chunk's scores, so nothing
+    depends on the block size. Memory is O(threads * (block d + R)).
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -246,14 +254,20 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
+    block = min(rows, n_samples, max(1, _MC_ROW_BLOCK_SCALARS // model.d))
     def misses(first: int) -> tuple[int, int]:
         # (standard, robust) miss counts of chunks first, first + threads, ...
-        buf = np.empty((min(rows, n_samples), model.d))
+        buf = np.empty((block, model.d))
+        chunk_scores = np.empty(min(rows, n_samples))
+
+        def score(r0: int, xs: np.ndarray) -> None:
+            np.einsum("ij,j->i", xs, theta, out=scores[r0:r0 + len(xs)])
+
         std_miss = rob_miss = 0
         for k in range(first, n_chunks, threads):
-            xs = buf[:min(rows, n_samples - k * rows)]
-            ys = _draw_labeled(model, split_stream(seed, k), xs)
-            scores = np.einsum("ij,j->i", xs, theta)
+            scores = chunk_scores[:min(rows, n_samples - k * rows)]
+            ys = _draw_labeled(model, split_stream(seed, k), len(scores), buf,
+                               score)
             std_miss += int(np.count_nonzero(np.where(scores >= 0.0, 1, -1) != ys))
             margin = ys * scores - model.epsilon * l1
             rob_miss += int(np.count_nonzero(

@@ -185,6 +185,22 @@ class TestSampling:
         assert np.array_equal(data.xs, xs)
         assert np.array_equal(data.ys, ys)
 
+    @pytest.mark.parametrize("block", [1, 7, 128, 300])
+    def test_row_blocks_draw_the_same_sample(self, block):
+        # the Monte Carlo's many-block fill consumes the stream exactly as
+        # sample_labeled's one block does
+        m = canonical_model(4, 16, 0.25)
+        data = sample_labeled(m, 300, split_stream(24, 0))
+        buf = np.empty((block, 16))
+        xs = np.empty((300, 16))
+
+        def take(r0, rows):
+            xs[r0:r0 + len(rows)] = rows
+
+        ys = gaussian._draw_labeled(m, split_stream(24, 0), 300, buf, take)
+        assert np.array_equal(data.xs, xs)
+        assert np.array_equal(data.ys, ys)
+
     def test_deterministic_given_stream(self):
         m = canonical_model(4, 16, 0.25)
         a = sample_labeled(m, 10, split_stream(5, 3))
@@ -294,6 +310,44 @@ class TestBlockedMonteCarlo:
             # an explicit budget overrides the core count
             assert mc_error_estimate(m, clf, n, split_stream(48, 0),
                                      threads=6 - threads) == want
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 128])
+    @pytest.mark.parametrize("d", [3, 64])
+    def test_row_blocks_match_reference(self, monkeypatch, block_rows, d):
+        # chunks of 300 rows, n = 1000: a ragged last chunk (100 rows), and
+        # neither 300 nor 100 a multiple of 7 or 128
+        monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", 300 * d)
+        monkeypatch.setattr(gaussian, "_MC_ROW_BLOCK_SCALARS", block_rows * d)
+        m = canonical_model(4, d, 0.3)
+        clf = LinearClassifier(theta=split_stream(49, d).standard_normal(d) + 0.3)
+        want = _chunked_mc(m, clf, 1000, split_stream(50, 0))
+        for threads in (1, 2, 3, 5):
+            monkeypatch.setattr(gaussian, "_mc_threads", lambda: threads)
+            assert mc_error_estimate(m, clf, 1000, split_stream(50, 0)) == want
+
+    @pytest.mark.parametrize("d,n", [
+        (1, 3 * 2**17 + 11),   # one partial chunk, three blocks and 11 rows
+        (2**20 + 3, 3),        # blocks and chunks of one row
+        (1024, 30_001),        # 30 chunks, the last 305 rows: 2 blocks + 49
+    ])
+    def test_default_row_blocks_match_reference(self, d, n):
+        m = canonical_model(4, d, 0.2)
+        theta = split_stream(51, d).standard_normal(d) + 0.5
+        got, want = self._both(m, theta, n, 52)
+        assert got == want
+
+    def test_traced_peak_is_two_row_blocks(self, monkeypatch):
+        # two threads, each holding one row block of 128 x 1024 floats
+        monkeypatch.setattr(gaussian, "_mc_threads", lambda: 2)
+        m = canonical_model(4, 1024, 0.25)
+        clf = LinearClassifier(theta=np.ones(1024))
+        tracemalloc.start()
+        try:
+            mc_error_estimate(m, clf, 20_000, split_stream(46, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * gaussian._MC_ROW_BLOCK_SCALARS + 2**20
 
     def test_traced_peak_is_one_block(self, monkeypatch):
         # two threads, each holding one chunk buffer of 1024 x 1024 floats
