@@ -149,14 +149,32 @@ def min_votes_for_radius(radius: float, config: SmoothingConfig) -> int:
     """Smallest estimation-stage vote count certifying at least this radius.
 
     Returns n_estimation + 1 when no count suffices. Monotone in radius.
+    The search gallops out from the normal guess n p + z sqrt(n p (1 - p)),
+    p = Phi(radius / noise_sigma), z = Phi^-1(1 - conf_alpha), then bisects;
+    the certifying counts are an upper set, so the count is any search's.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    lo, hi = 0, config.n_estimation + 1
+    n = config.n_estimation
+
+    def certifies(k: int) -> bool:
+        p = clopper_pearson_lower(k, n, config.conf_alpha)
+        return p > 0.5 and config.noise_sigma * inverse_gaussian_cdf(p) >= radius
+
+    p0 = gaussian_cdf(radius / config.noise_sigma)
+    z = -inverse_gaussian_cdf(config.conf_alpha)
+    guess = n * p0 + z * math.sqrt(n * p0 * (1.0 - p0))
+    lo, hi = 0, n + 1  # the answer lies in [lo, hi]
+    k, step = min(n, math.ceil(guess)), 1
+    while lo <= k < hi:
+        if certifies(k):
+            hi, k = k, k - step
+        else:
+            lo, k = k + 1, k + step
+        step *= 2
     while lo < hi:
         mid = (lo + hi) // 2
-        p = clopper_pearson_lower(mid, config.n_estimation, config.conf_alpha)
-        if p > 0.5 and config.noise_sigma * inverse_gaussian_cdf(p) >= radius:
+        if certifies(mid):
             hi = mid
         else:
             lo = mid + 1

@@ -389,3 +389,52 @@ class TestExactVoteCounts:
         before = len(calls)
         certified_accuracy_curve(model, xs, ys, radii, cfg, split_stream(227, 2))
         assert len(calls) == before
+
+
+class TestMinVotesSearch:
+    """The galloping search returns what a plain bisection over 0..N + 1 does."""
+
+    @staticmethod
+    def _bisect(radius, config):
+        # the reference: binary search over k in [0, n_estimation + 1]
+        lo, hi = 0, config.n_estimation + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            p = clopper_pearson_lower(mid, config.n_estimation,
+                                      config.conf_alpha)
+            if p > 0.5 and config.noise_sigma * inverse_gaussian_cdf(p) >= radius:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    @pytest.mark.parametrize("n_estimation", [1, 7, 100, 1_000, 10_000])
+    @pytest.mark.parametrize("conf_alpha", [1e-3, 0.05, 0.5, 0.9])
+    def test_matches_bisection(self, n_estimation, conf_alpha):
+        config = SmoothingConfig(noise_sigma=0.7, n0_selection=10,
+                                 n_estimation=n_estimation,
+                                 conf_alpha=conf_alpha)
+        radii = [0.0, 1e-9, 0.05, 0.2, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 50.0]
+        got = [min_votes_for_radius(r, config) for r in radii]
+        assert got == [self._bisect(r, config) for r in radii]
+        assert got[-1] == n_estimation + 1
+
+    def test_calls_at_certify_demo_defaults(self, monkeypatch):
+        import rstsim.smoothing as sm
+
+        calls = []
+        real = sm.clopper_pearson_lower
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sm, "clopper_pearson_lower", counted)
+        min_votes_for_radius.cache_clear()
+        # certify-demo's defaults: d = 16, n0 = 4, noise sigma = (n0 d)^(1/4)
+        sigma = (4 * 16) ** 0.25
+        config = SmoothingConfig(noise_sigma=sigma)
+        for f in (0.0, 0.5, 1.0, 1.5, 2.0):
+            min_votes_for_radius(sigma * f, config)
+        # plain bisection over 0..10,001 took 66
+        assert 0 < len(calls) <= 20
