@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .statkit import (
     RngStream,
     binomial_upper_tail,
     gaussian_cdf,
+    poisson_binomial_two_sided,
     split_stream,
 )
 
@@ -141,6 +142,9 @@ class SummaryRow:
     mean: float
     ci95_half_width: float | None
     trials: int
+    # certify-demo's analytic rows: each point's chance of counting, unwritten
+    point_probs: np.ndarray | None = field(default=None, compare=False,
+                                           repr=False)
 
 
 def format_float(value: float) -> str:
@@ -506,7 +510,10 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
         weights[:, :n] = 1.0
         rst, _ = rst_train_lockstep(xs, ys, weights, n, n_rows, config,
                                     streams)
-        base, _ = rst_train_lockstep(xs, ys, weights, n, n, config, streams)
+        # the labeled-only arm has no unlabeled rows to split a batch with
+        base, _ = rst_train_lockstep(
+            xs, ys, weights, n, n, replace(config, equal_parts_batches=False),
+            streams)
         for g, index in enumerate(indices):
             pairs.append((
                 trial_row("rst_demo:rst", rst[g], index, n_unlabeled=n_tilde,
@@ -536,7 +543,8 @@ def analytic_certified_accuracy(model: LogisticModel, xs: np.ndarray,
     For each point: the plurality stage selects the true label with a
     binomial tail probability, and the estimation stage certifies radius r
     exactly when its vote count reaches min_votes_for_radius(r). Returns
-    (radius, expected accuracy, standard deviation of empirical accuracy).
+    (radius, expected accuracy, standard deviation of empirical accuracy,
+    each point's probability of counting at that radius).
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys)
@@ -559,7 +567,7 @@ def analytic_certified_accuracy(model: LogisticModel, xs: np.ndarray,
                                   for p in p_true])
         mean = float(np.mean(probs))
         sd = float(np.sqrt(np.sum(probs * (1.0 - probs)))) / len(probs)
-        out.append((float(r), mean, sd))
+        out.append((float(r), mean, sd, probs))
     return out
 
 
@@ -573,7 +581,8 @@ def run_certify_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
     do not fit the error-rate schema); the curve lands in the summary file
     as certified_accuracy / analytic_accuracy / radius_linf per radius. The
     analytic rows carry 1.96 x the protocol's exact standard deviation in
-    the ci95 column.
+    the ci95 column, and each point's probability of counting in memory
+    (point_probs) for the exact --check gate.
     """
     model = spec.model()
     config = (spec.smoothing if spec.smoothing is not None
@@ -589,14 +598,14 @@ def run_certify_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
     analytic = analytic_certified_accuracy(base_model, points.xs, points.ys,
                                            radii, config)
     summaries: list[SummaryRow] = []
-    for (_, acc), (r, mean_a, sd_a) in zip(curve, analytic):
+    for (_, acc), (r, mean_a, sd_a, probs) in zip(curve, analytic):
         ci = 1.96 * math.sqrt(max(acc * (1 - acc), 0.0) / n_points)
         key = format_float(r)
         summaries.append(SummaryRow("certify_demo", "radius_l2", key,
                                     "certified_accuracy", acc, ci, n_points))
         summaries.append(SummaryRow("certify_demo", "radius_l2", key,
                                     "analytic_accuracy", mean_a, 1.96 * sd_a,
-                                    n_points))
+                                    n_points, point_probs=probs))
         summaries.append(SummaryRow("certify_demo", "radius_l2", key,
                                     "radius_linf",
                                     linf_radius_from_l2(r, spec.d), None,
@@ -617,7 +626,7 @@ RUNNERS = {
 
 # One versioned table of gate thresholds; check_results consults only this.
 ACCEPTANCE_THRESHOLDS = {
-    "version": 1,
+    "version": 2,
     "verify_closed_form": {"tolerance_sigmas": 4.0, "tolerance_floor": 1e-6},
     "gap": {"supervised_rob_err_min": 0.45, "supervised_std_err_max": 1 / 3,
             "selftrain_rob_err_max": 0.01},
@@ -626,7 +635,7 @@ ACCEPTANCE_THRESHOLDS = {
                          "zero_alpha_rob_err_min": 0.45},
     "label_sweep": {"plateau_ci_widths": 2.0, "plateau_abs_floor": 1e-6},
     "rst_demo": {"min_margin": 0.05},
-    "certify_demo": {"analytic_sd_sigmas": 3.0, "slack": 1e-9},
+    "certify_demo": {"two_sided_tail_min": 0.0027},
 }
 
 
@@ -717,11 +726,13 @@ def check_results(spec: ExperimentSpec, rows: list[TrialRow],
             e = emp.get(s.grid_value)
             if e is None:
                 continue
-            sd = (s.ci95_half_width or 0.0) / 1.96
-            bound = th["analytic_sd_sigmas"] * sd + th["slack"]
-            if abs(e.mean - s.mean) > bound:
+            # the certified count is exactly Poisson-binomial(point_probs)
+            k = round(e.mean * e.trials)
+            tail = poisson_binomial_two_sided(s.point_probs, k)
+            if tail < th["two_sided_tail_min"]:
                 failures.append(
                     f"certified accuracy {e.mean:.4f} at radius "
-                    f"{s.grid_value} deviates from the analytic "
-                    f"{s.mean:.4f} by more than {bound:.4f}")
+                    f"{s.grid_value} is {k} of {e.trials} points; the exact "
+                    f"two-sided tail about the analytic {s.mean:.4f} is "
+                    f"{tail:.2e} < {th['two_sided_tail_min']}")
     return failures

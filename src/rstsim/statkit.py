@@ -150,6 +150,19 @@ def binomial_upper_tail(k: int, n: int, p: float) -> float:
     return min(1.0, math.exp(_log_upper_tail(i, log_binom, n, p)))
 
 
+def poisson_binomial_two_sided(probs, k: int) -> float:
+    """Exact P(|K - E K| >= |k - E K|), K the successes of independent
+    Bernoulli(p_i) trials, from K's pmf built by one convolution per trial;
+    deviations within 1e-9 of |k - E K| count as ties."""
+    probs = np.asarray(probs, dtype=np.float64)
+    pmf = np.ones(1)
+    for p in probs:
+        pmf = np.convolve(pmf, (1.0 - p, p))
+    mean = float(np.sum(probs))
+    far = np.abs(np.arange(pmf.size) - mean) >= abs(int(k) - mean) - 1e-9
+    return min(1.0, float(np.sum(pmf[far])))
+
+
 def clopper_pearson_lower(successes: int, draws: int, conf_alpha: float) -> float:
     """One-sided Clopper-Pearson lower confidence bound.
 

@@ -218,6 +218,16 @@ def test_certify_demo_cli_small(tmp_path):
                        "radius_linf"}
 
 
+def test_certify_demo_check_passes_at_seed_11(tmp_path, capsys):
+    # at radius 0, 183 of 200 points count against an analytic 186.1: 3.7
+    # sd off, which the normal 3-sd rule flagged, but the exact two-sided
+    # tail of the skewed count is 0.0032, above the 0.0027 level
+    out = str(tmp_path / "c.csv")
+    assert main(["certify-demo", "--seed", "11", "--check",
+                 "--out", out]) == 0
+    assert "check passed" in capsys.readouterr().out
+
+
 def test_rst_demo_cli_small(tmp_path):
     out = str(tmp_path / "r.csv")
     code = main(["rst-demo", "--trials", "1", "--n0", "8", "--d", "10",

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rstsim import smoothing
 from rstsim.experiments import (
     ACCEPTANCE_THRESHOLDS,
     ExperimentSpec,
@@ -404,6 +405,22 @@ def test_arms_share_one_trial_pool(monkeypatch):
     assert [s.trials for s in summaries] == [3] * len(summaries)
 
 
+@pytest.mark.parametrize("kind", ["adversarial_exact", "adversarial_pg",
+                                  "stability"])
+def test_rst_demo_runs_with_equal_parts_batches(kind):
+    # the labeled-only arm has no unlabeled rows, so it trains on plain
+    # batches; the robust self-training arm splits each batch in halves
+    config = RstConfig(beta=1.0, epsilon=0.2, learning_rate=0.01,
+                       grad_steps=3, batch_size=4, reg_kind=kind, pg_steps=2)
+    plain, _ = run_rst_demo(_small_rst_spec(rst_config=config))
+    rows, summaries = run_rst_demo(_small_rst_spec(
+        rst_config=replace(config, equal_parts_batches=True)))
+    assert [r.experiment for r in rows] == [r.experiment for r in plain]
+    assert all(0.0 <= r.rob_err <= 1.0 for r in rows)
+    assert rows[0].rob_err != plain[0].rob_err
+    assert [s.metric for s in summaries][-1] == "rob_err_margin"
+
+
 def test_rst_demo_check_gate():
     rows, summaries = run_rst_demo(_small_rst_spec())
     spec = _small_rst_spec()
@@ -546,16 +563,34 @@ def test_check_irrelevant_ordering():
 
 def test_check_certify_deviation():
     spec = ExperimentSpec(kind="certify_demo", allow_large_epsilon=True,
-                          trial_count=1)
+                          trial_count=100)
+    # 100 points that each count with probability 0.81: sd 0.039
+    analytic = replace(_summary("certify_demo", "analytic_accuracy", 0.81,
+                                grid_value="1", ci=1.96 * 0.039, trials=100),
+                       point_probs=np.full(100, 0.81))
     rows = [_summary("certify_demo", "certified_accuracy", 0.80,
-                     grid_value="1"),
-            _summary("certify_demo", "analytic_accuracy", 0.81,
-                     grid_value="1", ci=1.96 * 0.02)]
+                     grid_value="1", trials=100), analytic]
     assert check_results(spec, [], rows) == []
     rows[0] = _summary("certify_demo", "certified_accuracy", 0.60,
-                       grid_value="1")
+                       grid_value="1", trials=100)
     failures = check_results(spec, [], rows)
     assert len(failures) == 1
+
+
+def test_certify_gate_fails_one_vote_short(monkeypatch):
+    # certifying at min_votes_for_radius(r) - 1 moves each point's chance of
+    # counting by P(votes = k - 1); at 10 estimation votes that shows
+    config = SmoothingConfig(noise_sigma=2.0, n0_selection=20,
+                             n_estimation=10, conf_alpha=0.05)
+    spec = ExperimentSpec(kind="certify_demo", n0=4, d=16, epsilon=0.2,
+                          trial_count=400, smoothing=config)
+    assert check_results(spec, *run_certify_demo(spec)) == []
+    real = smoothing.min_votes_for_radius
+    monkeypatch.setattr(smoothing, "min_votes_for_radius",
+                        lambda r, c: real(r, c) - 1)
+    failures = check_results(spec, *run_certify_demo(spec))
+    assert len(failures) == 5
+    assert all("exact two-sided tail" in f for f in failures)
 
 
 def test_check_unlabeled_trend_slack():

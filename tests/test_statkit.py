@@ -17,6 +17,7 @@ from rstsim.statkit import (
     binomial_upper_tail,
     clopper_pearson_lower,
     inverse_gaussian_cdf,
+    poisson_binomial_two_sided,
     q_function,
     split_stream,
 )
@@ -210,3 +211,39 @@ class TestSplitStream:
         draws = split_stream(99, 0).standard_normal(1_000_000)
         assert abs(draws.mean()) <= 5.0 / math.sqrt(1_000_000)
         assert abs(draws.var() - 1.0) <= 5.0 * math.sqrt(2.0 / 1_000_000)
+
+
+class TestPoissonBinomialTail:
+    @staticmethod
+    def _enumerated(probs, k):
+        # brute force over all 2^N outcomes, in exact rationals
+        from fractions import Fraction
+        from itertools import product
+
+        ps = [Fraction(p) for p in probs]
+        mean = sum(ps)
+        total = Fraction(0)
+        for outcome in product((0, 1), repeat=len(ps)):
+            weight = Fraction(1)
+            for hit, p in zip(outcome, ps):
+                weight *= p if hit else 1 - p
+            if abs(sum(outcome) - mean) >= abs(k - mean):
+                total += weight
+        return float(total)
+
+    def test_matches_enumeration(self):
+        probs = split_stream(70, 0).uniform(size=9)
+        for k in range(10):
+            assert poisson_binomial_two_sided(probs, k) == pytest.approx(
+                self._enumerated(probs, k), rel=1e-12, abs=1e-300)
+
+    def test_equal_probabilities_are_binomial(self):
+        # p = 1/2: symmetric, so the two-sided tail is twice one side
+        assert poisson_binomial_two_sided(np.full(20, 0.5), 15) == \
+            pytest.approx(2 * binomial_upper_tail(15, 20, 0.5), rel=1e-12)
+        assert poisson_binomial_two_sided(np.full(20, 0.5), 10) == 1.0
+
+    def test_certain_points_leave_no_doubt(self):
+        # every point counts for sure: only the mean itself has mass
+        assert poisson_binomial_two_sided(np.ones(5), 5) == 1.0
+        assert poisson_binomial_two_sided(np.ones(5), 4) == 0.0
