@@ -255,6 +255,7 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
         raise ValueError(f"threads must be >= 1, got {threads}")
 
     block = min(rows, n_samples, max(1, _MC_ROW_BLOCK_SCALARS // model.d))
+
     def misses(first: int) -> tuple[int, int]:
         # (standard, robust) miss counts of chunks first, first + threads, ...
         buf = np.empty((block, model.d))

@@ -263,6 +263,8 @@ class TestBlockedMonteCarlo:
         (1024, 2500),          # chunks of 1024 rows, last one 452
         (2**20 + 3, 3),        # d above the chunk size: one row per chunk
         (1, 2**20 + 5),        # d = 1: a full chunk plus 5 rows
+        (1, 3 * 2**17 + 11),   # one partial chunk: 3 row blocks and 11 rows
+        (1024, 30_001),        # last chunk 305 rows: 2 row blocks and 49
     ])
     def test_matches_materialized_reference(self, d, n):
         m = canonical_model(4, d, 0.2)
@@ -324,17 +326,6 @@ class TestBlockedMonteCarlo:
         for threads in (1, 2, 3, 5):
             monkeypatch.setattr(gaussian, "_mc_threads", lambda: threads)
             assert mc_error_estimate(m, clf, 1000, split_stream(50, 0)) == want
-
-    @pytest.mark.parametrize("d,n", [
-        (1, 3 * 2**17 + 11),   # one partial chunk, three blocks and 11 rows
-        (2**20 + 3, 3),        # blocks and chunks of one row
-        (1024, 30_001),        # 30 chunks, the last 305 rows: 2 blocks + 49
-    ])
-    def test_default_row_blocks_match_reference(self, d, n):
-        m = canonical_model(4, d, 0.2)
-        theta = split_stream(51, d).standard_normal(d) + 0.5
-        got, want = self._both(m, theta, n, 52)
-        assert got == want
 
     def test_traced_peak_is_two_row_blocks(self, monkeypatch):
         # two threads, each holding one row block of 128 x 1024 floats
