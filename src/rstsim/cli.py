@@ -164,7 +164,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="master seed; trial j uses substream j")
     parser.add_argument("--workers", type=int, default=None,
                         help="thread count (default: the cores this process "
-                             "may run on); output is identical for any value")
+                             "may run on); output is identical for any value; "
+                             "rst-demo and certify-demo accept the flag but "
+                             "run on one thread")
     parser.add_argument("--out", type=str, default=None,
                         help="trial CSV path; summary lands at <out>.summary.csv")
     parser.add_argument("--config", type=str, default=None,
@@ -305,8 +307,7 @@ def _build_spec(subcommand: str, options: dict) -> ExperimentSpec:
         mode = options["use_fast_sampler"]
         if mode not in ("auto", "always", "never"):
             raise ValueError("use_fast_sampler must be auto, always, or never")
-        fields["use_fast_sampler"] = {"auto": None, "always": True,
-                                      "never": False}[mode]
+        fields["use_fast_sampler"] = mode != "never"
     if kind == "rst_demo":
         for key in ("stage1_learning_rate", "stage1_steps", "stage1_batch"):
             if key in options:

@@ -98,7 +98,7 @@ class ExperimentSpec:
     radii: tuple[float, ...] = ()
     master_seed: int = 0
     workers: int = 1
-    use_fast_sampler: bool | None = None
+    use_fast_sampler: bool = True
 
     def __post_init__(self):
         if self.kind not in RUNNERS:
@@ -204,14 +204,14 @@ def _run_indexed(fn, count: int, master_seed: int, base_index: int,
     return [fn(i, split_stream(master_seed, i)) for i in indices]
 
 
-def _wants_fast(n_rows: int, d: int, override: bool | None, label: str) -> bool:
-    """The fast sampler, unless override is False (refused over budget)."""
-    if override is False and n_rows * d > FAST_PATH_BUDGET:
+def _wants_fast(n_rows: int, d: int, fast: bool, label: str) -> bool:
+    """fast, after refusing a materialized draw over budget."""
+    if not fast and n_rows * d > FAST_PATH_BUDGET:
         raise ValueError(
             f"materialization budget exceeded for {label}: {n_rows} x {d} "
             f"> {FAST_PATH_BUDGET}; enable the fast sampler "
-            "(use_fast_sampler=True or leave it unset)")
-    return override is not False
+            "(use_fast_sampler=True, the default)")
+    return fast
 
 
 def selftrain_pool_threshold(n0: int, d: int, epsilon: float) -> int:
@@ -274,18 +274,18 @@ def _run_arms(spec: ExperimentSpec, arms) -> tuple[list[TrialRow],
     and all blocks share one trial pool.
     """
     model = spec.model()
-    override = spec.use_fast_sampler
+    fast = spec.use_fast_sampler
     trials = spec.trial_count
 
     def draw(n: int, n_unlabeled: int | None, alpha: float,
              stream: RngStream) -> tuple[tuple, float | None]:
         # (mu^T theta, ||theta||_2, ||theta||_1) and the agreement
         if not n_unlabeled:
-            if _wants_fast(n, model.d, override, "labeled sampling"):
+            if _wants_fast(n, model.d, fast, "labeled sampling"):
                 return supervised_draw(model, n, stream).stats(model.mu), None
             clf = supervised_estimator(sample_labeled(model, n, stream))
             return alignment_stats(model, clf), None
-        if _wants_fast(n_unlabeled, model.d, override, "unlabeled sampling"):
+        if _wants_fast(n_unlabeled, model.d, fast, "unlabeled sampling"):
             fd = selftrain_draw(model, n, n_unlabeled, alpha, stream)
             return fd.stats(model.mu), fd.agreement
         labeled = sample_labeled(model, n, stream)
@@ -555,16 +555,14 @@ def analytic_certified_accuracy(model: LogisticModel, xs: np.ndarray,
     ratios = np.einsum("ij,j->i", xs, theta) / (config.noise_sigma * l2)
     p_plus = np.array([gaussian_cdf(r) for r in ratios])
     need = config.n0_selection // 2 + 1
-    sel_plus = np.array([binomial_upper_tail(need, config.n0_selection, p)
-                         for p in p_plus])
+    sel_plus = binomial_upper_tail(need, config.n0_selection, p_plus)
     p_sel = np.where(ys == 1, sel_plus, 1.0 - sel_plus)
     p_true = np.where(ys == 1, p_plus, 1.0 - p_plus)
     out = []
     for r in radii:
         k_min = min_votes_for_radius(float(r), config)
-        probs = p_sel * np.array([binomial_upper_tail(k_min,
-                                                      config.n_estimation, p)
-                                  for p in p_true])
+        probs = p_sel * binomial_upper_tail(k_min, config.n_estimation,
+                                            p_true)
         mean = float(np.mean(probs))
         sd = float(np.sqrt(np.sum(probs * (1.0 - probs)))) / len(probs)
         out.append((float(r), mean, sd, probs))

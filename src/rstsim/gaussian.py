@@ -128,24 +128,25 @@ _MC_ROW_BLOCK_SCALARS = 1 << 17
 
 def _draw_labeled(model: GaussianModel, stream: RngStream, n: int,
                   buf: np.ndarray, take=None) -> np.ndarray:
-    """Draw n labeled samples into buf block by block; return the labels.
+    """Draw n labeled samples into buf block by block, each row times its
+    label; return the labels.
 
     Draw order (fixed for reproducibility): n label bits first, then the
-    (n, d) noise matrix row-major, len(buf) rows at a time. Each block's
-    x_i = y_i * mu + sigma * z_i is formed in place in buf (adding or
-    subtracting mu is exactly y_i * mu for y_i = +-1), then handed to
-    take(first_row, xs) when given. One block when len(buf) >= n.
+    (n, d) noise matrix row-major, len(buf) rows at a time. Each block holds
+    y_i x_i = mu + sigma y_i z_i, formed in place by scaling z_i by sigma
+    y_i and adding mu, which is y_i times x_i = y_i mu + sigma z_i exactly,
+    because negation is exact. take(labels, block) gets each block and its
+    labels when given. One block when len(buf) >= n.
     """
     ys = 2 * stream.integers(0, 2, size=n, dtype=np.int64) - 1
     for r0 in range(0, n, len(buf)):
         xs = buf[:min(len(buf), n - r0)]
+        labels = ys[r0:r0 + len(xs)]
         stream.standard_normal(out=xs)
-        xs *= model.sigma
-        pos = (ys[r0:r0 + len(xs)] > 0)[:, None]
-        np.add(xs, model.mu, out=xs, where=pos)
-        np.subtract(xs, model.mu, out=xs, where=~pos)
+        xs *= (model.sigma * labels)[:, None]
+        xs += model.mu
         if take is not None:
-            take(r0, xs)
+            take(labels, xs)
     return ys
 
 
@@ -155,7 +156,9 @@ def sample_labeled(model: GaussianModel, n: int, stream: RngStream) -> LabeledSe
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     xs = np.empty((n, model.d))
-    return LabeledSet(xs=xs, ys=_draw_labeled(model, stream, n, xs))
+    ys = _draw_labeled(model, stream, n, xs)
+    xs *= ys[:, None]
+    return LabeledSet(xs=xs, ys=ys)
 
 
 def alignment_stats(model: GaussianModel,
@@ -234,8 +237,10 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     many threads run the chunks: at most threads (default: the cores this
     process may run on) and one per chunk, the caller among them. A thread
     draws a chunk in the same order in row blocks of max(1, 2^17 // d) into
-    one reused buffer and scores each into the chunk's scores, so nothing
-    depends on the block size. Memory is O(threads * (block d + R)).
+    one reused buffer, each row times its label, and counts each block's
+    misses from its scores, which are then the margins y theta^T x; so
+    nothing depends on the block size. Memory is O(threads * (block d + R)),
+    the R being the chunk's labels.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -255,25 +260,27 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
         raise ValueError(f"threads must be >= 1, got {threads}")
 
     block = min(rows, n_samples, max(1, _MC_ROW_BLOCK_SCALARS // model.d))
+    shift = model.epsilon * l1
 
     def misses(first: int) -> tuple[int, int]:
         # (standard, robust) miss counts of chunks first, first + threads, ...
         buf = np.empty((block, model.d))
-        chunk_scores = np.empty(min(rows, n_samples))
+        counts = [0, 0]
 
-        def score(r0: int, xs: np.ndarray) -> None:
-            np.einsum("ij,j->i", xs, theta, out=scores[r0:r0 + len(xs)])
+        def count(labels: np.ndarray, xs: np.ndarray) -> None:
+            # the rows hold y x, so their scores are the margins y theta^T x
+            margin = np.einsum("ij,j->i", xs, theta)
+            neg = labels < 0
+            counts[0] += int(np.count_nonzero(
+                (margin < 0.0) | ((margin == 0.0) & neg)))
+            margin -= shift
+            counts[1] += int(np.count_nonzero(
+                (margin < 0.0) | ((margin == 0.0) & neg)))
 
-        std_miss = rob_miss = 0
         for k in range(first, n_chunks, threads):
-            scores = chunk_scores[:min(rows, n_samples - k * rows)]
-            ys = _draw_labeled(model, split_stream(seed, k), len(scores), buf,
-                               score)
-            std_miss += int(np.count_nonzero(np.where(scores >= 0.0, 1, -1) != ys))
-            margin = ys * scores - model.epsilon * l1
-            rob_miss += int(np.count_nonzero(
-                (margin < 0.0) | ((margin == 0.0) & (ys == -1))))
-        return std_miss, rob_miss
+            _draw_labeled(model, split_stream(seed, k),
+                          min(rows, n_samples - k * rows), buf, count)
+        return counts[0], counts[1]
 
     with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
         others = pool.map(misses, range(1, threads))

@@ -14,6 +14,10 @@ once per group; standard_train and rst_train are its one-problem case.
 Each problem draws from its own stream in the one-problem order, and every
 array operation is per element or reduces along the last axis, so each
 problem's parameters and loss trace equal its one-problem run bit for bit.
+When an update draws nothing (stage one, the exact regularizer, beta = 0),
+each problem draws all its batch indices before the first step; numpy's
+bounded-integer draws consume a stream alike in one call or in many, so
+the indices and the stream's final state do not change.
 """
 
 from __future__ import annotations
@@ -201,42 +205,62 @@ def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
     the ball. theta is (d,) or (G, d) and xs (b, d) or (G, b, d), with one
     stream per problem, drawn from in problem order. Returns (best KL
     values, best iterates).
+
+    The chains run in sign-folded coordinates v = D x', D = s sgn(theta_j)
+    with s the row's step sign and a zero in either counted as +1. Every
+    coordinate then steps up, so a step and its projection are v +=
+    step_size and one minimum against the face vb = D x + epsilon;
+    coordinates with theta_j = 0 and rows with q = p do not move, so their
+    vb is v itself. Negation is exact and the terms are summed in the same
+    order, so s einsum(v, |theta|) equals einsum(x', theta) bit for bit,
+    and D v is the iterate. The start x -+ delta already lies in the ball.
     """
     delta = np.stack([s.uniform(-epsilon, epsilon, size=xs.shape[-2:])
                       for s in streams]).reshape(xs.shape)
-    lo, hi = xs - epsilon, xs + epsilon
     p = _clamp_probs(_sigmoid(np.einsum("...ij,...j->...i", xs, theta)))
-    sgn_theta = np.sign(theta)[..., None, :]
+    abs_theta = np.abs(theta)
+    fold = np.where(theta < 0.0, -1.0, 1.0)[..., None, :]
+    fixed = (theta == 0.0)[..., None, :]
+    any_fixed = bool(fixed.any())
     best_val = np.full(xs.shape[:-1], -1.0)
-    best_x = xs.copy()
+    # the best iterates stay folded, each row with its s, until the end
+    best_v = np.empty(xs.shape)
+    best_sign = np.ones(xs.shape[:-1])
     for start_sign in (1.0, -1.0):
-        cur = xs + start_sign * delta
+        row_sign = np.ones(xs.shape[:-1])
+        v = (xs + start_sign * delta) * fold
         move_sign = None
         for it in range(steps + 1):
-            # project onto the ball in place, in np.clip's order
-            np.minimum(np.maximum(cur, lo, out=cur), hi, out=cur)
-            q = _clamp_probs(_sigmoid(np.einsum("...ij,...j->...i", cur,
-                                                theta)))
+            score = row_sign * np.einsum("...ij,...j->...i", v, abs_theta)
+            q = _clamp_probs(_sigmoid(score))
             val = _kl_vec(p, q)
             better = val > best_val
             best_val = np.where(better, val, best_val)
+            best_sign = np.where(better, row_sign, best_sign)
             # a masked copy costs several plain ones, and early in a chain
             # every row improves
             if better.all():
-                np.copyto(best_x, cur)
+                np.copyto(best_v, v)
             elif better.any():
-                np.copyto(best_x, cur, where=better[..., None])
+                np.copyto(best_v, v, where=better[..., None])
             if it == steps:
                 break
             # a row's score moves one way along a chain, so its step sign
-            # does not change; the (b, d) step block is rebuilt only if
-            # rounding ever flips one
+            # does not change; rows are refolded and the faces rebuilt only
+            # if rounding ever flips one
             sign = np.sign(q - p)
             if move_sign is None or not np.array_equal(sign, move_sign):
                 move_sign = sign
-                move = (step_size * sign)[..., None] * sgn_theta
-            cur += move
-    return best_val, best_x
+                new_sign = np.where(sign < 0.0, -1.0, 1.0)
+                np.negative(v, out=v, where=(new_sign != row_sign)[..., None])
+                row_sign = new_sign
+                face = xs * (fold * row_sign[..., None]) + epsilon
+                still = sign == 0.0
+                if any_fixed or still.any():
+                    np.copyto(face, v, where=fixed | still[..., None])
+            v += step_size
+            np.minimum(v, face, out=v)
+    return best_val, best_v * (fold * best_sign[..., None])
 
 
 def adversarial_reg_pg(model: LogisticModel, x, epsilon: float, steps: int,
@@ -418,10 +442,15 @@ def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     return (value, grad) if stacked else (float(value), grad)
 
 
+def _objective_draws(config: RstConfig) -> bool:
+    """Whether robust_objective draws from its stream under config."""
+    return config.beta != 0.0 and config.reg_kind != "adversarial_exact"
+
+
 def _lockstep_sgd(update: Callable, xs: np.ndarray, ys: np.ndarray,
                   weights: np.ndarray | None, n_labeled: int, n_rows: int,
                   batch_size: int, equal_parts: bool, grad_steps: int,
-                  streams: Sequence[RngStream]
+                  streams: Sequence[RngStream], update_draws: bool
                   ) -> tuple[np.ndarray, np.ndarray]:
     """SGD from zero on G stacked problems, stepped together.
 
@@ -433,7 +462,13 @@ def _lockstep_sgd(update: Callable, xs: np.ndarray, ys: np.ndarray,
     grad_steps) trace. batch_size = 0 is the full batch. Per-step draw
     order: each problem in problem order draws its batch indices from its
     own stream (labeled block first under equal parts); then update's
-    draws.
+    draws. An update that draws nothing (update_draws False) interleaves
+    no draws, so each problem draws all its batches before the first step
+    instead, with one integers call of shape (grad_steps, b) (per step and
+    part under equal parts), and the labels and weights are gathered once.
+    The indices are the same either way: numpy keeps the unused half of a
+    64-bit output in the bit generator's state, so one bounded-integer
+    call of shape (steps, b) consumes a stream as steps calls of b do.
     """
     count, stride, d = xs.shape
     flat_xs = xs.reshape(-1, d)
@@ -449,12 +484,29 @@ def _lockstep_sgd(update: Callable, xs: np.ndarray, ys: np.ndarray,
         unl = n_labeled + stream.integers(0, n_rows - n_labeled, size=half)
         return np.concatenate([lab, unl])
 
+    def all_indices(stream):
+        # what grad_steps calls of indices(stream) draw, as (grad_steps, b)
+        if not equal_parts:
+            return stream.integers(0, n_rows, size=(grad_steps, batch_size))
+        return np.stack([indices(stream) for _ in range(grad_steps)])
+
+    hoisted = batch_size > 0 and not update_draws
+    if hoisted:
+        # (grad_steps, G, b): each step's block is contiguous
+        all_idx = np.stack([all_indices(s) for s in streams], axis=1)
+        all_idx += offsets
+        all_ys = np.take(flat_ys, all_idx)
+        all_w = None if flat_w is None else np.take(flat_w, all_idx)
     theta = np.zeros((count, d))
     trace = np.empty((count, grad_steps))
     for step in range(grad_steps):
         if batch_size == 0:
             bx, by = xs[:, :n_rows], ys[:, :n_rows]
             bw = None if weights is None else weights[:, :n_rows]
+        elif hoisted:
+            bx = np.take(flat_xs, all_idx[step], axis=0)
+            by = all_ys[step]
+            bw = None if all_w is None else all_w[step]
         else:
             idx = np.stack([indices(s) for s in streams])
             idx += offsets
@@ -484,7 +536,7 @@ def standard_train_lockstep(xs: np.ndarray, ys: np.ndarray, n_rows: int,
             "...i,...ij->...j", c, bx) / bx.shape[-2]
 
     theta, _ = _lockstep_sgd(update, xs, ys, None, n_rows, n_rows, batch_size,
-                             False, grad_steps, streams)
+                             False, grad_steps, streams, False)
     return theta
 
 
@@ -511,7 +563,7 @@ def rst_train_lockstep(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray,
 
     return _lockstep_sgd(update, xs, ys, weights, n_labeled, n_rows,
                          config.batch_size, config.equal_parts_batches,
-                         config.grad_steps, streams)
+                         config.grad_steps, streams, _objective_draws(config))
 
 
 def standard_train(data: LabeledSet, learning_rate: float, grad_steps: int,

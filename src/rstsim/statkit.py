@@ -104,6 +104,10 @@ def inverse_gaussian_cdf(p: float) -> float:
     return z if p < 0.5 else -z
 
 
+# log terms binomial_upper_tail forms at once for an array of p: 1 MB
+_TAIL_BLOCK_SCALARS = 1 << 17
+
+
 @lru_cache(maxsize=8)
 def _log_factorials(n: int) -> np.ndarray:
     # lgamma per entry: each value independently accurate to ~1e-15 relative,
@@ -118,36 +122,57 @@ def _log_binomials(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, lf[n] - lf[i] - lf[n - i]
 
 
-def _log_upper_tail(i: np.ndarray, log_binom: np.ndarray, n: int,
-                    p: float) -> float:
-    """log P(X >= k), X ~ Binomial(n, p), for 0 < p < 1, by log-sum-exp."""
-    log_terms = log_binom + i * math.log(p) + (n - i) * math.log1p(-p)
-    peak = log_terms.max()
-    return peak + math.log(np.exp(log_terms - peak).sum())
+def _tail_sums(i: np.ndarray, log_binom: np.ndarray, n: int, log_p,
+               log_q) -> tuple[np.ndarray, np.ndarray]:
+    """(peak, sum of exp(term - peak)) over the log terms of P(X >= k),
+    X ~ Binomial(n, p), i = k..n, so log P(X >= k) = peak + log(sum).
+
+    log_p and log_q are log p and log(1 - p): floats, or (P, 1) columns for
+    P points, whose terms are reduced along the last axis.
+    """
+    log_terms = log_binom + i * log_p + (n - i) * log_q
+    peak = log_terms.max(axis=-1, keepdims=True)
+    return peak[..., 0], np.exp(log_terms - peak).sum(axis=-1)
 
 
-def binomial_upper_tail(k: int, n: int, p: float) -> float:
+def binomial_upper_tail(k: int, n: int, p):
     """Exact P(X >= k) for X ~ Binomial(n, p), summed in log space.
 
-    Stable for n up to ~1e6; never forms raw binomial coefficients.
+    p is a probability or an array of them; an array gives an array of its
+    shape, each entry equal to the call on that p alone: the log terms of a
+    block of points, at most _TAIL_BLOCK_SCALARS, are formed at once and
+    reduced along the last axis, and the logs of p and the final log and
+    exp run per point. Stable for n up to ~1e6; never forms raw binomial
+    coefficients.
     """
     k = int(k)
     n = int(n)
-    p = float(p)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not (0.0 <= p <= 1.0) or math.isnan(p):
+    ps = np.asarray(p, dtype=np.float64)
+    if not np.all((ps >= 0.0) & (ps <= 1.0)):
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     if k <= 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    i, log_binom = _log_binomials(k, n)
-    return min(1.0, math.exp(_log_upper_tail(i, log_binom, n, p)))
+        tails = np.ones(ps.shape)
+    elif k > n:
+        tails = np.zeros(ps.shape)
+    else:
+        tails = np.where(ps == 1.0, 1.0, 0.0)
+        inner = (ps > 0.0) & (ps < 1.0)
+        if inner.any():
+            i, log_binom = _log_binomials(k, n)
+            points = ps[inner].tolist()
+            rows = max(1, _TAIL_BLOCK_SCALARS // i.size)
+            out: list[float] = []
+            for r0 in range(0, len(points), rows):
+                block = points[r0:r0 + rows]
+                peak, total = _tail_sums(
+                    i, log_binom, n, np.array([[math.log(q)] for q in block]),
+                    np.array([[math.log1p(-q)] for q in block]))
+                out += [min(1.0, math.exp(top + math.log(part)))
+                        for top, part in zip(peak.tolist(), total.tolist())]
+            tails[inner] = out
+    return float(tails) if tails.ndim == 0 else tails
 
 
 def poisson_binomial_two_sided(probs, k: int) -> float:
@@ -189,7 +214,8 @@ def clopper_pearson_lower(successes: int, draws: int, conf_alpha: float) -> floa
             return 0.0
         if p >= 1.0:
             return 1.0
-        return math.exp(_log_upper_tail(i, log_binom, n, p))
+        peak, total = _tail_sums(i, log_binom, n, math.log(p), math.log1p(-p))
+        return math.exp(float(peak) + math.log(total))
 
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12:

@@ -193,9 +193,13 @@ class TestSampling:
         data = sample_labeled(m, 300, split_stream(24, 0))
         buf = np.empty((block, 16))
         xs = np.empty((300, 16))
+        filled = []
 
-        def take(r0, rows):
-            xs[r0:r0 + len(rows)] = rows
+        def take(labels, rows):
+            # each row arrives times its label
+            r0 = sum(filled)
+            xs[r0:r0 + len(rows)] = labels[:, None] * rows
+            filled.append(len(rows))
 
         ys = gaussian._draw_labeled(m, split_stream(24, 0), 300, buf, take)
         assert np.array_equal(data.xs, xs)
@@ -339,6 +343,23 @@ class TestBlockedMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * gaussian._MC_ROW_BLOCK_SCALARS + 2**20
+
+    def test_traced_peak_at_small_d_is_the_labels(self, monkeypatch):
+        # d = 1: chunks of 2^20 rows, two per thread; a thread holds its
+        # chunk's 8 MiB of labels and one row block, not chunk-long scores
+        monkeypatch.setattr(gaussian, "_mc_threads", lambda: 2)
+        m = canonical_model(4, 1, 0.25)
+        clf = LinearClassifier(theta=np.ones(1))
+        n = 4 * 2**20
+        want = _chunked_mc(m, clf, n, split_stream(46, 0))
+        tracemalloc.start()
+        try:
+            got = mc_error_estimate(m, clf, n, split_stream(46, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 24 * 2**20
 
     def test_traced_peak_is_one_block(self, monkeypatch):
         # two threads, each holding one chunk buffer of 1024 x 1024 floats

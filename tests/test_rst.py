@@ -235,6 +235,44 @@ class TestAdversarialPG:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
+    def test_stacked_ascent_follows_sign_changes_per_problem(self,
+                                                              monkeypatch):
+        # three stacked problems, zero weights among them, with the
+        # wiggling sigmoid: each problem's rows must match its own
+        # reference chain, sign changes mid-chain included
+        real = rst_module._sigmoid
+        monkeypatch.setattr(rst_module, "_sigmoid",
+                            lambda s: real(s) + 0.05 * np.sin(40.0 * s))
+        stream = split_stream(111, 0)
+        theta = stream.standard_normal((3, 6))
+        theta[1, 2] = theta[2, 0] = 0.0
+        xs = stream.standard_normal((3, 40, 6))
+        got = _pg_worst_batch(theta, xs, 0.5, 15, 0.05,
+                              [split_stream(111, 1 + g) for g in range(3)])
+        flips = 0
+        for g in range(3):
+            want = self._reference_ascent(theta[g], xs[g], 0.5, 15, 0.05,
+                                          split_stream(111, 1 + g))
+            assert np.array_equal(got[0][g], want[0])
+            assert np.array_equal(got[1][g], want[1])
+            flips += self._sign_changes(theta[g], xs[g], 0.5, 15, 0.05,
+                                        split_stream(111, 1 + g))
+        assert flips > 0
+
+    @staticmethod
+    def _sign_changes(theta, xs, epsilon, steps, step_size, stream):
+        # rows whose step sign changes somewhere along the + chain
+        _sigmoid = rst_module._sigmoid
+        cur = xs + stream.uniform(-epsilon, epsilon, size=xs.shape)
+        p = _clamp_probs(_sigmoid(xs @ theta))
+        signs = []
+        for _ in range(steps):
+            q = _clamp_probs(_sigmoid(cur @ theta))
+            signs.append(np.sign(q - p))
+            cur = np.clip(cur + (step_size * signs[-1])[:, None]
+                          * np.sign(theta), xs - epsilon, xs + epsilon)
+        return int(np.count_nonzero(np.ptp(np.array(signs), axis=0)))
+
     def test_rejects_bad_arguments(self):
         model = LogisticModel(theta=np.ones(2))
         with pytest.raises(ValueError):
@@ -560,6 +598,81 @@ class TestLockstep:
         with pytest.raises(ValueError):
             robust_objective(np.zeros((2, 3)), np.zeros((3, 4, 3)),
                              np.ones((3, 4)), np.ones((3, 4)), cfg)
+
+
+def _per_step_training(xs, ys, weights, n_labeled, n_rows, config, stream,
+                       stage_one=False):
+    """One problem trained step by step, its batch indices drawn at each
+    step: rst_train's loop written out, or stage one's with stage_one."""
+    theta, trace = np.zeros(xs.shape[1]), []
+    b, half = config.batch_size, config.batch_size // 2
+    for _ in range(config.grad_steps):
+        if config.equal_parts_batches:
+            idx = np.concatenate([
+                stream.integers(0, n_labeled, size=b - half),
+                n_labeled + stream.integers(0, n_rows - n_labeled, size=half)])
+        else:
+            idx = stream.integers(0, n_rows, size=b)
+        bx, by = xs[idx], ys[idx]
+        if stage_one:
+            c = -by * _sigmoid(-by * np.einsum("ij,j->i", bx, theta))
+            theta = theta - config.learning_rate * np.einsum(
+                "i,ij->j", c, bx) / b
+            continue
+        value, grad = robust_objective(theta, bx, by, weights[idx], config,
+                                       stream)
+        trace.append(value)
+        theta = theta - config.learning_rate * grad
+    return theta, np.array(trace)
+
+
+class TestHoistedBatches:
+    """A draw-free update's batches, drawn before the first step, equal the
+    per-step draws: same parameters, traces and final stream states. An
+    update that draws (pg at beta > 0) keeps drawing after each batch."""
+
+    @pytest.mark.parametrize("beta,kind,equal_parts", [
+        (2.0, "adversarial_exact", False),
+        (2.0, "adversarial_exact", True),
+        (0.0, "adversarial_pg", False),
+        (0.0, "stability", True),
+        (2.0, "adversarial_pg", False),
+    ])
+    @pytest.mark.parametrize("batch_size", [4, 5])
+    def test_rst_equals_the_per_step_loop(self, beta, kind, equal_parts,
+                                          batch_size):
+        problems = _problems(3)
+        cfg = RstConfig(beta=beta, w_unlabeled=0.6, epsilon=0.2,
+                        learning_rate=0.05, grad_steps=9,
+                        batch_size=batch_size, reg_kind=kind,
+                        equal_parts_batches=equal_parts)
+        xs, ys, weights = _stacked(problems, cfg.w_unlabeled)
+        stacked = _streams(3)
+        thetas, traces = rst_train_lockstep(xs, ys, weights, 5, 14, cfg,
+                                            stacked)
+        single = _streams(3)
+        for g in range(3):
+            theta, trace = _per_step_training(xs[g], ys[g], weights[g], 5, 14,
+                                              cfg, single[g])
+            assert np.array_equal(theta, thetas[g])
+            assert np.array_equal(trace, traces[g])
+        assert _states(stacked) == _states(single)
+
+    @pytest.mark.parametrize("batch_size", [3, 64])
+    def test_stage_one_equals_the_per_step_loop(self, batch_size):
+        problems = _problems(3)
+        xs, ys, _ = _stacked(problems, 1.0)
+        stacked = _streams(3)
+        thetas = standard_train_lockstep(xs, ys, 5, 0.1, 11, batch_size,
+                                         stacked)
+        cfg = RstConfig(learning_rate=0.1, grad_steps=11,
+                        batch_size=batch_size)
+        single = _streams(3)
+        for g in range(3):
+            theta, _ = _per_step_training(xs[g], ys[g], None, 5, 5, cfg,
+                                          single[g], stage_one=True)
+            assert np.array_equal(theta, thetas[g])
+        assert _states(stacked) == _states(single)
 
 
 class TestSmoothedPredictExact:

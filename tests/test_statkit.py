@@ -187,6 +187,75 @@ class TestBinomialUpperTail:
         assert upper + lower == pytest.approx(1.0, rel=1e-12)
 
 
+def _scalar_tail(k, n, p):
+    # the one-point log-sum-exp, term for term as the kernel forms it
+    if k <= 0:
+        return 1.0
+    if k > n or p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    i = np.arange(k, n + 1)
+    lf = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+    log_terms = (lf[n] - lf[i] - lf[n - i]) + i * math.log(p) \
+        + (n - i) * math.log1p(-p)
+    peak = log_terms.max()
+    return min(1.0, math.exp(peak + math.log(np.exp(log_terms - peak).sum())))
+
+
+class TestBinomialUpperTailArrays:
+    """An array of p gives, entry by entry, the one-point tail bit for bit."""
+
+    @pytest.mark.parametrize("k,n", [(-3, 10), (0, 10), (1, 1), (4, 10),
+                                     (10, 10), (11, 10), (51, 100),
+                                     (5_000, 10_000)])
+    def test_equals_the_scalar_reference(self, k, n):
+        ps = np.concatenate([[0.0, 0.5, 1.0, 1e-300, 1.0 - 2**-53],
+                             split_stream(60, n).random(25)])
+        got = binomial_upper_tail(k, n, ps)
+        assert got.shape == ps.shape
+        want = np.array([_scalar_tail(k, n, p) for p in ps.tolist()])
+        assert np.array_equal(got, want)
+        for p, tail in zip(ps.tolist(), want):
+            one = binomial_upper_tail(k, n, p)
+            assert type(one) is float and one == tail
+
+    def test_input_spanning_several_blocks(self):
+        # 10,000 log terms per point: 13 points per block, 4 blocks here
+        ps = split_stream(61, 0).random(45)
+        got = binomial_upper_tail(1, 10_000, ps * 1e-3)
+        want = [_scalar_tail(1, 10_000, p) for p in (ps * 1e-3).tolist()]
+        assert np.array_equal(got, want)
+        grid = binomial_upper_tail(3_000, 10_000, ps.reshape(5, 9))
+        assert grid.shape == (5, 9)
+        assert np.array_equal(grid.ravel(),
+                              binomial_upper_tail(3_000, 10_000, ps))
+
+    def test_empty_array(self):
+        assert binomial_upper_tail(3, 10, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, [0.2, math.nan],
+                                   [0.5, -1e-9]])
+    def test_rejects_probabilities_outside_the_unit_interval(self, p):
+        with pytest.raises(ValueError, match="p must lie"):
+            binomial_upper_tail(3, 10, p)
+
+
+class TestBoundedIntegerDraws:
+    def test_one_call_equals_a_call_per_row(self):
+        # rst's trainers draw every batch of a draw-free update at once; a
+        # range near 2^31 rejects about half its 32-bit candidates, and an
+        # odd batch leaves half a 64-bit output over at each row's end
+        steps, b, high = 7, 5, 2**31 + 1
+        for seed in range(20):
+            whole, rows = split_stream(62, seed), split_stream(62, seed)
+            got = whole.integers(0, high, size=(steps, b))
+            want = np.stack([rows.integers(0, high, size=b)
+                             for _ in range(steps)])
+            assert np.array_equal(got, want)
+            assert whole.bit_generator.state == rows.bit_generator.state
+
+
 class TestSplitStream:
     def test_deterministic(self):
         a = split_stream(12345, 7).standard_normal(100)
