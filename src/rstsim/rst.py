@@ -191,9 +191,21 @@ def adversarial_reg_exact(model: LogisticModel, x,
     return kl_lo, x - epsilon * sgn
 
 
+def _scratch(work: dict | None, name: str, shape: tuple) -> np.ndarray:
+    """An uninitialized array of shape, kept in work between calls when
+    work is given: the pages of a fresh array fault in on first touch,
+    which costs more than one of the ascent's passes over it."""
+    if work is None:
+        return np.empty(shape)
+    buf = work.get(name)
+    if buf is None or buf.shape != shape:
+        buf = work[name] = np.empty(shape)
+    return buf
+
+
 def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
                     steps: int, step_size: float,
-                    streams: Sequence[RngStream]
+                    streams: Sequence[RngStream], work: dict | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Best-iterate PG ascent on the prediction KL, one row per example.
 
@@ -204,7 +216,8 @@ def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
     sign steps of the x'-gradient (q - p) theta followed by projection onto
     the ball. theta is (d,) or (G, d) and xs (b, d) or (G, b, d), with one
     stream per problem, drawn from in problem order. Returns (best KL
-    values, best iterates).
+    values, best iterates); with work (see _scratch) the iterates live in
+    work until the next call.
 
     The chains run in sign-folded coordinates v = D x', D = s sgn(theta_j)
     with s the row's step sign and a zero in either counted as +1. Every
@@ -215,20 +228,29 @@ def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
     order, so s einsum(v, |theta|) equals einsum(x', theta) bit for bit,
     and D v is the iterate. The start x -+ delta already lies in the ball.
     """
-    delta = np.stack([s.uniform(-epsilon, epsilon, size=xs.shape[-2:])
-                      for s in streams]).reshape(xs.shape)
+    # uniform(-eps, eps) is -eps + (eps - -eps) U with U from random(), so
+    # the offsets are drawn in place
+    delta = _scratch(work, "delta", xs.shape)
+    for rows, s in zip(delta.reshape((-1,) + xs.shape[-2:]), streams):
+        s.random(out=rows)
+    delta *= epsilon - -epsilon
+    delta += -epsilon
     p = _clamp_probs(_sigmoid(np.einsum("...ij,...j->...i", xs, theta)))
     abs_theta = np.abs(theta)
     fold = np.where(theta < 0.0, -1.0, 1.0)[..., None, :]
     fixed = (theta == 0.0)[..., None, :]
     any_fixed = bool(fixed.any())
+    xs_fold = np.multiply(xs, fold, out=_scratch(work, "xs_fold", xs.shape))
+    delta *= fold
+    v = _scratch(work, "v", xs.shape)
+    face = _scratch(work, "face", xs.shape)
     best_val = np.full(xs.shape[:-1], -1.0)
     # the best iterates stay folded, each row with its s, until the end
-    best_v = np.empty(xs.shape)
+    best_v = _scratch(work, "best", xs.shape)
     best_sign = np.ones(xs.shape[:-1])
-    for start_sign in (1.0, -1.0):
+    for start in (np.add, np.subtract):
         row_sign = np.ones(xs.shape[:-1])
-        v = (xs + start_sign * delta) * fold
+        start(xs_fold, delta, out=v)
         move_sign = None
         for it in range(steps + 1):
             score = row_sign * np.einsum("...ij,...j->...i", v, abs_theta)
@@ -252,15 +274,18 @@ def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
             if move_sign is None or not np.array_equal(sign, move_sign):
                 move_sign = sign
                 new_sign = np.where(sign < 0.0, -1.0, 1.0)
-                np.negative(v, out=v, where=(new_sign != row_sign)[..., None])
+                v *= (new_sign * row_sign)[..., None]
                 row_sign = new_sign
-                face = xs * (fold * row_sign[..., None]) + epsilon
+                np.multiply(xs_fold, row_sign[..., None], out=face)
+                face += epsilon
                 still = sign == 0.0
                 if any_fixed or still.any():
                     np.copyto(face, v, where=fixed | still[..., None])
             v += step_size
             np.minimum(v, face, out=v)
-    return best_val, best_v * (fold * best_sign[..., None])
+    best_v *= fold
+    best_v *= best_sign[..., None]
+    return best_val, best_v
 
 
 def adversarial_reg_pg(model: LogisticModel, x, epsilon: float, steps: int,
@@ -323,7 +348,8 @@ def stability_reg(model: LogisticModel, x, noise_sigma: float, n_noise: int,
 
 def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                      weights: np.ndarray, config: RstConfig,
-                     stream: RngStream | Sequence[RngStream] | None = None
+                     stream: RngStream | Sequence[RngStream] | None = None,
+                     work: dict | None = None
                      ) -> tuple[float | np.ndarray, np.ndarray]:
     """Weighted mean of per-example standard loss + beta * regularizer.
 
@@ -340,6 +366,10 @@ def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     problem order. The call then returns (G,) values and (G, d) gradients,
     each equal to the one-problem call on that problem's slice and stream:
     every operation is per element or reduces along the last axis.
+
+    work, when given, is a dict the caller keeps between calls, in which
+    the pg kind keeps its batch-sized arrays instead of allocating them at
+    every call; the results do not depend on it.
     """
     theta = np.asarray(theta, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
@@ -402,7 +432,7 @@ def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
         if stream is None:
             raise ValueError("adversarial_pg needs a stream")
         _, worst = _pg_worst_batch(theta, xs, config.epsilon, config.pg_steps,
-                                   config.pg_step_size, streams)
+                                   config.pg_step_size, streams, work)
         q_raw = _sigmoid(np.einsum("...ij,...j->...i", worst, theta))
         qc = _clamp_probs(q_raw)
         q_free = ((q_raw > _CLAMP) & (q_raw < 1.0 - _CLAMP)).astype(np.float64)
@@ -557,8 +587,11 @@ def rst_train_lockstep(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray,
         if n_rows == n_labeled:
             raise ValueError("equal_parts_batches needs unlabeled rows")
 
+    work: dict = {}
+
     def update(theta, bx, by, bw):
-        values, grads = robust_objective(theta, bx, by, bw, config, streams)
+        values, grads = robust_objective(theta, bx, by, bw, config, streams,
+                                         work)
         return values, theta - config.learning_rate * grads
 
     return _lockstep_sgd(update, xs, ys, weights, n_labeled, n_rows,

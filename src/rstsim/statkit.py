@@ -150,8 +150,9 @@ def binomial_upper_tail(k: int, n: int, p):
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ps = np.asarray(p, dtype=np.float64)
-    if not np.all((ps >= 0.0) & (ps <= 1.0)):
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    outside = ps[~((ps >= 0.0) & (ps <= 1.0))]
+    if outside.size:
+        raise ValueError(f"p must lie in [0, 1], got {float(outside[0])!r}")
     if k <= 0:
         tails = np.ones(ps.shape)
     elif k > n:

@@ -540,6 +540,26 @@ class TestLockstep:
             assert np.array_equal(grad, grads[g])
         assert _states(stacked) == _states(single)
 
+    def test_pg_work_arrays_do_not_change_results(self):
+        # one work dict across calls and shapes, as a trainer keeps it
+        cfg = RstConfig(beta=2.0, epsilon=0.3, reg_kind="adversarial_pg",
+                        pg_steps=4, pg_step_size=0.05)
+        work = {}
+        for t, (count, b) in enumerate([(3, 11), (3, 11), (2, 7), (3, 11)]):
+            stream = split_stream(142, t)
+            thetas = stream.standard_normal((count, 7))
+            thetas[0, 3] = 0.0
+            xs = 2.0 * stream.standard_normal((count, b, 7))
+            ys = np.where(stream.random((count, b)) < 0.5, 1.0, -1.0)
+            weights = 0.5 + stream.random((count, b))
+            got = robust_objective(thetas, xs, ys, weights, cfg,
+                                   _streams(count), work)
+            want = robust_objective(thetas, xs, ys, weights, cfg,
+                                    _streams(count))
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        assert work
+
     @pytest.mark.parametrize("kind", REG_KINDS)
     @pytest.mark.parametrize("batch_size,equal_parts",
                              [(0, False), (4, False), (4, True), (5, True)])
