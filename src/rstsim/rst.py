@@ -472,11 +472,6 @@ def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     return (value, grad) if stacked else (float(value), grad)
 
 
-def _objective_draws(config: RstConfig) -> bool:
-    """Whether robust_objective draws from its stream under config."""
-    return config.beta != 0.0 and config.reg_kind != "adversarial_exact"
-
-
 def _lockstep_sgd(update: Callable, xs: np.ndarray, ys: np.ndarray,
                   weights: np.ndarray | None, n_labeled: int, n_rows: int,
                   batch_size: int, equal_parts: bool, grad_steps: int,
@@ -594,9 +589,11 @@ def rst_train_lockstep(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray,
                                          work)
         return values, theta - config.learning_rate * grads
 
+    # robust_objective draws for pg and stability, unless beta is 0
+    draws = config.beta != 0.0 and config.reg_kind != "adversarial_exact"
     return _lockstep_sgd(update, xs, ys, weights, n_labeled, n_rows,
                          config.batch_size, config.equal_parts_batches,
-                         config.grad_steps, streams, _objective_draws(config))
+                         config.grad_steps, streams, draws)
 
 
 def standard_train(data: LabeledSet, learning_rate: float, grad_steps: int,
