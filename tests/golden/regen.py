@@ -11,9 +11,11 @@ and the exact binomial vote draws); rst-demo with the stability
 regularizer; rst-demo with four trials, which it trains as one full
 lockstep group of three and one partial group; and verify at 30,001 Monte
 Carlo samples, whose d = 1,024 pair ends on a partial chunk and a partial
-row block. Run this only after a
-deliberate change of draws or output, and say in CHANGES.md which files
-changed and why.
+row block. Two more cases read their options from the config files next
+to this script: rst-demo with keys that route to the training and
+stage-one settings, and certify-demo with smoothing keys but no noise
+sigma. Run this only after a deliberate change of draws or output, and say
+in CHANGES.md which files changed and why.
 """
 
 import os
@@ -21,6 +23,7 @@ import os
 from rstsim.cli import main as cli_main
 
 SEED = 17
+HERE = os.path.dirname(os.path.abspath(__file__))
 # the cases of acceptance criterion 11
 CASES = {
     "verify": ["verify", "--trials", "4", "--mc-samples", "2000"],
@@ -44,6 +47,10 @@ CASES["rst-demo-stability"] = ["rst-demo", "--reg-kind", "stability",
                                "--trials", "2"]
 CASES["rst-demo-groups"] = ["rst-demo", "--trials", "4"]
 CASES["verify-ragged"] = ["verify", "--trials", "5", "--mc-samples", "30001"]
+CASES["rst-demo-config"] = ["rst-demo", "--config",
+                            os.path.join(HERE, "rst-demo-config.ini")]
+CASES["certify-demo-config"] = ["certify-demo", "--config",
+                                os.path.join(HERE, "certify-demo-config.ini")]
 
 
 def write_corpus(directory: str) -> list[str]:
@@ -60,4 +67,4 @@ def write_corpus(directory: str) -> list[str]:
 
 
 if __name__ == "__main__":
-    write_corpus(os.path.dirname(os.path.abspath(__file__)))
+    write_corpus(HERE)

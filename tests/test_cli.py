@@ -1,14 +1,17 @@
 """CLI behavior: exit codes, config handling, schemas, determinism."""
 
+import argparse
+
 import pytest
 
+from rstsim import cli, gaussian
 from rstsim.cli import (
     SUBCOMMAND_KINDS,
     build_parser,
     main,
     parse_config_text,
 )
-from rstsim.experiments import SUMMARY_HEADER, TRIAL_HEADER
+from rstsim.experiments import RUNNERS, SUMMARY_HEADER, TRIAL_HEADER
 
 
 def test_subcommand_table_is_complete():
@@ -136,6 +139,142 @@ def test_config_section_for_other_experiment_ignored(tmp_path):
     assert main(["gap", "--config", str(cfg), "--out", out]) == 0
     lines = open(out).read().splitlines()
     assert len(lines) == 1 + 3
+
+
+# ------------------------------------------------------------ option surface
+
+_COMMON = {"--n0", "--d", "--eps", "--allow-large-eps", "--trials", "--seed",
+           "--workers", "--out", "--config", "--check"}
+_RST = {"--beta", "--w-unlabeled", "--learning-rate", "--grad-steps",
+        "--batch-size", "--reg-kind", "--stage1-learning-rate",
+        "--stage1-steps", "--stage1-batch"}
+OPTION_SURFACE = {
+    "verify": _COMMON | {"--mc-samples"},
+    "gap": _COMMON | {"--n-labeled", "--n-unlabeled", "--use-fast-sampler"},
+    "sweep-unlabeled": _COMMON | {"--n-labeled", "--use-fast-sampler",
+                                  "--n-unlabeled-grid"},
+    "sweep-irrelevant": _COMMON | {"--n-labeled", "--n-unlabeled",
+                                   "--use-fast-sampler", "--alphas"},
+    "sweep-labels": _COMMON | {"--n-labeled", "--n-unlabeled",
+                               "--use-fast-sampler", "--n-labeled-grid"},
+    # --workers stays on rst-demo and certify-demo: perfbench passes it
+    "rst-demo": _COMMON | {"--n-labeled", "--n-unlabeled"} | _RST,
+    "certify-demo": _COMMON | {"--noise-sigma", "--n0-selection",
+                               "--n-estimation", "--conf-alpha", "--radii"},
+}
+_LIST_FLAGS = {"--n-unlabeled-grid", "--alphas", "--n-labeled-grid", "--radii"}
+
+
+def _long_flags(parser) -> dict[str, dict[str, argparse.Action]]:
+    """Each subcommand's long flags (--help aside) and their actions."""
+    subs = next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+    return {name: {flag: action for action in sub._actions
+                   for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"}
+            for name, sub in subs.choices.items()}
+
+
+def test_option_surface_is_frozen():
+    flags = _long_flags(build_parser())
+    assert {name: set(table) for name, table in flags.items()} == OPTION_SURFACE
+    assert [len(OPTION_SURFACE[name]) for name in SUBCOMMAND_KINDS] == [
+        11, 13, 13, 14, 14, 21, 15]
+    assert len(set().union(*OPTION_SURFACE.values())) == 31
+
+
+@pytest.fixture
+def resolve(monkeypatch, tmp_path):
+    """Run main without running a driver or writing a file; return the exit
+    code, the spec the driver would get, the paths written and whether the
+    gate ran."""
+    seen = {}
+
+    def runner(spec):
+        seen["spec"] = spec
+        return [], []
+
+    def gate(spec, rows, summaries):
+        seen["checked"] = True
+        return []
+
+    for kind in RUNNERS:
+        monkeypatch.setitem(RUNNERS, kind, runner)
+    monkeypatch.setattr(cli, "write_csv",
+                        lambda path, lines: seen["paths"].append(path))
+    monkeypatch.setattr(cli, "check_results", gate)
+    monkeypatch.setattr(gaussian, "_mc_threads", lambda: 2)
+
+    def run(argv, config=None):
+        seen.clear()
+        seen["paths"] = []
+        if config is not None:
+            path = tmp_path / "c.ini"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        code = main(argv)
+        return (code, seen.get("spec"), tuple(seen["paths"]),
+                seen.get("checked", False))
+
+    return run
+
+
+def _flag_value(flag: str, action: argparse.Action) -> str:
+    if flag in _LIST_FLAGS:
+        return "0, 10 ,30"
+    if action.choices:
+        return action.choices[-1]
+    if flag == "--out":
+        return "elsewhere/x.csv"
+    return "7" if action.type is int else "0.3"
+
+
+def test_every_flag_equals_its_config_key(resolve):
+    kinds = set()
+    for sub, table in _long_flags(build_parser()).items():
+        for i, (flag, action) in enumerate(sorted(table.items())):
+            if flag == "--config":
+                continue
+            key = flag[2:] if i % 2 else flag[2:].replace("-", "_")
+            base = [sub]
+            if action.nargs == 0:
+                kinds.add("bool")
+                # eps = 0.6 needs --allow-large-eps, so yes runs and off exits 1
+                if flag == "--allow-large-eps":
+                    base += ["--eps", "0.6"]
+                cases = [([flag], "yes"), ([], "off")]
+            else:
+                value = _flag_value(flag, action)
+                kinds.add("list" if flag in _LIST_FLAGS else
+                          "choice" if action.choices else
+                          getattr(action.type, "__name__", "str"))
+                cases = [([flag, value], value)]
+            for extra, text in cases:
+                by_flag = resolve(base + extra)
+                by_config = resolve(base, f"[{sub}]\n{key} = {text}\n")
+                assert by_flag == by_config, (sub, flag, text)
+                if extra:
+                    assert by_flag[0] == 0, (sub, flag)
+                    # the value reached the run: it differs from no value
+                    assert by_flag != resolve(base), (sub, flag)
+    assert kinds == {"bool", "int", "float", "list", "choice", "str"}
+
+
+def test_config_key_the_subcommand_lacks(resolve, capsys):
+    # checked and refused when malformed, even in the global section
+    assert resolve(["gap"], "alphas = 0.5,x\n")[0] == 1
+    assert "alphas" in capsys.readouterr().err
+    assert resolve(["gap"], "[gap]\nbeta = x\n")[0] == 1
+    assert "beta" in capsys.readouterr().err
+    # and ignored when well formed
+    assert resolve(["gap"], "[gap]\nbeta = 2\n") == resolve(["gap"])
+
+
+@pytest.mark.parametrize("key, value", [("config", "x"), ("help", "1")])
+def test_config_and_help_are_unknown_keys(resolve, capsys, key, value):
+    assert resolve(["gap"], f"{key} = {value}\n")[0] == 1
+    err = capsys.readouterr().err
+    assert "unknown" in err and key in err
 
 
 # ------------------------------------------------------------------ outputs
