@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .experiments import (
     ExperimentSpec,
@@ -21,7 +21,8 @@ from .experiments import (
     trial_csv_lines,
     write_csv,
 )
-from .gaussian import canonical_model, thread_budget
+from .gaussian import thread_budget
+from .rst import RstConfig
 from .smoothing import SmoothingConfig
 
 SUBCOMMAND_KINDS = {
@@ -34,35 +35,23 @@ SUBCOMMAND_KINDS = {
     "certify-demo": "certify_demo",
 }
 
-# built-in model points are pre-validated, so epsilon = 0.5 here does not
-# need --allow-large-eps; only user-supplied epsilon goes through the gate
+# option values that differ from ExperimentSpec's defaults, by option key
 _BUILTIN = {
-    "verify_closed_form": {"n0": 4, "d": 755_000, "eps": 0.5, "trials": 20},
-    "gap": {"n0": 4, "d": 755_000, "eps": 0.5, "trials": 50},
-    "unlabeled_sweep": {
-        "n0": 4, "d": 755_000, "eps": 0.5, "trials": 50,
-        "n_unlabeled_grid": (2_000, 4_000, 8_000, 16_000, 32_000, 64_000,
-                             128_000)},
-    "irrelevant_sweep": {"n0": 4, "d": 755_000, "eps": 0.5, "trials": 50,
-                         "alphas": (1.0, 0.5, 0.25, 0.0)},
-    "label_sweep": {"n0": 4, "d": 755_000, "eps": 0.5, "trials": 50,
-                    "n_labeled_grid": (1, 2, 4, 8, 16)},
-    "rst_demo": {"n0": 30, "d": 100, "eps": 0.5, "trials": 10,
-                 "n_unlabeled": 3_000},
-    "certify_demo": {"n0": 4, "d": 16, "eps": 0.5, "trials": 200},
+    "verify_closed_form": {"trials": 20},
+    "unlabeled_sweep": {"n_unlabeled_grid": (2_000, 4_000, 8_000, 16_000,
+                                             32_000, 64_000, 128_000)},
+    "irrelevant_sweep": {"alphas": (1.0, 0.5, 0.25, 0.0)},
+    "label_sweep": {"n_labeled_grid": (1, 2, 4, 8, 16)},
+    "rst_demo": {"n0": 30, "d": 100, "trials": 10},
+    "certify_demo": {"d": 16, "trials": 200},
 }
-
-_INT_KEYS = {"n0", "d", "trials", "seed", "workers", "n_labeled",
-             "n_unlabeled", "grad_steps", "batch_size", "stage1_steps",
-             "stage1_batch", "mc_samples", "n0_selection", "n_estimation"}
-_FLOAT_KEYS = {"eps", "beta", "w_unlabeled", "learning_rate",
-               "stage1_learning_rate", "noise_sigma", "conf_alpha"}
-_BOOL_KEYS = {"allow_large_eps", "check"}
-_INT_LIST_KEYS = {"n_unlabeled_grid", "n_labeled_grid"}
-_FLOAT_LIST_KEYS = {"alphas", "radii"}
-_STR_KEYS = {"out", "reg_kind", "use_fast_sampler"}
-_ALL_KEYS = (_INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _INT_LIST_KEYS
-             | _FLOAT_LIST_KEYS | _STR_KEYS)
+# option keys whose ExperimentSpec field has another name
+_SPEC_FIELDS = {"trials": "trial_count", "seed": "master_seed",
+                "eps": "epsilon", "allow_large_eps": "allow_large_epsilon",
+                "alphas": "alpha_grid"}
+# options that go to the config object a kind carries, not to the spec
+_NESTED_FIELDS = {"rst_demo": {f.name for f in fields(RstConfig)},
+                  "certify_demo": {f.name for f in fields(SmoothingConfig)}}
 
 
 class _UsageError(Exception):
@@ -83,13 +72,14 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in text.split(",") if part.strip())
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in text.split(",")
-                 if part.strip())
+def _list_of(item: type):
+    """Parser of a comma separated list; argparse names it in its message
+    for a malformed value."""
+    def parse(text: str) -> tuple:
+        return tuple(item(part.strip()) for part in text.split(",")
+                     if part.strip())
+    parse.__name__ = f"{item.__name__} list"
+    return parse
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, str]]:
@@ -118,34 +108,49 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _coerce(key: str, value: str):
+def _config_keys(parser: argparse.ArgumentParser) -> dict:
+    """Each subcommand's config keys, its long flags but --config and
+    --help, mapped to the actions that parse them."""
+    subs = next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+    return {name: {action.dest: action for action in sub._actions
+                   if action.option_strings
+                   and action.dest not in ("config", "help")}
+            for name, sub in subs.choices.items()}
+
+
+def _coerce(action: argparse.Action, key: str, value: str):
+    """A config value parsed as its flag parses it on the command line."""
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            return _parse_bool(value)
-        if key in _INT_LIST_KEYS:
-            return _parse_int_list(value)
-        if key in _FLOAT_LIST_KEYS:
-            return _parse_float_list(value)
-        if key in _STR_KEYS:
-            return value
+        coerced = (_parse_bool(value) if action.nargs == 0
+                   else action.type(value))
     except ValueError as exc:
         raise ValueError(f"config value for {key!r}: {exc}") from exc
-    raise ValueError(f"unknown config key {key!r}")
+    if action.choices is not None and coerced not in action.choices:
+        raise ValueError(f"config value for {key!r} must be one of "
+                         f"{', '.join(action.choices)}, got {value!r}")
+    return coerced
 
 
-def _config_overrides(path: str, kind: str, subcommand: str) -> dict:
-    """Keys from the global section plus the section for this experiment."""
+def _config_overrides(path: str, subcommand: str, keys: dict) -> dict:
+    """Keys from the global section plus the section for this experiment.
+    Every key is a flag of some subcommand and is checked with that flag's
+    action; it applies only if this subcommand has the flag."""
     with open(path, "r") as fh:
         sections = parse_config_text(fh.read())
     merged: dict[str, str] = {}
-    merged.update(sections.get("", {}))
-    for name in (kind, subcommand):
-        merged.update(sections.get(name.lower(), {}))
-    return {key: _coerce(key, value) for key, value in merged.items()}
+    for name in ("", SUBCOMMAND_KINDS[subcommand], subcommand):
+        merged.update(sections.get(name, {}))
+    actions = {key: action for table in keys.values()
+               for key, action in table.items()}
+    overrides = {}
+    for key, value in merged.items():
+        if key not in actions:
+            raise ValueError(f"unknown config key {key!r}")
+        coerced = _coerce(actions[key], key, value)
+        if key in keys[subcommand]:
+            overrides[key] = coerced
+    return overrides
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -203,18 +208,18 @@ def build_parser() -> _Parser:
         parsers[name].add_argument("--n-unlabeled", type=int, default=None)
     for name in ("gap", "sweep-unlabeled", "sweep-irrelevant", "sweep-labels"):
         parsers[name].add_argument(
-            "--use-fast-sampler", choices=("auto", "always", "never"),
-            default=None,
+            "--use-fast-sampler", type=str, default=None,
+            choices=("auto", "always", "never"),
             help="auto and always draw from the exact estimator law; never "
                  "materializes the data (refused above the budget)")
     parsers["sweep-unlabeled"].add_argument(
-        "--n-unlabeled-grid", type=str, default=None,
+        "--n-unlabeled-grid", type=_list_of(int), default=None,
         help="comma separated ascending pool sizes; 0 means supervised only")
     parsers["sweep-irrelevant"].add_argument(
-        "--alphas", type=str, default=None,
+        "--alphas", type=_list_of(float), default=None,
         help="comma separated relevant fractions in [0, 1]")
     parsers["sweep-labels"].add_argument(
-        "--n-labeled-grid", type=str, default=None,
+        "--n-labeled-grid", type=_list_of(int), default=None,
         help="comma separated ascending labeled counts, each >= 1")
     rst = parsers["rst-demo"]
     rst.add_argument("--beta", type=float, default=None)
@@ -234,107 +239,54 @@ def build_parser() -> _Parser:
     cert.add_argument("--n0-selection", type=int, default=None)
     cert.add_argument("--n-estimation", type=int, default=None)
     cert.add_argument("--conf-alpha", type=float, default=None)
-    cert.add_argument("--radii", type=str, default=None,
+    cert.add_argument("--radii", type=_list_of(float), default=None,
                       help="comma separated ascending ell-2 radii")
     return parser
 
 
-def _gather_options(subcommand: str, args: argparse.Namespace) -> dict:
-    kind = SUBCOMMAND_KINDS[subcommand]
-    options: dict = {}
-    for key, value in vars(args).items():
-        if key in ("subcommand",) or value is None:
-            continue
-        norm = key.replace("-", "_")
-        if norm == "config":
-            continue
-        if norm in _INT_LIST_KEYS:
-            value = _parse_int_list(value)
-        elif norm in _FLOAT_LIST_KEYS:
-            value = _parse_float_list(value)
-        options[norm] = value
+def _gather_options(parser: argparse.ArgumentParser,
+                    args: argparse.Namespace) -> dict:
+    options = {key: value for key, value in vars(args).items()
+               if value is not None and key not in ("subcommand", "config")}
     if args.config is not None:
-        options.update(_config_overrides(args.config, kind, subcommand))
+        options.update(_config_overrides(args.config, args.subcommand,
+                                         _config_keys(parser)))
     return options
-
-
-def _resolve_epsilon(kind: str, options: dict) -> tuple[float, bool]:
-    builtin = _BUILTIN[kind]["eps"]
-    if "eps" not in options:
-        return builtin, True
-    eps = float(options["eps"])
-    allow = bool(options.get("allow_large_eps", False))
-    if eps >= 0.5 and not allow:
-        raise ValueError(
-            f"eps = {eps} is at or above 0.5; pass --allow-large-eps to "
-            "confirm the weak-signal regime")
-    return eps, allow
 
 
 def _build_spec(subcommand: str, options: dict) -> ExperimentSpec:
     kind = SUBCOMMAND_KINDS[subcommand]
-    builtin = _BUILTIN[kind]
-    unknown = set(options) - _ALL_KEYS
-    if unknown:
-        raise ValueError(f"unknown option(s): {', '.join(sorted(unknown))}")
-    eps, allow = _resolve_epsilon(kind, options)
-    n0 = int(options.get("n0", builtin["n0"]))
-    d = int(options.get("d", builtin["d"]))
-    fields: dict = {
-        "kind": kind, "n0": n0, "d": d, "epsilon": eps,
-        "allow_large_epsilon": allow,
-        "trial_count": int(options.get("trials", builtin["trials"])),
-        "master_seed": int(options.get("seed", 0)),
-        "workers": int(options.get("workers", thread_budget(1))),
-    }
-    if "n_labeled" in options:
-        fields["n_labeled"] = int(options["n_labeled"])
-    if "n_unlabeled" in options:
-        fields["n_unlabeled"] = int(options["n_unlabeled"])
-    elif "n_unlabeled" in builtin:
-        fields["n_unlabeled"] = builtin["n_unlabeled"]
-    if kind == "unlabeled_sweep":
-        fields["n_unlabeled_grid"] = tuple(
-            options.get("n_unlabeled_grid", builtin["n_unlabeled_grid"]))
-    if kind == "irrelevant_sweep":
-        fields["alpha_grid"] = tuple(options.get("alphas", builtin["alphas"]))
-    if kind == "label_sweep":
-        fields["n_labeled_grid"] = tuple(
-            options.get("n_labeled_grid", builtin["n_labeled_grid"]))
-    if kind == "verify_closed_form" and "mc_samples" in options:
-        fields["mc_samples"] = int(options["mc_samples"])
+    options = {**_BUILTIN.get(kind, {}), **options}
+    # built-in model points are pre-validated, so epsilon = 0.5 there does
+    # not need --allow-large-eps; only user-supplied epsilon is gated
+    if "eps" not in options:
+        options["allow_large_eps"] = True
+    elif options["eps"] >= 0.5 and not options.get("allow_large_eps"):
+        raise ValueError(
+            f"eps = {options['eps']} is at or above 0.5; pass "
+            "--allow-large-eps to confirm the weak-signal regime")
     if "use_fast_sampler" in options:
-        mode = options["use_fast_sampler"]
-        if mode not in ("auto", "always", "never"):
-            raise ValueError("use_fast_sampler must be auto, always, or never")
-        fields["use_fast_sampler"] = mode != "never"
+        options["use_fast_sampler"] = options["use_fast_sampler"] != "never"
+    nested_keys = _NESTED_FIELDS.get(kind, set())
+    nested = {key: options.pop(key) for key in nested_keys & set(options)}
+    values = {"kind": kind, "workers": thread_budget(1)}
+    values.update((_SPEC_FIELDS.get(key, key), value)
+                  for key, value in options.items())
+    spec = ExperimentSpec(**values)
     if kind == "rst_demo":
-        for key in ("stage1_learning_rate", "stage1_steps", "stage1_batch"):
-            if key in options:
-                fields[key] = options[key]
-        rst_keys = ("beta", "w_unlabeled", "learning_rate", "grad_steps",
-                    "batch_size", "reg_kind")
-        given = {key: options[key] for key in rst_keys if key in options}
-        fields["rst_config"] = replace(default_rst_config(eps), **given)
+        return replace(spec, rst_config=replace(
+            default_rst_config(spec.epsilon), **nested))
     if kind == "certify_demo":
-        smoothing_keys = ("noise_sigma", "n0_selection", "n_estimation",
-                          "conf_alpha")
-        given = {key: options[key] for key in smoothing_keys if key in options}
-        given.setdefault("noise_sigma", canonical_model(
-            n0, d, eps, allow_large_epsilon=True).sigma)
-        fields["smoothing"] = SmoothingConfig(**given)
-        if "radii" in options:
-            fields["radii"] = tuple(options["radii"])
-    return ExperimentSpec(**fields)
+        nested.setdefault("noise_sigma", spec.model().sigma)
+        return replace(spec, smoothing=SmoothingConfig(**nested))
+    return spec
 
 
-def _run(subcommand: str, args: argparse.Namespace) -> int:
-    options = _gather_options(subcommand, args)
-    out_path = options.get("out", f"rstsim_{subcommand}.csv")
-    do_check = bool(options.get("check", False))
-    for key in ("out", "check"):
-        options.pop(key, None)
-    spec = _build_spec(subcommand, options)
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    options = _gather_options(parser, args)
+    out_path = options.pop("out", f"rstsim_{args.subcommand}.csv")
+    do_check = options.pop("check", False)
+    spec = _build_spec(args.subcommand, options)
     rows, summaries = RUNNERS[spec.kind](spec)
     write_csv(out_path, trial_csv_lines(rows))
     summary_path = summary_path_for(out_path)
@@ -357,11 +309,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.subcommand is None:
             raise _UsageError("a subcommand is required (try --help)")
-        return _run(args.subcommand, args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        return _run(parser, args)
+    except (_UsageError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -104,6 +104,30 @@ def test_unwritable_out_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_memory_error_exits_one_with_one_line(monkeypatch, tmp_path, capsys):
+    from rstsim import experiments
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array with "
+                          "shape (20000000000,) and data type float64")
+
+    monkeypatch.setattr(experiments, "canonical_model", refuse)
+    assert main(["gap", "--d", "20000000000",
+                 "--out", str(tmp_path / "g.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 149. GiB")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub, flag, value, kind", [
+    ("sweep-irrelevant", "--alphas", "0.5,x", "float"),
+    ("sweep-unlabeled", "--n-unlabeled-grid", "0,1e3", "int")])
+def test_malformed_list_flag_names_itself(capsys, sub, flag, value, kind):
+    assert main([sub, flag, value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: argument {flag}: invalid {kind} list value: '{value}'\n")
+
+
 def test_missing_config_exits_one(tmp_path, capsys):
     out = str(tmp_path / "g.csv")
     assert main(["gap", "--config", str(tmp_path / "nope.ini"),
@@ -177,7 +201,8 @@ def _long_flags(parser) -> dict[str, dict[str, argparse.Action]]:
 
 def test_option_surface_is_frozen():
     flags = _long_flags(build_parser())
-    assert {name: set(table) for name, table in flags.items()} == OPTION_SURFACE
+    surface = {name: set(table) for name, table in flags.items()}
+    assert surface == OPTION_SURFACE
     assert [len(OPTION_SURFACE[name]) for name in SUBCOMMAND_KINDS] == [
         11, 13, 13, 14, 14, 21, 15]
     assert len(set().union(*OPTION_SURFACE.values())) == 31
@@ -239,7 +264,7 @@ def test_every_flag_equals_its_config_key(resolve):
             base = [sub]
             if action.nargs == 0:
                 kinds.add("bool")
-                # eps = 0.6 needs --allow-large-eps, so yes runs and off exits 1
+                # eps = 0.6 needs --allow-large-eps: yes runs, off exits 1
                 if flag == "--allow-large-eps":
                     base += ["--eps", "0.6"]
                 cases = [([flag], "yes"), ([], "off")]
