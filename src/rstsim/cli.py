@@ -120,7 +120,8 @@ def _config_keys(parser: argparse.ArgumentParser) -> dict:
 
 
 def _coerce(action: argparse.Action, key: str, value: str):
-    """A config value parsed as its flag parses it on the command line."""
+    """A config value parsed as its flag parses it on the command line; a
+    flag that takes no value (store_const) takes a boolean word."""
     try:
         coerced = (_parse_bool(value) if action.nargs == 0
                    else action.type(value))
