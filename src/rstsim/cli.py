@@ -21,7 +21,7 @@ from .experiments import (
     trial_csv_lines,
     write_csv,
 )
-from .gaussian import thread_budget
+from .gaussian import canonical_sigma, thread_budget
 from .rst import RstConfig
 from .smoothing import SmoothingConfig
 
@@ -207,12 +207,6 @@ def build_parser() -> _Parser:
         parsers[name].add_argument("--n-labeled", type=int, default=None)
     for name in ("gap", "sweep-irrelevant", "sweep-labels", "rst-demo"):
         parsers[name].add_argument("--n-unlabeled", type=int, default=None)
-    for name in ("gap", "sweep-unlabeled", "sweep-irrelevant", "sweep-labels"):
-        parsers[name].add_argument(
-            "--use-fast-sampler", type=str, default=None,
-            choices=("auto", "always", "never"),
-            help="auto and always draw from the exact estimator law; never "
-                 "materializes the data (refused above the budget)")
     parsers["sweep-unlabeled"].add_argument(
         "--n-unlabeled-grid", type=_list_of(int), default=None,
         help="comma separated ascending pool sizes; 0 means supervised only")
@@ -266,8 +260,6 @@ def _build_spec(subcommand: str, options: dict) -> ExperimentSpec:
         raise ValueError(
             f"eps = {options['eps']} is at or above 0.5; pass "
             "--allow-large-eps to confirm the weak-signal regime")
-    if "use_fast_sampler" in options:
-        options["use_fast_sampler"] = options["use_fast_sampler"] != "never"
     nested_keys = _NESTED_FIELDS.get(kind, set())
     nested = {key: options.pop(key) for key in nested_keys & set(options)}
     values = {"kind": kind, "workers": thread_budget(1)}
@@ -278,7 +270,7 @@ def _build_spec(subcommand: str, options: dict) -> ExperimentSpec:
         return replace(spec, rst_config=replace(
             default_rst_config(spec.epsilon), **nested))
     if kind == "certify_demo":
-        nested.setdefault("noise_sigma", spec.model().sigma)
+        nested.setdefault("noise_sigma", canonical_sigma(spec.n0, spec.d))
         return replace(spec, smoothing=SmoothingConfig(**nested))
     return spec
 

@@ -24,13 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import (
-    sample_mixture,
-    self_train,
-    selftrain_draw,
-    supervised_draw,
-    supervised_estimator,
-)
+from .estimators import sample_mixture, selftrain_draw, supervised_draw
 from .gaussian import (
     GaussianModel,
     LinearClassifier,
@@ -42,12 +36,7 @@ from .gaussian import (
     sample_labeled,
     thread_budget,
 )
-from .rst import (
-    LogisticModel,
-    RstConfig,
-    rst_train_lockstep,
-    standard_train_lockstep,
-)
+from .rst import LogisticModel, RstConfig, rst_train, standard_train
 from .smoothing import (
     SmoothingConfig,
     certified_accuracy_curve,
@@ -62,9 +51,6 @@ from .statkit import (
     split_stream,
 )
 
-# use_fast_sampler=False (materialized draws, the cross-check) is refused
-# above this many matrix entries
-FAST_PATH_BUDGET = 100_000_000
 # rst-demo trains as many trials together as fit this many row scalars
 _RST_GROUP_SCALARS = 1 << 20
 
@@ -98,7 +84,6 @@ class ExperimentSpec:
     radii: tuple[float, ...] = ()
     master_seed: int = 0
     workers: int = 1
-    use_fast_sampler: bool = True
 
     def __post_init__(self):
         if self.kind not in RUNNERS:
@@ -204,16 +189,6 @@ def _run_indexed(fn, count: int, master_seed: int, base_index: int,
     return [fn(i, split_stream(master_seed, i)) for i in indices]
 
 
-def _wants_fast(n_rows: int, d: int, fast: bool, label: str) -> bool:
-    """fast, after refusing a materialized draw over budget."""
-    if not fast and n_rows * d > FAST_PATH_BUDGET:
-        raise ValueError(
-            f"materialization budget exceeded for {label}: {n_rows} x {d} "
-            f"> {FAST_PATH_BUDGET}; enable the fast sampler "
-            "(use_fast_sampler=True, the default)")
-    return fast
-
-
 def selftrain_pool_threshold(n0: int, d: int, epsilon: float) -> int:
     """Unlabeled-pool size at which self-training reaches low robust error."""
     return math.ceil(288.0 * n0 * epsilon**2 * math.sqrt(d / n0))
@@ -268,36 +243,24 @@ def _run_arms(spec: ExperimentSpec, arms) -> tuple[list[TrialRow],
     """Run spec.trial_count closed-form trials per arm; summarize each arm.
 
     An arm is (experiment, grid_key, grid_value, n_labeled, n_unlabeled,
-    alpha). It self-trains on n_unlabeled points when that is > 0 and draws
-    the supervised estimator otherwise; n_unlabeled goes to the trial rows
-    as given. Arm j runs on the index block [j * trials, (j + 1) * trials),
-    and all blocks share one trial pool.
+    alpha). It draws the self-trained estimator on n_unlabeled points when
+    that is > 0 and the supervised estimator otherwise, each from its exact
+    law; n_unlabeled goes to the trial rows as given. Arm j runs on the
+    index block [j * trials, (j + 1) * trials), and all blocks share one
+    trial pool.
     """
     model = spec.model()
-    fast = spec.use_fast_sampler
     trials = spec.trial_count
-
-    def draw(n: int, n_unlabeled: int | None, alpha: float,
-             stream: RngStream) -> tuple[tuple, float | None]:
-        # (mu^T theta, ||theta||_2, ||theta||_1) and the agreement
-        if not n_unlabeled:
-            if _wants_fast(n, model.d, fast, "labeled sampling"):
-                return supervised_draw(model, n, stream).stats(model.mu), None
-            clf = supervised_estimator(sample_labeled(model, n, stream))
-            return alignment_stats(model, clf), None
-        if _wants_fast(n_unlabeled, model.d, fast, "unlabeled sampling"):
-            fd = selftrain_draw(model, n, n_unlabeled, alpha, stream)
-            return fd.stats(model.mu), fd.agreement
-        labeled = sample_labeled(model, n, stream)
-        pool, _ = sample_mixture(model, n_unlabeled, alpha, stream)
-        res = self_train(labeled, pool)
-        return alignment_stats(model, res.final), res.pseudo_label_agreement
 
     def one(index: int, stream: RngStream) -> TrialRow:
         experiment, _, _, n, n_unlabeled, alpha = arms[index // trials]
-        stats, gamma = draw(n, n_unlabeled, alpha, stream)
+        if n_unlabeled:
+            fd = selftrain_draw(model, n, n_unlabeled, alpha, stream)
+            gamma = fd.agreement
+        else:
+            fd, gamma = supervised_draw(model, n, stream), None
         return _closed_form_row(
-            experiment, model, stats, spec, n_labeled=n,
+            experiment, model, fd.stats(model.mu), spec, n_labeled=n,
             n_unlabeled=n_unlabeled,
             relevant_fraction=alpha if n_unlabeled else None,
             trial=index % trials, gamma=gamma, seed=index)
@@ -499,21 +462,20 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
                                              spec.relevant_fraction, stream)
             xs[g, :n], xs[g, n:], ys[g, :n] = labeled.xs, pool.xs, labeled.ys
             del labeled, pool  # the next draw need not hold this pool too
-        stage1 = standard_train_lockstep(
-            xs, ys, n, spec.stage1_learning_rate, spec.stage1_steps,
-            spec.stage1_batch, streams)
+        stage1 = standard_train(xs, ys, spec.stage1_learning_rate,
+                                spec.stage1_steps, spec.stage1_batch, streams,
+                                n_rows=n)
         scores = np.einsum("...ij,...j->...i", xs[:, n:], stage1)
         pseudo = np.where(scores >= 0.0, 1, -1)
         gammas = np.mean(pseudo * hidden, axis=-1)
         ys[:, n:] = pseudo
         weights = np.full(ys.shape, config.w_unlabeled)
         weights[:, :n] = 1.0
-        rst, _ = rst_train_lockstep(xs, ys, weights, n, n_rows, config,
-                                    streams)
+        rst, _ = rst_train(xs, ys, weights, n, config, streams)
         # the labeled-only arm has no unlabeled rows to split a batch with
-        base, _ = rst_train_lockstep(
-            xs, ys, weights, n, n, replace(config, equal_parts_batches=False),
-            streams)
+        base, _ = rst_train(xs, ys, weights, n,
+                            replace(config, equal_parts_batches=False),
+                            streams, n_rows=n)
         for g, index in enumerate(indices):
             pairs.append((
                 trial_row("rst_demo:rst", rst[g], index, n_unlabeled=n_tilde,

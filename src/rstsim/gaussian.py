@@ -94,6 +94,17 @@ class LabeledSet:
         return self.xs.shape[0]
 
 
+def canonical_sigma(n0: int, d: int) -> float:
+    """The scaling family's noise scale (n0 d)^(1/4), without building mu."""
+    n0 = int(n0)
+    d = int(d)
+    if n0 < 1:
+        raise ValueError(f"n0 must be >= 1, got {n0}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    return float((n0 * d) ** 0.25)
+
+
 def canonical_model(n0: int, d: int, epsilon: float,
                     allow_large_epsilon: bool = False) -> GaussianModel:
     """Construct the scaling family instance: mu = all-ones, sigma = (n0 d)^(1/4).
@@ -103,12 +114,7 @@ def canonical_model(n0: int, d: int, epsilon: float,
     robust problem (the perturbation can cross between the class means)
     and is rejected unless allow_large_epsilon is set.
     """
-    n0 = int(n0)
-    d = int(d)
-    if n0 < 1:
-        raise ValueError(f"n0 must be >= 1, got {n0}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    sigma = canonical_sigma(n0, d)
     epsilon = float(epsilon)
     if not (epsilon >= 0.0) or not np.isfinite(epsilon):
         raise ValueError(f"epsilon must be >= 0 and finite, got {epsilon!r}")
@@ -116,8 +122,8 @@ def canonical_model(n0: int, d: int, epsilon: float,
         raise ValueError(
             f"epsilon = {epsilon} >= 0.5 is outside the meaningful attack range; "
             "pass allow_large_epsilon=True to override")
-    sigma = float((n0 * d) ** 0.25)
-    return GaussianModel(mu=np.ones(d), sigma=sigma, epsilon=epsilon, n0=n0)
+    return GaussianModel(mu=np.ones(int(d)), sigma=sigma, epsilon=epsilon,
+                         n0=int(n0))
 
 
 # Monte Carlo draws chunks of about _MC_BLOCK_SCALARS, one substream each,

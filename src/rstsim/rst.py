@@ -8,16 +8,21 @@ KL over an l-infinity ball (closed form for linear scores), a projected
 gradient ascent approximation of the same quantity, and a Gaussian noise
 stability penalty. Training is plain minibatch SGD from zero.
 
-One SGD loop trains G problems of one shape stacked on a leading axis,
-stepped together, so the Python and numpy call overhead of a step is paid
-once per group; standard_train and rst_train are its one-problem case.
-Each problem draws from its own stream in the one-problem order, and every
-array operation is per element or reduces along the last axis, so each
-problem's parameters and loss trace equal its one-problem run bit for bit.
-When an update draws nothing (stage one, the exact regularizer, beta = 0),
-each problem draws all its batch indices before the first step; numpy's
-bounded-integer draws consume a stream alike in one call or in many, so
-the indices and the stream's final state do not change.
+The two trainers, standard_train and rst_train, take one problem, (N, d)
+rows with one stream, or G problems of one shape stacked on a leading axis,
+(G, N, d) rows with one stream each, stepped together, so the Python and
+numpy call overhead of a step is paid once per group. Each problem draws
+from its own stream in the one-problem order, and every array operation is
+per element or reduces along the last axis, so each problem's parameters
+and loss trace equal its one-problem run bit for bit. When an update draws
+nothing (stage one, the exact regularizer, beta = 0), each problem draws
+all its batch indices before the first step; numpy's bounded-integer draws
+consume a stream alike in one call or in many, so the indices and the
+stream's final state do not change.
+
+standard_loss, kl_bernoulli, adversarial_reg_exact, adversarial_reg_pg and
+stability_reg score one example at a time, as references: acceptance
+criterion 7 checks the pg ascent against the closed form.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import LabeledSet
-from .estimators import UnlabeledSet
 from .statkit import RngStream, gaussian_cdf
 
 _CLAMP = 1e-12
@@ -70,6 +73,22 @@ def _kl_from_pairs(p: float, omp: float, q: float, omq: float) -> float:
 def _kl_vec(pc: np.ndarray, qc: np.ndarray) -> np.ndarray:
     # both arguments already clamped away from {0, 1}
     return pc * np.log(pc / qc) + (1.0 - pc) * np.log((1.0 - pc) / (1.0 - qc))
+
+
+def _free(p: np.ndarray) -> np.ndarray:
+    # 1 where the clamp leaves p alone, else 0: a clamped probability
+    # passes no gradient
+    return ((p > _CLAMP) & (p < 1.0 - _CLAMP)).astype(np.float64)
+
+
+def _kl_slopes(pc: np.ndarray, q_raw: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(qc, dKL/dp, coef_q) of the terms KL(p || q) for clamped p: qc is q
+    clamped, and coef_q = (qc - pc) * free(q) is dKL/dq * q (1 - q), the
+    slope through q's score."""
+    qc = _clamp_probs(q_raw)
+    dkl_dp = np.log(pc / qc) - np.log((1.0 - pc) / (1.0 - qc))
+    return qc, dkl_dp, (qc - pc) * _free(q_raw)
 
 
 @dataclass(frozen=True)
@@ -129,14 +148,6 @@ class RstConfig:
             raise ValueError(f"reg_kind must be one of {_REG_KINDS}")
 
 
-@dataclass(frozen=True)
-class RstTrainResult:
-    """Final parameters plus the objective value recorded before each update."""
-
-    model: LogisticModel
-    loss_trace: np.ndarray
-
-
 def standard_loss(model: LogisticModel, x, y: int) -> tuple[float, np.ndarray]:
     """Logistic loss log(1 + exp(-y theta^T x)) and its theta-gradient."""
     if y not in (-1, 1):
@@ -156,9 +167,8 @@ def kl_bernoulli(p: float, q: float) -> float:
     Both probabilities are clamped to [1e-12, 1 - 1e-12] first, so saturated
     inputs give large finite values instead of infinities.
     """
-    pc = min(max(float(p), _CLAMP), 1.0 - _CLAMP)
-    qc = min(max(float(q), _CLAMP), 1.0 - _CLAMP)
-    return pc * math.log(pc / qc) + (1.0 - pc) * math.log((1.0 - pc) / (1.0 - qc))
+    p, q = float(p), float(q)
+    return _kl_from_pairs(p, 1.0 - p, q, 1.0 - q)
 
 
 def adversarial_reg_exact(model: LogisticModel, x,
@@ -334,16 +344,13 @@ def stability_reg(model: LogisticModel, x, noise_sigma: float, n_noise: int,
     theta = model.theta
     noisy = x[None, :] + noise_sigma * stream.standard_normal((n_noise, x.size))
     p_raw = float(_sigmoid(np.array(float(np.sum(theta * x)))))
-    q_raw = _sigmoid(np.einsum("ij,j->i", noisy, theta))
-    pc, qc = _clamp_probs(np.array(p_raw)), _clamp_probs(q_raw)
+    pc = _clamp_probs(np.array(p_raw))
+    qc, dkl_dp, coef_q = _kl_slopes(pc, _sigmoid(np.einsum("ij,j->i", noisy,
+                                                            theta)))
     value = float(np.mean(_kl_vec(pc, qc)))
-    dkl_dp = np.log(pc / qc) - np.log((1.0 - pc) / (1.0 - qc))
-    p_free = 1.0 if _CLAMP < p_raw < 1.0 - _CLAMP else 0.0
-    q_free = ((q_raw > _CLAMP) & (q_raw < 1.0 - _CLAMP)).astype(np.float64)
+    p_free = float(_free(np.array(p_raw)))
     grad = (float(np.mean(dkl_dp)) * p_raw * (1.0 - p_raw) * p_free) * x
-    coef_q = (qc - pc) * q_free / n_noise
-    grad = grad + np.einsum("i,ij->j", coef_q, noisy)
-    return value, grad
+    return value, grad + np.einsum("i,ij->j", coef_q / n_noise, noisy)
 
 
 def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
@@ -403,9 +410,8 @@ def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 
     p_raw = _sigmoid(s)
     pc = _clamp_probs(p_raw)
-    p_free = ((p_raw > _CLAMP) & (p_raw < 1.0 - _CLAMP)).astype(np.float64)
-
-    if config.reg_kind == "adversarial_exact":
+    exact = config.reg_kind == "adversarial_exact"
+    if exact:
         shift = (config.epsilon * np.sum(np.abs(theta), axis=-1))[..., None]
         q_hi_raw = _sigmoid(s + shift)
         q_lo_raw = _sigmoid(s - shift)
@@ -413,89 +419,102 @@ def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
         kl_lo = _kl_vec(pc, _clamp_probs(q_lo_raw))
         take_hi = kl_hi > kl_lo
         reg_vals = np.where(take_hi, kl_hi, kl_lo)
-        q_raw = np.where(take_hi, q_hi_raw, q_lo_raw)
-        qc = _clamp_probs(q_raw)
-        q_free = ((q_raw > _CLAMP) & (q_raw < 1.0 - _CLAMP)).astype(np.float64)
-        dkl_dp = np.log(pc / qc) - np.log((1.0 - pc) / (1.0 - qc))
-        coef_p = dkl_dp * p_raw * (1.0 - p_raw) * p_free
-        coef_q = (qc - pc) * q_free
-        side = np.where(take_hi, 1.0, -1.0)
-        value = (np.sum(weights * (std_vals + beta * reg_vals), axis=-1)
-                 / total_w)
+        _, dkl_dp, coef_q = _kl_slopes(pc, np.where(take_hi, q_hi_raw,
+                                                    q_lo_raw))
+    else:
+        # k perturbed copies of each row: the pg ascent's best iterate
+        # (k = 1) or noise_samples noisy rows
+        if stream is None:
+            raise ValueError(f"{config.reg_kind} needs a stream")
+        if config.reg_kind == "adversarial_pg":
+            _, worst = _pg_worst_batch(theta, xs, config.epsilon,
+                                       config.pg_steps, config.pg_step_size,
+                                       streams, work)
+            copies = worst[..., None, :]
+        else:
+            k, d = config.noise_samples, xs.shape[-1]
+            noise = config.noise_sigma * np.stack(
+                [st.standard_normal((n, k, d)) for st in streams]
+            ).reshape(xs.shape[:-1] + (k, d))
+            copies = xs[..., None, :] + noise
+        qc, dkl_dp, coef_q = _kl_slopes(pc[..., None], _sigmoid(
+            np.einsum("...nkj,...j->...nk", copies, theta)))
+        reg_vals = np.mean(_kl_vec(pc[..., None], qc), axis=-1)
+        dkl_dp = np.mean(dkl_dp, axis=-1)
+        coef_q = coef_q / copies.shape[-2]
+    coef_p = dkl_dp * p_raw * (1.0 - p_raw) * _free(p_raw)
+    value = np.sum(weights * (std_vals + beta * reg_vals), axis=-1) / total_w
+    if exact:
         # endpoint x* = x + side * eps * sign(theta): split its contribution
         # into the x part and the sign(theta) part
+        side = np.where(take_hi, 1.0, -1.0)
         per_x = weights * (c_std + beta * (coef_p + coef_q))
         grad = np.einsum("...i,...ij->...j", per_x, xs) / total_col
         grad = grad + (np.sum(weights * beta * coef_q * side, axis=-1)
                        / total_w * config.epsilon)[..., None] * np.sign(theta)
-    elif config.reg_kind == "adversarial_pg":
-        if stream is None:
-            raise ValueError("adversarial_pg needs a stream")
-        _, worst = _pg_worst_batch(theta, xs, config.epsilon, config.pg_steps,
-                                   config.pg_step_size, streams, work)
-        q_raw = _sigmoid(np.einsum("...ij,...j->...i", worst, theta))
-        qc = _clamp_probs(q_raw)
-        q_free = ((q_raw > _CLAMP) & (q_raw < 1.0 - _CLAMP)).astype(np.float64)
-        reg_vals = _kl_vec(pc, qc)
-        dkl_dp = np.log(pc / qc) - np.log((1.0 - pc) / (1.0 - qc))
-        coef_p = dkl_dp * p_raw * (1.0 - p_raw) * p_free
-        coef_q = (qc - pc) * q_free
-        value = (np.sum(weights * (std_vals + beta * reg_vals), axis=-1)
-                 / total_w)
-        grad = np.einsum("...i,...ij->...j", weights * (c_std + beta * coef_p),
-                         xs) / total_col
-        grad = grad + np.einsum("...i,...ij->...j", weights * beta * coef_q,
-                                worst) / total_col
-    else:  # stability
-        if stream is None:
-            raise ValueError("stability needs a stream")
-        k, d = config.noise_samples, xs.shape[-1]
-        noise = config.noise_sigma * np.stack(
-            [st.standard_normal((n, k, d)) for st in streams]
-        ).reshape(xs.shape[:-1] + (k, d))
-        noisy = xs[..., None, :] + noise
-        q_raw = _sigmoid(np.einsum("...nkj,...j->...nk", noisy, theta))
-        qc = _clamp_probs(q_raw)
-        q_free = ((q_raw > _CLAMP) & (q_raw < 1.0 - _CLAMP)).astype(np.float64)
-        reg_vals = np.mean(_kl_vec(pc[..., None], qc), axis=-1)
-        dkl_dp = np.mean(np.log(pc[..., None] / qc)
-                         - np.log((1.0 - pc[..., None]) / (1.0 - qc)), axis=-1)
-        coef_p = dkl_dp * p_raw * (1.0 - p_raw) * p_free
-        coef_q = (qc - pc[..., None]) * q_free / k
-        value = (np.sum(weights * (std_vals + beta * reg_vals), axis=-1)
-                 / total_w)
+    else:
         grad = np.einsum("...i,...ij->...j", weights * (c_std + beta * coef_p),
                          xs) / total_col
         grad = grad + np.einsum("...nk,...nkj->...j",
                                 weights[..., None] * beta * coef_q,
-                                noisy) / total_col
+                                copies) / total_col
     return (value, grad) if stacked else (float(value), grad)
 
 
-def _lockstep_sgd(update: Callable, xs: np.ndarray, ys: np.ndarray,
-                  weights: np.ndarray | None, n_labeled: int, n_rows: int,
-                  batch_size: int, equal_parts: bool, grad_steps: int,
-                  streams: Sequence[RngStream], update_draws: bool
+def _lockstep_sgd(update: Callable, xs, ys, weights, stream,
+                  n_rows: int | None, n_labeled: int | None, batch_size: int,
+                  equal_parts: bool, grad_steps: int, update_draws: bool
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """SGD from zero on G stacked problems, stepped together.
+    """SGD from zero on one problem or G stacked problems, stepped together.
 
-    xs is a (G, N, d) row buffer and ys, weights (G, N); problem g trains
-    on the first n_rows rows of its slice, the first n_labeled of them
-    labeled. Each step gathers the batch rows with one np.take on the
-    flattened buffer and sets (values, theta) = update(theta, bx, by, bw)
-    on the (G, b, d) batch; values (or None) fill the returned (G,
-    grad_steps) trace. batch_size = 0 is the full batch. Per-step draw
-    order: each problem in problem order draws its batch indices from its
-    own stream (labeled block first under equal parts); then update's
-    draws. An update that draws nothing (update_draws False) interleaves
-    no draws, so each problem draws all its batches before the first step
-    instead, with one integers call of shape (grad_steps, b) (per step and
-    part under equal parts), and the labels and weights are gathered once.
-    The indices are the same either way: numpy keeps the unused half of a
-    64-bit output in the bit generator's state, so one bounded-integer
-    call of shape (steps, b) consumes a stream as steps calls of b do.
+    xs is an (N, d) row buffer with ys and weights (N,) and one stream, or
+    (G, N, d) with (G, N) and a sequence of G streams; weights may be None.
+    Each problem trains on its first n_rows rows (None: all N), the first
+    n_labeled of them labeled (None: all n_rows). Each step gathers the
+    batch rows of all problems with one np.take on the flattened buffer and
+    sets (values, theta) = update(theta, bx, by, bw, streams) on the (G, b,
+    d) batch; values (or None) fill the trace. batch_size = 0 is the full
+    batch. Returns theta, (d,) or (G, d), and the trace, (grad_steps,) or
+    (G, grad_steps). Per-step draw order: each problem in problem order
+    draws its batch indices from its own stream (labeled block first under
+    equal parts); then update's draws. An update that draws nothing
+    (update_draws False) interleaves no draws, so each problem draws all
+    its batches before the first step instead, with one integers call of
+    shape (grad_steps, b) (per step and part under equal parts), and the
+    labels and weights are gathered once. The indices are the same either
+    way: numpy keeps the unused half of a 64-bit output in the bit
+    generator's state, so one bounded-integer call of shape (steps, b)
+    consumes a stream as steps calls of b do.
     """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+    if xs.ndim not in (2, 3):
+        raise ValueError("xs must be (N, d) or (G, N, d)")
+    if ys.shape != xs.shape[:-1] or (weights is not None
+                                     and weights.shape != ys.shape):
+        raise ValueError("xs, ys, weights lengths differ")
+    stacked = xs.ndim == 3
+    streams = list(stream) if stacked else [stream]
+    if not stacked:
+        xs, ys = xs[None], ys[None]
+        weights = None if weights is None else weights[None]
+    if len(streams) != len(xs):
+        raise ValueError("need one stream per problem")
     count, stride, d = xs.shape
+    n_rows = stride if n_rows is None else int(n_rows)
+    n_labeled = n_rows if n_labeled is None else int(n_labeled)
+    if not 1 <= n_labeled <= n_rows <= stride:
+        raise ValueError("need 1 <= n_labeled <= n_rows <= N: the labeled set "
+                         "must be nonempty")
+    if not np.all(np.isin(ys[:, :n_rows], (-1.0, 1.0))):
+        raise ValueError("labels and pseudo-labels must be +-1")
+    if equal_parts:
+        if batch_size < 2:
+            raise ValueError("equal_parts_batches needs batch_size >= 2")
+        if n_rows == n_labeled:
+            raise ValueError("equal_parts_batches needs unlabeled rows")
     flat_xs = xs.reshape(-1, d)
     flat_ys = ys.reshape(-1)
     flat_w = None if weights is None else weights.reshape(-1)
@@ -537,74 +556,25 @@ def _lockstep_sgd(update: Callable, xs: np.ndarray, ys: np.ndarray,
             idx += offsets
             bx, by = np.take(flat_xs, idx, axis=0), np.take(flat_ys, idx)
             bw = None if flat_w is None else np.take(flat_w, idx)
-        values, theta = update(theta, bx, by, bw)
+        values, theta = update(theta, bx, by, bw, streams)
         if values is not None:
             trace[:, step] = values
-    return theta, trace
+    return (theta, trace) if stacked else (theta[0], trace[0])
 
 
-def standard_train_lockstep(xs: np.ndarray, ys: np.ndarray, n_rows: int,
-                            learning_rate: float, grad_steps: int,
-                            batch_size: int,
-                            streams: Sequence[RngStream]) -> np.ndarray:
-    """standard_train on G stacked problems: (G, d) parameters.
-
-    xs is a (G, N, d) row buffer and ys (G, N) float labels; problem g
-    trains on the first n_rows rows of its slice with streams[g]. Row g of
-    the result equals standard_train on that problem alone.
-    """
-
-    def update(theta, bx, by, _):
-        # (rate * sum) / b, not rate * mean: stage one's rounding order
-        c = -by * _sigmoid(-by * np.einsum("...ij,...j->...i", bx, theta))
-        return None, theta - learning_rate * np.einsum(
-            "...i,...ij->...j", c, bx) / bx.shape[-2]
-
-    theta, _ = _lockstep_sgd(update, xs, ys, None, n_rows, n_rows, batch_size,
-                             False, grad_steps, streams, False)
-    return theta
-
-
-def rst_train_lockstep(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray,
-                       n_labeled: int, n_rows: int, config: RstConfig,
-                       streams: Sequence[RngStream]
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """rst_train on G stacked problems: (G, d) parameters, (G, steps) traces.
-
-    xs is a (G, N, d) row buffer, ys and weights (G, N); problem g trains
-    on the first n_rows rows of its slice, the first n_labeled of them
-    labeled, with streams[g]. Row g of each result equals rst_train on
-    that problem alone.
-    """
-    if config.equal_parts_batches:
-        if config.batch_size < 2:
-            raise ValueError("equal_parts_batches needs batch_size >= 2")
-        if n_rows == n_labeled:
-            raise ValueError("equal_parts_batches needs unlabeled rows")
-
-    work: dict = {}
-
-    def update(theta, bx, by, bw):
-        values, grads = robust_objective(theta, bx, by, bw, config, streams,
-                                         work)
-        return values, theta - config.learning_rate * grads
-
-    # robust_objective draws for pg and stability, unless beta is 0
-    draws = config.beta != 0.0 and config.reg_kind != "adversarial_exact"
-    return _lockstep_sgd(update, xs, ys, weights, n_labeled, n_rows,
-                         config.batch_size, config.equal_parts_batches,
-                         config.grad_steps, streams, draws)
-
-
-def standard_train(data: LabeledSet, learning_rate: float, grad_steps: int,
-                   batch_size: int, stream: RngStream) -> LogisticModel:
-    """Plain logistic SGD from zero on labeled data only.
+def standard_train(xs, ys, learning_rate: float, grad_steps: int,
+                   batch_size: int, stream: RngStream | Sequence[RngStream],
+                   n_rows: int | None = None) -> np.ndarray:
+    """Plain logistic SGD from zero on labeled rows only: theta, (d,) or
+    (G, d).
 
     This is the whole stage-one API: no regularizer is reachable from here.
-    batch_size = 0 runs deterministic full-batch descent.
+    xs is (N, d) with +-1 labels ys (N,) and one stream, or G stacked
+    problems, (G, N, d) and (G, N) with one stream each, whose rows each
+    equal that problem's one-problem run. Each problem trains on its first
+    n_rows rows (default all). batch_size = 0 runs deterministic full-batch
+    descent.
     """
-    if data.n < 1:
-        raise ValueError("labeled set must be nonempty")
     learning_rate = float(learning_rate)
     if learning_rate <= 0:
         raise ValueError(f"learning_rate must be positive, got {learning_rate}")
@@ -612,50 +582,49 @@ def standard_train(data: LabeledSet, learning_rate: float, grad_steps: int,
     batch_size = int(batch_size)
     if grad_steps < 1 or batch_size < 0:
         raise ValueError("grad_steps must be >= 1 and batch_size >= 0")
-    theta = standard_train_lockstep(
-        data.xs[None], data.ys.astype(np.float64)[None], data.n,
-        learning_rate, grad_steps, batch_size, [stream])
-    return LogisticModel(theta=theta[0])
+
+    def update(theta, bx, by, bw, streams):
+        # (rate * sum) / b, not rate * mean: stage one's rounding order
+        c = -by * _sigmoid(-by * np.einsum("...ij,...j->...i", bx, theta))
+        return None, theta - learning_rate * np.einsum(
+            "...i,...ij->...j", c, bx) / bx.shape[-2]
+
+    theta, _ = _lockstep_sgd(update, xs, ys, None, stream, n_rows, None,
+                             batch_size, False, grad_steps, False)
+    return theta
 
 
-def rst_train(labeled: LabeledSet,
-              unlabeled_with_pseudo: tuple[UnlabeledSet, np.ndarray] | None,
-              config: RstConfig, stream: RngStream) -> RstTrainResult:
-    """Minibatch SGD on the robust objective over labeled + pseudo-labeled rows.
+def rst_train(xs, ys, weights, n_labeled: int, config: RstConfig,
+              stream: RngStream | Sequence[RngStream],
+              n_rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Minibatch SGD on the robust objective over labeled + pseudo-labeled
+    rows: theta, (d,) or (G, d), and the loss trace, (grad_steps,) or (G,
+    grad_steps).
 
-    Pseudo-labels must be produced beforehand (stage one is standard_train
-    plus pseudo_label). Labeled rows get weight 1, pseudo-labeled rows get
+    Rows, labels and streams are shaped as for standard_train, and weights
+    like ys. In each problem's first n_rows rows (default all) the first
+    n_labeled are labeled and the rest pseudo-labeled, so n_rows =
+    n_labeled trains on labeled rows alone. Pseudo-labels must be produced
+    beforehand (stage one is standard_train plus pseudo-labeling), and
+    labeled rows usually get weight 1, pseudo-labeled rows
     config.w_unlabeled. Batches are sampled with replacement from the
-    concatenated pool; equal_parts_batches instead draws half of each batch
-    from each pool. Pass None to train on labeled rows alone. The trace
-    records the batch objective at the pre-update parameters. Per-step draw
-    order: batch indices (labeled block first under equal parts), then any
-    regularizer draws.
+    n_rows rows; equal_parts_batches instead draws half of each batch from
+    each part. The trace records the batch objective at the pre-update
+    parameters. Per-step draw order: batch indices (labeled block first
+    under equal parts), then any regularizer draws.
     """
-    if labeled.n < 1:
-        raise ValueError("labeled set must be nonempty")
-    xs_parts = [labeled.xs]
-    ys_parts = [labeled.ys.astype(np.float64)]
-    w_parts = [np.ones(labeled.n)]
-    if unlabeled_with_pseudo is not None:
-        pool, pseudo = unlabeled_with_pseudo
-        pseudo = np.asarray(pseudo)
-        if pool.xs.shape[1] != labeled.xs.shape[1]:
-            raise ValueError("labeled and unlabeled dimensions differ")
-        if pseudo.shape != (pool.n,):
-            raise ValueError("need one pseudo-label per unlabeled row")
-        if not np.all(np.isin(pseudo, (-1, 1))):
-            raise ValueError("pseudo-labels must be +-1")
-        xs_parts.append(pool.xs)
-        ys_parts.append(pseudo.astype(np.float64))
-        w_parts.append(np.full(pool.n, config.w_unlabeled))
-    xs = np.concatenate(xs_parts, axis=0)
-    theta, trace = rst_train_lockstep(
-        xs[None], np.concatenate(ys_parts)[None],
-        np.concatenate(w_parts)[None], labeled.n, xs.shape[0], config,
-        [stream])
-    return RstTrainResult(model=LogisticModel(theta=theta[0]),
-                          loss_trace=trace[0])
+    work: dict = {}
+
+    def update(theta, bx, by, bw, streams):
+        values, grads = robust_objective(theta, bx, by, bw, config, streams,
+                                         work)
+        return values, theta - config.learning_rate * grads
+
+    # robust_objective draws for pg and stability, unless beta is 0
+    draws = config.beta != 0.0 and config.reg_kind != "adversarial_exact"
+    return _lockstep_sgd(update, xs, ys, weights, stream, n_rows, n_labeled,
+                         config.batch_size, config.equal_parts_batches,
+                         config.grad_steps, draws)
 
 
 def smoothed_predict_exact(model: LogisticModel, x,

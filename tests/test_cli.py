@@ -174,13 +174,12 @@ _RST = {"--beta", "--w-unlabeled", "--learning-rate", "--grad-steps",
         "--stage1-steps", "--stage1-batch"}
 OPTION_SURFACE = {
     "verify": _COMMON | {"--mc-samples"},
-    "gap": _COMMON | {"--n-labeled", "--n-unlabeled", "--use-fast-sampler"},
-    "sweep-unlabeled": _COMMON | {"--n-labeled", "--use-fast-sampler",
-                                  "--n-unlabeled-grid"},
+    "gap": _COMMON | {"--n-labeled", "--n-unlabeled"},
+    "sweep-unlabeled": _COMMON | {"--n-labeled", "--n-unlabeled-grid"},
     "sweep-irrelevant": _COMMON | {"--n-labeled", "--n-unlabeled",
-                                   "--use-fast-sampler", "--alphas"},
+                                   "--alphas"},
     "sweep-labels": _COMMON | {"--n-labeled", "--n-unlabeled",
-                               "--use-fast-sampler", "--n-labeled-grid"},
+                               "--n-labeled-grid"},
     # --workers stays on rst-demo and certify-demo: perfbench passes it
     "rst-demo": _COMMON | {"--n-labeled", "--n-unlabeled"} | _RST,
     "certify-demo": _COMMON | {"--noise-sigma", "--n0-selection",
@@ -204,8 +203,8 @@ def test_option_surface_is_frozen():
     surface = {name: set(table) for name, table in flags.items()}
     assert surface == OPTION_SURFACE
     assert [len(OPTION_SURFACE[name]) for name in SUBCOMMAND_KINDS] == [
-        11, 13, 13, 14, 14, 21, 15]
-    assert len(set().union(*OPTION_SURFACE.values())) == 31
+        11, 12, 12, 13, 13, 21, 15]
+    assert len(set().union(*OPTION_SURFACE.values())) == 30
 
 
 @pytest.fixture
@@ -342,6 +341,23 @@ def test_workers_default_to_the_cores(monkeypatch):
     assert _build_spec("verify", {}).workers == 8
     # more workers than cores stay accepted
     assert _build_spec("gap", {"workers": 16}).workers == 16
+
+
+def test_certify_demo_default_sigma_builds_no_model():
+    # the default noise sigma is (n0 d)^(1/4); building mu for it would
+    # hold 80 MB at d = 1e7
+    import tracemalloc
+    from rstsim.cli import _build_spec
+    tracemalloc.start()
+    try:
+        spec = _build_spec("certify-demo", {"d": 10_000_000})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    model = gaussian.canonical_model(spec.n0, spec.d, spec.epsilon,
+                                     allow_large_epsilon=True)
+    assert spec.smoothing.noise_sigma == model.sigma
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):

@@ -211,34 +211,6 @@ def test_gap_respects_n_labeled_override():
     assert all(r.n_labeled == 7 for r in n0_rows)
 
 
-def test_gap_refuses_naive_over_budget():
-    spec = ExperimentSpec(kind="gap", n0=4, d=755_000, epsilon=0.5,
-                          allow_large_epsilon=True, trial_count=1,
-                          use_fast_sampler=False)
-    with pytest.raises(ValueError, match="fast sampler"):
-        run_gap(spec)
-
-
-def test_gap_naive_path_runs_under_budget():
-    spec = ExperimentSpec(kind="gap", n0=6, d=12, epsilon=0.2,
-                          trial_count=2, n_unlabeled=40,
-                          use_fast_sampler=False, master_seed=2)
-    rows, _ = run_gap(spec)
-    assert len(rows) == 6
-    st = [r for r in rows if r.experiment == "gap:selftrain"]
-    assert all(r.n_unlabeled == 40 and r.gamma is not None for r in st)
-
-
-def test_auto_sampler_is_the_fast_one_at_any_size():
-    spec = ExperimentSpec(kind="gap", n0=6, d=12, epsilon=0.2,
-                          trial_count=2, n_unlabeled=40, master_seed=2)
-    auto = trial_csv_lines(run_gap(spec)[0])
-    assert auto == trial_csv_lines(
-        run_gap(replace(spec, use_fast_sampler=True))[0])
-    assert auto != trial_csv_lines(
-        run_gap(replace(spec, use_fast_sampler=False))[0])
-
-
 def test_unlabeled_sweep_zero_sentinel():
     spec = ExperimentSpec(kind="unlabeled_sweep", n0=5, d=24, epsilon=0.2,
                           trial_count=2, n_unlabeled_grid=(0, 10, 30),
@@ -638,7 +610,7 @@ def _tiny_specs():
         _small_verify_spec(trial_count=3, mc_samples=500),
         ExperimentSpec(kind="gap", n0=4, d=50, epsilon=0.5,
                        allow_large_epsilon=True, trial_count=2,
-                       use_fast_sampler=True, master_seed=8),
+                       master_seed=8),
         ExperimentSpec(kind="unlabeled_sweep", n0=5, d=24, epsilon=0.2,
                        trial_count=2, n_unlabeled_grid=(0, 10, 30),
                        master_seed=8),
@@ -681,6 +653,6 @@ def test_rerun_is_byte_identical(spec):
 def test_trial_rows_have_twelve_columns():
     rows, _ = run_gap(ExperimentSpec(kind="gap", n0=4, d=50, epsilon=0.5,
                                      allow_large_epsilon=True, trial_count=1,
-                                     use_fast_sampler=True, master_seed=8))
+                                     master_seed=8))
     for line in trial_csv_lines(rows):
         assert line.count(",") == 11

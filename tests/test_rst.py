@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import rstsim.rst as rst_module
-from rstsim.estimators import UnlabeledSet, sample_mixture
-from rstsim.gaussian import LabeledSet, canonical_model, sample_labeled
+from rstsim.estimators import sample_mixture
+from rstsim.gaussian import canonical_model, sample_labeled
 from rstsim.rst import (
     LogisticModel,
     _clamp_probs,
@@ -21,12 +21,10 @@ from rstsim.rst import (
     kl_bernoulli,
     robust_objective,
     rst_train,
-    rst_train_lockstep,
     smoothed_predict_exact,
     stability_reg,
     standard_loss,
     standard_train,
-    standard_train_lockstep,
 )
 from rstsim.statkit import q_function, split_stream
 
@@ -392,15 +390,14 @@ class TestTraining:
         d = 6
         ys = np.array([1, -1, 1, -1, 1, -1, 1, -1])
         xs = ys[:, None] * np.full(d, 3.0)
-        data = LabeledSet(xs=xs, ys=ys)
-        model = standard_train(data, 0.5, 200, 0, split_stream(131, 0))
-        preds = np.where(xs @ model.theta >= 0, 1, -1)
+        theta = standard_train(xs, ys, 0.5, 200, 0, split_stream(131, 0))
+        preds = np.where(xs @ theta >= 0, 1, -1)
         assert np.array_equal(preds, ys)
 
     def test_stage_one_cannot_see_regularizers(self):
         params = set(inspect.signature(standard_train).parameters)
-        assert params == {"data", "learning_rate", "grad_steps", "batch_size",
-                          "stream"}
+        assert params == {"xs", "ys", "learning_rate", "grad_steps",
+                          "batch_size", "stream", "n_rows"}
 
     def test_rst_beta_zero_full_batch_loss_nonincreasing(self):
         m = canonical_model(8, 10, 0.2)
@@ -408,10 +405,9 @@ class TestTraining:
         labeled = sample_labeled(m, 40, stream)
         # normalize inputs so lr = 1e-3 is in the stable range
         xs = labeled.xs / np.max(np.abs(labeled.xs))
-        data = LabeledSet(xs=xs, ys=labeled.ys)
         cfg = RstConfig(beta=0.0, learning_rate=1e-3, grad_steps=50, batch_size=0)
-        res = rst_train(data, None, cfg, split_stream(132, 1))
-        trace = res.loss_trace
+        _, trace = rst_train(xs, labeled.ys, np.ones(40), 40, cfg,
+                             split_stream(132, 1))
         assert trace.shape == (50,)
         assert np.all(np.diff(trace) <= 1e-12)
 
@@ -424,49 +420,58 @@ class TestTraining:
         pseudo = np.where(pool.xs @ np.ones(6) >= 0, 1, -1)
         cfg = RstConfig(beta=2.0, epsilon=0.2, w_unlabeled=0.5,
                         learning_rate=0.01, grad_steps=1, batch_size=0)
-        res = rst_train(labeled, (pool, pseudo), cfg, split_stream(133, 1))
         xs = np.concatenate([labeled.xs, pool.xs])
         ys = np.concatenate([labeled.ys, pseudo]).astype(float)
         w = np.concatenate([np.ones(5), np.full(7, 0.5)])
+        theta, _ = rst_train(xs, ys, w, 5, cfg, split_stream(133, 1))
         _, grad = robust_objective(np.zeros(6), xs, ys, w, cfg)
-        assert np.allclose(res.model.theta, -0.01 * grad, rtol=0, atol=0)
+        assert np.allclose(theta, -0.01 * grad, rtol=0, atol=0)
 
     def test_equal_parts_batch_composition(self):
-        # with one row per pool every batch is forced to [labeled, unlabeled]
-        labeled = LabeledSet(xs=np.array([[1.0, 0.0]]), ys=np.array([1]))
-        pool = UnlabeledSet(xs=np.array([[0.0, 2.0]]), relevant=np.array([True]))
-        pseudo = np.array([-1])
+        # with one row per part every batch is forced to [labeled, unlabeled]
         cfg = RstConfig(beta=0.0, w_unlabeled=0.3, learning_rate=0.1,
                         grad_steps=1, batch_size=2, equal_parts_batches=True)
-        res = rst_train(labeled, (pool, pseudo), cfg, split_stream(134, 0))
         xs = np.array([[1.0, 0.0], [0.0, 2.0]])
         ys = np.array([1.0, -1.0])
         w = np.array([1.0, 0.3])
+        theta, _ = rst_train(xs, ys, w, 1, cfg, split_stream(134, 0))
         _, grad = robust_objective(np.zeros(2), xs, ys, w, cfg)
-        assert np.allclose(res.model.theta, -0.1 * grad, rtol=0, atol=0)
+        assert np.allclose(theta, -0.1 * grad, rtol=0, atol=0)
 
     def test_equal_parts_requires_unlabeled(self):
-        labeled = LabeledSet(xs=np.ones((2, 2)), ys=np.array([1, -1]))
         cfg = RstConfig(batch_size=4, equal_parts_batches=True)
         with pytest.raises(ValueError):
-            rst_train(labeled, None, cfg, split_stream(135, 0))
+            rst_train(np.ones((2, 2)), np.array([1, -1]), np.ones(2), 2, cfg,
+                      split_stream(135, 0))
 
     def test_rejects_empty_labeled(self):
-        empty = LabeledSet(xs=np.zeros((0, 2)), ys=np.zeros(0, dtype=int))
+        empty = np.zeros((0, 2))
         with pytest.raises(ValueError):
-            rst_train(empty, None, RstConfig(), split_stream(136, 0))
+            rst_train(empty, np.zeros(0), np.zeros(0), 0, RstConfig(),
+                      split_stream(136, 0))
         with pytest.raises(ValueError):
-            standard_train(empty, 0.1, 10, 0, split_stream(136, 1))
+            rst_train(np.ones((2, 2)), np.array([1, -1]), np.ones(2), 0,
+                      RstConfig(), split_stream(136, 0))
+        with pytest.raises(ValueError):
+            standard_train(empty, np.zeros(0), 0.1, 10, 0, split_stream(136, 1))
 
     def test_rejects_bad_pseudo_labels(self):
-        labeled = LabeledSet(xs=np.ones((2, 2)), ys=np.array([1, -1]))
-        pool = UnlabeledSet(xs=np.ones((2, 2)), relevant=np.ones(2, dtype=bool))
+        xs, w = np.ones((4, 2)), np.ones(4)
         with pytest.raises(ValueError):
-            rst_train(labeled, (pool, np.array([1, 0])), RstConfig(),
+            rst_train(xs, np.array([1, -1, 1, 0]), w, 2, RstConfig(),
                       split_stream(137, 0))
         with pytest.raises(ValueError):
-            rst_train(labeled, (pool, np.array([1])), RstConfig(),
+            rst_train(xs, np.array([1, -1, 1]), w, 2, RstConfig(),
                       split_stream(137, 1))
+        # rows past n_rows are not read
+        theta, _ = rst_train(xs, np.array([1, -1, 1, 0]), w, 2, RstConfig(),
+                             split_stream(137, 2), n_rows=3)
+        assert np.all(np.isfinite(theta))
+
+    def test_rejects_a_stream_count_other_than_the_problem_count(self):
+        xs, ys, weights = _stacked(_problems(2), 1.0)
+        with pytest.raises(ValueError, match="one stream per problem"):
+            rst_train(xs, ys, weights, 5, RstConfig(), _streams(3))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -574,19 +579,18 @@ class TestLockstep:
                         equal_parts_batches=equal_parts, noise_samples=2,
                         pg_steps=3)
         xs, ys, weights = _stacked(problems, cfg.w_unlabeled)
-        arms = [(n_rows, lambda lab, pool, pseudo: (pool, pseudo))]
-        if not equal_parts:
-            arms.append((n, lambda lab, pool, pseudo: None))
-        for rows, unlabeled in arms:
+        arms = [n_rows] if equal_parts else [n_rows, n]
+        for rows in arms:
             stacked = _streams(count)
-            thetas, traces = rst_train_lockstep(xs, ys, weights, n, rows, cfg,
-                                                stacked)
+            thetas, traces = rst_train(xs, ys, weights, n, cfg, stacked,
+                                       n_rows=rows)
             single = _streams(count)
-            for g, problem in enumerate(problems):
-                res = rst_train(problem[0], unlabeled(*problem), cfg,
-                                single[g])
-                assert np.array_equal(res.model.theta, thetas[g])
-                assert np.array_equal(res.loss_trace, traces[g])
+            for g in range(count):
+                # the problem alone, on a buffer of just its rows
+                theta, trace = rst_train(xs[g, :rows], ys[g, :rows],
+                                         weights[g, :rows], n, cfg, single[g])
+                assert np.array_equal(theta, thetas[g])
+                assert np.array_equal(trace, traces[g])
             assert _states(stacked) == _states(single)
 
     @pytest.mark.parametrize("batch_size", [0, 3])
@@ -596,19 +600,19 @@ class TestLockstep:
         problems = _problems(count)
         xs, ys, _ = _stacked(problems, 1.0)
         stacked = _streams(count)
-        thetas = standard_train_lockstep(xs, ys, 5, 0.1, 7, batch_size,
-                                         stacked)
+        thetas = standard_train(xs, ys, 0.1, 7, batch_size, stacked, n_rows=5)
         single = _streams(count)
         for g, (labeled, _, _) in enumerate(problems):
-            model = standard_train(labeled, 0.1, 7, batch_size, single[g])
-            assert np.array_equal(model.theta, thetas[g])
+            theta = standard_train(labeled.xs, labeled.ys, 0.1, 7, batch_size,
+                                   single[g])
+            assert np.array_equal(theta, thetas[g])
         assert _states(stacked) == _states(single)
 
     def test_equal_parts_needs_unlabeled_rows(self):
         xs, ys, weights = _stacked(_problems(2), 1.0)
         cfg = RstConfig(batch_size=4, equal_parts_batches=True)
         with pytest.raises(ValueError, match="unlabeled rows"):
-            rst_train_lockstep(xs, ys, weights, 5, 5, cfg, _streams(2))
+            rst_train(xs, ys, weights, 5, cfg, _streams(2), n_rows=5)
 
     def test_objective_rejects_mismatched_stacking(self):
         cfg = RstConfig()
@@ -668,8 +672,7 @@ class TestHoistedBatches:
                         equal_parts_batches=equal_parts)
         xs, ys, weights = _stacked(problems, cfg.w_unlabeled)
         stacked = _streams(3)
-        thetas, traces = rst_train_lockstep(xs, ys, weights, 5, 14, cfg,
-                                            stacked)
+        thetas, traces = rst_train(xs, ys, weights, 5, cfg, stacked)
         single = _streams(3)
         for g in range(3):
             theta, trace = _per_step_training(xs[g], ys[g], weights[g], 5, 14,
@@ -683,8 +686,7 @@ class TestHoistedBatches:
         problems = _problems(3)
         xs, ys, _ = _stacked(problems, 1.0)
         stacked = _streams(3)
-        thetas = standard_train_lockstep(xs, ys, 5, 0.1, 11, batch_size,
-                                         stacked)
+        thetas = standard_train(xs, ys, 0.1, 11, batch_size, stacked, n_rows=5)
         cfg = RstConfig(learning_rate=0.1, grad_steps=11,
                         batch_size=batch_size)
         single = _streams(3)
