@@ -322,16 +322,14 @@ def run_verify_closed_form(spec: ExperimentSpec) -> tuple[list[TrialRow],
         rows.append(mc)
 
     def tolerance(p_hat: float) -> float:
-        return 4.0 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / spec.mc_samples) + 1e-6
+        th = ACCEPTANCE_THRESHOLDS["verify_closed_form"]
+        sd = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / spec.mc_samples)
+        return th["tolerance_sigmas"] * sd + th["tolerance_floor"]
 
-    gaps_std, gaps_rob, excess_std, excess_rob = [], [], [], []
-    for closed, mc in pairs:
-        g_std = abs(closed.std_err - mc.std_err)
-        g_rob = abs(closed.rob_err - mc.rob_err)
-        gaps_std.append(g_std)
-        gaps_rob.append(g_rob)
-        excess_std.append(g_std - tolerance(mc.std_err))
-        excess_rob.append(g_rob - tolerance(mc.rob_err))
+    gaps_std = [abs(c.std_err - m.std_err) for c, m in pairs]
+    gaps_rob = [abs(c.rob_err - m.rob_err) for c, m in pairs]
+    excess_std = [g - tolerance(m.std_err) for g, (_, m) in zip(gaps_std, pairs)]
+    excess_rob = [g - tolerance(m.rob_err) for g, (_, m) in zip(gaps_rob, pairs)]
     summaries = [
         SummaryRow("verify_closed_form", "aggregate", "all", metric,
                    max(values), None, n_pairs)
@@ -585,18 +583,36 @@ RUNNERS = {
 
 
 # One versioned table of gate thresholds; check_results consults only this.
+# A bound (experiment or None, metric, grid value or None, "min" | "max",
+# limit) fails each matching summary row whose mean lies beyond limit.
 ACCEPTANCE_THRESHOLDS = {
-    "version": 2,
-    "verify_closed_form": {"tolerance_sigmas": 4.0, "tolerance_floor": 1e-6},
-    "gap": {"supervised_rob_err_min": 0.45, "supervised_std_err_max": 1 / 3,
-            "selftrain_rob_err_max": 0.01},
+    "version": 3,
+    "verify_closed_form": {
+        "tolerance_sigmas": 4.0, "tolerance_floor": 1e-6,
+        "bounds": [
+            ("verify_closed_form", "max_tolerance_excess_std", None, "max", 0.0),
+            ("verify_closed_form", "max_tolerance_excess_rob", None, "max", 0.0),
+        ]},
+    "gap": {"bounds": [
+        ("gap:supervised_n0", "rob_err", None, "min", 0.45),
+        ("gap:supervised_n0", "std_err", None, "max", 1 / 3),
+        ("gap:selftrain", "rob_err", None, "max", 0.01),
+    ]},
     "unlabeled_sweep": {"trend_ci_widths": 2.0, "trend_abs_floor": 1e-6},
-    "irrelevant_sweep": {"scaled_rob_err_max": 0.01,
-                         "zero_alpha_rob_err_min": 0.45},
+    "irrelevant_sweep": {"bounds": [
+        ("irrelevant_sweep:scaled", "rob_err", None, "max", 0.01),
+        ("irrelevant_sweep:fixed", "rob_err", "0", "min", 0.45),
+    ]},
     "label_sweep": {"plateau_ci_widths": 2.0, "plateau_abs_floor": 1e-6},
-    "rst_demo": {"min_margin": 0.05},
+    "rst_demo": {"bounds": [("rst_demo", "rob_err_margin", None, "min", 0.05)]},
     "certify_demo": {"two_sided_tail_min": 0.0027},
 }
+
+
+def _slack(a: SummaryRow, b: SummaryRow, widths: float, floor: float) -> float:
+    """How far two summary means may differ: floor + widths CI half-widths."""
+    return floor + widths * math.sqrt((a.ci95_half_width or 0.0) ** 2
+                                      + (b.ci95_half_width or 0.0) ** 2)
 
 
 def check_results(spec: ExperimentSpec, rows: list[TrialRow],
@@ -606,80 +622,47 @@ def check_results(spec: ExperimentSpec, rows: list[TrialRow],
     failures: list[str] = []
 
     def such(experiment=None, metric=None, grid_value=None):
-        found = [s for s in summaries
-                 if (experiment is None or s.experiment == experiment)
-                 and (metric is None or s.metric == metric)
-                 and (grid_value is None or s.grid_value == grid_value)]
-        return found
+        return [s for s in summaries
+                if (experiment is None or s.experiment == experiment)
+                and (metric is None or s.metric == metric)
+                and (grid_value is None or s.grid_value == grid_value)]
 
-    if spec.kind == "verify_closed_form":
-        for metric in ("max_tolerance_excess_std", "max_tolerance_excess_rob"):
-            for s in such(metric=metric):
-                if s.mean > 0:
-                    failures.append(
-                        f"{metric} = {s.mean:.3e} exceeds the MC tolerance")
-    elif spec.kind == "gap":
-        for s in such("gap:supervised_n0", "rob_err"):
-            if s.mean < th["supervised_rob_err_min"]:
+    for experiment, metric, grid_value, side, limit in th.get("bounds", ()):
+        sign = {"min": "<", "max": ">"}[side]
+        for s in such(experiment, metric, grid_value):
+            if (s.mean < limit) if side == "min" else (s.mean > limit):
                 failures.append(
-                    f"supervised robust error {s.mean:.4f} < "
-                    f"{th['supervised_rob_err_min']}")
-        for s in such("gap:supervised_n0", "std_err"):
-            if s.mean > th["supervised_std_err_max"]:
-                failures.append(
-                    f"supervised standard error {s.mean:.4f} > "
-                    f"{th['supervised_std_err_max']:.4f}")
-        for s in such("gap:selftrain", "rob_err"):
-            if s.mean > th["selftrain_rob_err_max"]:
-                failures.append(
-                    f"self-training robust error {s.mean:.3e} > "
-                    f"{th['selftrain_rob_err_max']}")
-    elif spec.kind == "unlabeled_sweep":
+                    f"{metric} = {s.mean:.4g} {sign} {limit:.4g} "
+                    f"({s.experiment}, {s.grid_key}={s.grid_value})")
+
+    if spec.kind == "unlabeled_sweep":
         points = such("unlabeled_sweep", "rob_err")
         for a, b in zip(points, points[1:]):
-            slack = th["trend_abs_floor"] + th["trend_ci_widths"] * math.sqrt(
-                (a.ci95_half_width or 0.0) ** 2 + (b.ci95_half_width or 0.0) ** 2)
-            if b.mean > a.mean + slack:
+            if b.mean > a.mean + _slack(a, b, th["trend_ci_widths"],
+                                        th["trend_abs_floor"]):
                 failures.append(
                     f"robust error rose from {a.mean:.4f} (n~={a.grid_value}) "
                     f"to {b.mean:.4f} (n~={b.grid_value}) beyond the CI slack")
     elif spec.kind == "irrelevant_sweep":
-        scaled = {s.grid_value: s.mean
-                  for s in such("irrelevant_sweep:scaled", "rob_err")}
         fixed = {s.grid_value: s.mean
                  for s in such("irrelevant_sweep:fixed", "rob_err")}
-        for key, mean in scaled.items():
-            if mean > th["scaled_rob_err_max"]:
-                failures.append(
-                    f"scaled-pool robust error {mean:.3e} at alpha={key} > "
-                    f"{th['scaled_rob_err_max']}")
-            if key in fixed and float(key) < 1.0 and fixed[key] <= mean:
+        for s in such("irrelevant_sweep:scaled", "rob_err"):
+            key = s.grid_value
+            if key in fixed and float(key) < 1.0 and fixed[key] <= s.mean:
                 failures.append(
                     f"fixed-pool error {fixed[key]:.3e} at alpha={key} is not "
-                    f"strictly worse than the scaled pool's {mean:.3e}")
-        zero_key = format_float(0.0)
-        if zero_key in fixed and fixed[zero_key] < th["zero_alpha_rob_err_min"]:
-            failures.append(
-                f"alpha=0 robust error {fixed[zero_key]:.4f} < "
-                f"{th['zero_alpha_rob_err_min']}")
+                    f"strictly worse than the scaled pool's {s.mean:.3e}")
     elif spec.kind == "label_sweep":
         points = [s for s in such("label_sweep", "rob_err")
                   if int(s.grid_value) >= spec.n0]
         for i, a in enumerate(points):
             for b in points[i + 1:]:
-                slack = th["plateau_abs_floor"] + th["plateau_ci_widths"] * math.sqrt(
-                    (a.ci95_half_width or 0.0) ** 2
-                    + (b.ci95_half_width or 0.0) ** 2)
-                if abs(a.mean - b.mean) > slack:
+                if abs(a.mean - b.mean) > _slack(a, b, th["plateau_ci_widths"],
+                                                 th["plateau_abs_floor"]):
                     failures.append(
                         f"label-plateau spread between n={a.grid_value} and "
                         f"n={b.grid_value}: |{a.mean:.4f} - {b.mean:.4f}| "
                         "exceeds the CI slack")
-    elif spec.kind == "rst_demo":
-        for s in such("rst_demo", "rob_err_margin"):
-            if s.mean < th["min_margin"]:
-                failures.append(
-                    f"robust-error margin {s.mean:.4f} < {th['min_margin']}")
     elif spec.kind == "certify_demo":
         emp = {s.grid_value: s for s in such(metric="certified_accuracy")}
         for s in such(metric="analytic_accuracy"):

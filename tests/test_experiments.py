@@ -140,6 +140,24 @@ def test_verify_passes_its_own_check():
     assert check_results(spec, rows, summaries) == []
 
 
+def test_verify_tolerance_reads_the_threshold_table(monkeypatch):
+    # twice the sigmas widens every pair's tolerance, so both excess rows
+    # fall; the gap rows do not move
+    spec = _small_verify_spec(trial_count=3, mc_samples=500)
+
+    def aggregates():
+        return {s.metric: s.mean for s in run_verify_closed_form(spec)[1]}
+
+    before = aggregates()
+    monkeypatch.setitem(ACCEPTANCE_THRESHOLDS["verify_closed_form"],
+                        "tolerance_sigmas", 8.0)
+    after = aggregates()
+    for metric in ("max_abs_gap_std", "max_abs_gap_rob"):
+        assert after[metric] == before[metric]
+    for metric in ("max_tolerance_excess_std", "max_tolerance_excess_rob"):
+        assert after[metric] < before[metric]
+
+
 def test_verify_threads_stay_within_the_cores(monkeypatch):
     # At 8 cores, W trial threads each get max(1, 8 // W) chunk threads,
     # their own included, so a run holds the main thread plus at most 8.
@@ -398,10 +416,15 @@ def test_rst_demo_check_gate():
     spec = _small_rst_spec()
     margin = [s for s in summaries if s.metric == "rob_err_margin"][0].mean
     failures = check_results(spec, rows, summaries)
-    if margin >= ACCEPTANCE_THRESHOLDS["rst_demo"]["min_margin"]:
+    limit = ACCEPTANCE_THRESHOLDS["rst_demo"]["bounds"][0][-1]
+    if margin >= limit:
         assert failures == []
     else:
         assert any("margin" in f for f in failures)
+    short = [_summary("rst_demo", "rob_err_margin", limit - 0.01)]
+    failures = check_results(spec, [], short)
+    assert len(failures) == 1
+    assert failures[0].startswith("rob_err_margin = ")
 
 
 # -------------------------------------------------------------- certify demo
@@ -512,7 +535,9 @@ def test_check_gap_thresholds():
            _summary("gap:supervised_n0", "std_err", 0.4),
            _summary("gap:selftrain", "rob_err", 0.3)]
     failures = check_results(spec, [], bad)
-    assert len(failures) == 3
+    assert [f.split(" = ")[0] for f in failures] == ["rob_err", "std_err",
+                                                     "rob_err"]
+    assert "gap:selftrain" in failures[2]
 
 
 def test_check_irrelevant_ordering():
@@ -531,6 +556,17 @@ def test_check_irrelevant_ordering():
                        grid_value="0.5")
     failures = check_results(spec, [], rows)
     assert any("strictly worse" in f for f in failures)
+    # the scaled pool above its cap and alpha = 0 below its floor
+    rows = [_summary("irrelevant_sweep:scaled", "rob_err", 0.02,
+                     grid_value="0.5"),
+            _summary("irrelevant_sweep:fixed", "rob_err", 0.5,
+                     grid_value="0.5"),
+            _summary("irrelevant_sweep:fixed", "rob_err", 0.3, grid_value="0")]
+    failures = check_results(spec, [], rows)
+    assert len(failures) == 2
+    assert all(f.startswith("rob_err = ") for f in failures)
+    assert "irrelevant_sweep:scaled" in failures[0]
+    assert "irrelevant_sweep:fixed" in failures[1]
 
 
 def test_check_certify_deviation():
@@ -601,6 +637,10 @@ def test_check_verify_tolerance_excess():
     failures = check_results(spec, [], rows)
     assert len(failures) == 1
     assert failures[0].startswith("max_tolerance_excess_rob")
+    rows[0] = _summary("verify_closed_form", "max_tolerance_excess_std", 1e-5)
+    failures = check_results(spec, [], rows)
+    assert [f.split(" = ")[0] for f in failures] == [
+        "max_tolerance_excess_std", "max_tolerance_excess_rob"]
 
 
 # ------------------------------------------------------------- determinism
@@ -623,6 +663,28 @@ def _tiny_specs():
         _small_rst_spec(),
         _small_certify_spec(),
     ]
+
+
+_BOUNDED = [kind for kind, th in ACCEPTANCE_THRESHOLDS.items()
+            if isinstance(th, dict) and "bounds" in th]
+
+
+@pytest.mark.parametrize("kind", _BOUNDED)
+def test_every_bound_matches_a_summary_row(kind):
+    # a bound whose experiment, metric or grid value matches no row of its
+    # kind's run would pass silently
+    from rstsim.experiments import RUNNERS
+    spec = replace({s.kind: s for s in _tiny_specs()}[kind], trial_count=2)
+    if kind == "irrelevant_sweep":
+        spec = replace(spec, alpha_grid=(1.0, 0.5, 0.0))
+    _, summaries = RUNNERS[kind](spec)
+    for experiment, metric, grid_value, side, _ in (
+            ACCEPTANCE_THRESHOLDS[kind]["bounds"]):
+        assert side in ("min", "max")
+        assert any((experiment is None or s.experiment == experiment)
+                   and s.metric == metric
+                   and (grid_value is None or s.grid_value == grid_value)
+                   for s in summaries), (experiment, metric, grid_value)
 
 
 @pytest.mark.parametrize("spec", _tiny_specs(), ids=lambda s: s.kind)
