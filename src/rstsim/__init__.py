@@ -6,6 +6,8 @@ of logistic models, randomized-smoothing certification, and the experiment
 drivers plus CLI that tie them together.
 """
 
+from types import ModuleType as _ModuleType
+
 from .estimators import (
     SelfTrainResult,
     UnlabeledSet,
@@ -75,60 +77,7 @@ from .statkit import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACCEPTANCE_THRESHOLDS",
-    "CertifyResult",
-    "ExperimentSpec",
-    "GaussianModel",
-    "LabeledSet",
-    "LinearClassifier",
-    "LogisticModel",
-    "RstConfig",
-    "SelfTrainResult",
-    "SmoothingConfig",
-    "SummaryRow",
-    "TrialRow",
-    "UnlabeledSet",
-    "adversarial_reg_exact",
-    "adversarial_reg_pg",
-    "analytic_certified_accuracy",
-    "canonical_model",
-    "certified_accuracy_curve",
-    "certify",
-    "check_results",
-    "clopper_pearson_lower",
-    "binomial_upper_tail",
-    "error_rates",
-    "fast_selftrain_sample",
-    "fast_supervised_sample",
-    "gaussian_cdf",
-    "inverse_gaussian_cdf",
-    "kl_bernoulli",
-    "linf_radius_from_l2",
-    "mc_error_estimate",
-    "supervised_label_threshold",
-    "pseudo_label",
-    "q_function",
-    "robust_error",
-    "robust_objective",
-    "rst_train",
-    "run_certify_demo",
-    "run_gap",
-    "run_irrelevant_sweep",
-    "run_label_sweep",
-    "run_rst_demo",
-    "run_unlabeled_sweep",
-    "run_verify_closed_form",
-    "sample_labeled",
-    "sample_mixture",
-    "self_train",
-    "smoothed_predict_exact",
-    "split_stream",
-    "stability_reg",
-    "standard_error",
-    "standard_loss",
-    "standard_train",
-    "supervised_estimator",
-    "selftrain_pool_threshold",
-    "__version__",
-]
+# the names imported above, without the submodules, and the version
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType)) + ["__version__"]
