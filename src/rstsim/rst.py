@@ -370,8 +370,8 @@ def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     every operation is per element or reduces along the last axis.
 
     work, when given, is a dict the caller keeps between calls, in which
-    the pg kind keeps its batch-sized arrays instead of allocating them at
-    every call; the results do not depend on it.
+    the pg and stability kinds keep their batch-sized arrays instead of
+    allocating them at every call; the results do not depend on it.
     """
     theta = np.asarray(theta, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
@@ -428,10 +428,11 @@ def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
             copies = worst[..., None, :]
         else:
             k, d = config.noise_samples, xs.shape[-1]
-            noise = config.noise_sigma * np.stack(
-                [st.standard_normal((n, k, d)) for st in streams]
-            ).reshape(xs.shape[:-1] + (k, d))
-            copies = xs[..., None, :] + noise
+            copies = _scratch(work, "copies", xs.shape[:-1] + (k, d))
+            for st, block in zip(streams, copies.reshape((-1, n, k, d))):
+                st.standard_normal(out=block)
+            copies *= config.noise_sigma
+            copies += xs[..., None, :]
         qc, dkl_dp, coef_q = _kl_slopes(pc[..., None], _sigmoid(
             np.einsum("...nkj,...j->...nk", copies, theta)))
         reg_vals = np.mean(_kl_vec(pc[..., None], qc), axis=-1)
