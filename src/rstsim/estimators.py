@@ -84,13 +84,18 @@ def supervised_estimator(data: LabeledSet) -> LinearClassifier:
     return LinearClassifier(theta=theta)
 
 
+# ||theta||_1 is summed over blocks of this many coordinates
+_L1_BLOCK = 1 << 13
+
+
 @dataclass(frozen=True)
 class FactoredDraw:
     """One estimator theta = a mu + b z1 + c z, held in factored form.
 
-    z1 and z are the standard normal d-vectors the draw made (z is None
-    when c = 0); gram = (mu.mu, mu.z1, mu.z, z1.z1, z1.z, z.z). A draw is
-    used once: theta and stats build theta in z1's buffer, overwriting z.
+    z1 and z are the standard normal d-vectors of the trial (z is None in
+    a supervised draw, where c = 0); gram = (mu.mu, mu.z1, mu.z, z1.z1,
+    z1.z, z.z). Neither method writes to z1 or z, so the draws of every arm
+    of a trial share them.
     """
 
     a: float
@@ -102,24 +107,32 @@ class FactoredDraw:
     agreement: float | None = None
 
     def theta(self, mu: np.ndarray) -> np.ndarray:
-        """theta as a d-vector, built in z1's buffer."""
-        theta, spare = self.z1, self.z
-        theta *= self.b
-        if spare is None:
-            spare = np.empty_like(theta)
-        else:
-            theta += np.multiply(spare, self.c, out=spare)
+        """theta as a new d-vector."""
+        theta = np.multiply(self.z1, self.b)
+        spare = np.empty_like(theta)
+        if self.z is not None:
+            theta += np.multiply(self.z, self.c, out=spare)
         theta += np.multiply(mu, self.a, out=spare)
         return theta
 
     def stats(self, mu: np.ndarray) -> tuple[float, float, float]:
-        """(mu^T theta, ||theta||_2) from gram, then ||theta||_1 in one pass."""
+        """(mu^T theta, ||theta||_2) from gram, then ||theta||_1 in one pass
+        over blocks of _L1_BLOCK coordinates, in one small scratch buffer."""
         mm, m1, mz, s11, s1z, szz = self.gram
         a, b, c = self.a, self.b, self.c
         sq = (a * a * mm + b * b * s11 + c * c * szz
               + 2.0 * (a * b * m1 + a * c * mz + b * c * s1z))
-        theta = self.theta(mu)
-        l1 = float(np.sum(np.abs(theta, out=theta)))
+        d = mu.size
+        scratch = np.empty((2, min(_L1_BLOCK, d)))
+        l1 = 0.0
+        for start in range(0, d, _L1_BLOCK):
+            stop = min(start + _L1_BLOCK, d)
+            theta, spare = scratch[:, :stop - start]
+            np.multiply(self.z1[start:stop], b, out=theta)
+            if self.z is not None:
+                theta += np.multiply(self.z[start:stop], c, out=spare)
+            theta += np.multiply(mu[start:stop], a, out=spare)
+            l1 += float(np.sum(np.abs(theta, out=theta)))
         return a * mm + b * m1 + c * mz, math.sqrt(max(sq, 0.0)), l1
 
 
@@ -132,13 +145,9 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
 def supervised_draw(model: GaussianModel, n_labeled: int,
                     stream: RngStream) -> FactoredDraw:
     """The supervised average of n samples, distributed exactly as
-    mu + (sigma / sqrt(n)) z1. Draw order: one standard_normal(d) call."""
-    if int(n_labeled) < 1:
-        raise ValueError(f"n_labeled must be >= 1, got {n_labeled}")
-    mu, z1 = model.mu, stream.standard_normal(model.d)
-    return FactoredDraw(1.0, model.sigma / math.sqrt(int(n_labeled)), 0.0, z1,
-                        None, (model.mu_sq, _dot(mu, z1), 0.0, _dot(z1, z1),
-                               0.0, 0.0))
+    mu + (sigma / sqrt(n)) z1: trial_draws of one supervised arm, whose
+    draw is one standard_normal(d) call."""
+    return trial_draws(model, [(n_labeled, 0, 1.0)], stream)[0]
 
 
 def fast_supervised_sample(model: GaussianModel, n_labeled: int,
@@ -227,8 +236,9 @@ def sample_mixture(model: GaussianModel, n_unlabeled: int,
     return pool, pool.hidden_ys
 
 
-# the pool's scalar normals are drawn and summed this many at a time
-_POOL_CHUNK = 1 << 16
+# the pool's scalar normals are drawn and summed this many at a time; the
+# two small buffers keep a trial thread's peak at z1, z and 128 KB
+_POOL_CHUNK = 1 << 14
 
 
 def _pool_sums(m: float, sigma: float, n_rel: int, n_irr: int,
@@ -254,34 +264,73 @@ def _pool_sums(m: float, sigma: float, n_rel: int, n_irr: int,
     return agree, along
 
 
+def trial_draws(model: GaussianModel, arms, stream: RngStream
+                ) -> list[FactoredDraw]:
+    """One draw per arm, (n_labeled, n_unlabeled, relevant_fraction), all
+    on one z1 and one z: the self-trained estimator on n_unlabeled points
+    when that is > 0, else the supervised one.
+
+    The supervised average of n samples is exactly mu + s z1, s =
+    sigma / sqrt(n), for any n. Self-training takes O(d + n_unlabeled)
+    time and O(d + chunk) memory: given the intermediate's direction pi =
+    (mu + s z1) / ||mu + s z1||, a pool point enters only through its hidden
+    label and u = pi^T noise ~ N(0, sigma^2), so the final average is
+    (A/n) mu + (U/n) pi + (sigma/sqrt(n)) (z - (pi^T z) pi) with A, U from
+    _pool_sums, and the noise points' labels, independent of u, agree
+    B = 2 Binomial(n_irr, 1/2) - n_irr times. That law needs z independent
+    of z1 and of the pool, which holds for every arm, so each arm keeps
+    its law while the arms of one trial are coupled. Draw order: z1, each
+    self-training arm's pool normals and binomial in arm order, then z
+    when some arm self-trains; so a thread holds z1 and z together only
+    when the pools are done.
+    """
+    arms = [(int(n), n_unlabeled and _pool_split(n_unlabeled, fraction))
+            for n, n_unlabeled, fraction in arms]
+    for n, _ in arms:
+        if n < 1:
+            raise ValueError(f"n_labeled must be >= 1, got {n}")
+    mu, z1 = model.mu, stream.standard_normal(model.d)
+    mm, m1, s11 = model.mu_sq, _dot(mu, z1), _dot(z1, z1)
+    pools = []
+    for n, split in arms:
+        s = model.sigma / math.sqrt(n)
+        if not split:
+            pools.append((s, None))
+            continue
+        n_rel, n_irr = split
+        norm = math.sqrt(mm + 2.0 * s * m1 + s * s * s11)
+        agree, along = _pool_sums((mm + s * m1) / norm, model.sigma, n_rel,
+                                  n_irr, stream)
+        noise_agree = 2 * int(stream.binomial(n_irr, 0.5)) - n_irr
+        pools.append((s, (norm, n_rel + n_irr, agree, along, noise_agree)))
+    z, mz, s1z, szz = None, 0.0, 0.0, 0.0
+    if any(pool for _, pool in pools):
+        z = stream.standard_normal(model.d)
+        mz, s1z, szz = _dot(mu, z), _dot(z1, z), _dot(z, z)
+    gram = (mm, m1, mz, s11, s1z, szz)
+    draws = []
+    for s, pool in pools:
+        if pool is None:
+            draws.append(FactoredDraw(1.0, s, 0.0, z1, None, gram))
+            continue
+        norm, n, agree, along, noise_agree = pool
+        c = model.sigma / math.sqrt(n)
+        # the coefficient of pi, U/n - c pi^T z, over ||mu + s z1||
+        k = (along / n - c * (mz + s * s1z) / norm) / norm
+        draws.append(FactoredDraw(agree / n + k, k * s, c, z1, z, gram,
+                                  (agree + noise_agree) / n))
+    return draws
+
+
 def selftrain_draw(model: GaussianModel, n_labeled: int, n_unlabeled: int,
                    relevant_fraction: float, stream: RngStream) -> FactoredDraw:
-    """The final self-training estimator, factored, with its agreement.
-
-    O(d + n_unlabeled) time, O(d + chunk) memory. Given the intermediate's
-    direction pi = (mu + s z1) / ||mu + s z1||, a pool point enters only
-    through its hidden label and u = pi^T noise ~ N(0, sigma^2): the final
-    average is (A/n) mu + (U/n) pi + (sigma/sqrt(n)) (z - (pi^T z) pi) with
-    A, U from _pool_sums, and the noise points' labels, independent of u,
-    agree B = 2 Binomial(n_irr, 1/2) - n_irr times. Draw order: z1
-    (supervised_draw), the pool's normals, the binomial, then z.
-    """
-    n_rel, n_irr = _pool_split(n_unlabeled, relevant_fraction)
-    n = n_rel + n_irr
-    first = supervised_draw(model, n_labeled, stream)
-    mm, m1, _, s11, _, _ = first.gram
-    s, z1 = first.b, first.z1
-    norm = math.sqrt(mm + 2.0 * s * m1 + s * s * s11)
-    agree, along = _pool_sums((mm + s * m1) / norm, model.sigma, n_rel, n_irr,
-                              stream)
-    noise_agree = 2 * int(stream.binomial(n_irr, 0.5)) - n_irr
-    z = stream.standard_normal(model.d)
-    mz, s1z, szz = _dot(model.mu, z), _dot(z1, z), _dot(z, z)
-    c = model.sigma / math.sqrt(n)
-    # the coefficient of pi, U/n - c pi^T z, over ||mu + s z1||
-    k = (along / n - c * (mz + s * s1z) / norm) / norm
-    return FactoredDraw(agree / n + k, k * s, c, z1, z,
-                        (mm, m1, mz, s11, s1z, szz), (agree + noise_agree) / n)
+    """The final self-training estimator, factored, with its agreement:
+    trial_draws of one arm. Draw order: z1, the pool's normals, the
+    binomial, then z."""
+    if int(n_unlabeled) < 1:
+        raise ValueError(f"n_unlabeled must be >= 1, got {n_unlabeled}")
+    return trial_draws(model, [(n_labeled, n_unlabeled, relevant_fraction)],
+                       stream)[0]
 
 
 def fast_selftrain_sample(model: GaussianModel, n_labeled: int,

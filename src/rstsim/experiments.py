@@ -2,19 +2,18 @@
 
 Every driver takes an ExperimentSpec and returns (trial_rows, summary_rows).
 Trials are embarrassingly parallel: trial j of an experiment always uses
-split_stream(master_seed, global_index_j), with global indices assigned in
-fixed blocks per arm or grid point, so output is byte-identical for any
-worker count. Reductions happen in index order after all trials complete.
+split_stream(master_seed, global_index_j), with global indices fixed by the
+trial and never by scheduling, so output is byte-identical for any worker
+count. Reductions happen in index order after all trials complete.
 rst-demo keeps the seeds but trains its trials in lockstep groups on the
 calling thread instead (run_rst_demo).
 
 The four closed-form drivers (gap and the three sweeps) only validate their
 grid and list their arms; one runner, _run_arms, draws each arm's estimator,
-scores it in closed form and summarizes the arm. Arm j of the list runs on
-the index block [j * trial_count, (j + 1) * trial_count), so the order of
-the list fixes every trial's seed: irrelevant_sweep's scaled curve follows
-its fixed curve and starts at len(alpha_grid) * trial_count.
-"""
+scores it in closed form and summarizes the arm. Trial t of every arm runs
+on split_stream(master_seed, t): one task per trial draws z1 and z once and
+scores every arm from them, in the order of the list, so the arms of one
+trial are positively coupled while each keeps its own law."""
 
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import sample_mixture, selftrain_draw, supervised_draw
+from .estimators import sample_mixture, trial_draws
 from .gaussian import (
     GaussianModel,
     LinearClassifier,
@@ -245,33 +244,34 @@ def _run_arms(spec: ExperimentSpec, arms) -> tuple[list[TrialRow],
     An arm is (experiment, grid_key, grid_value, n_labeled, n_unlabeled,
     alpha). It draws the self-trained estimator on n_unlabeled points when
     that is > 0 and the supervised estimator otherwise, each from its exact
-    law; n_unlabeled goes to the trial rows as given. Arm j runs on the
-    index block [j * trials, (j + 1) * trials), and all blocks share one
-    trial pool.
+    law; n_unlabeled goes to the trial rows as given. Trial t is one task
+    on split_stream(master_seed, t) that draws every arm with trial_draws:
+    one z1 and one z for all arms, and a pool and binomial per
+    self-training arm. Rows come back arm by arm, each arm's in trial
+    order, with seed t.
     """
     model = spec.model()
-    trials = spec.trial_count
 
-    def one(index: int, stream: RngStream) -> TrialRow:
-        experiment, _, _, n, n_unlabeled, alpha = arms[index // trials]
-        if n_unlabeled:
-            fd = selftrain_draw(model, n, n_unlabeled, alpha, stream)
-            gamma = fd.agreement
-        else:
-            fd, gamma = supervised_draw(model, n, stream), None
-        return _closed_form_row(
-            experiment, model, fd.stats(model.mu), spec, n_labeled=n,
-            n_unlabeled=n_unlabeled,
-            relevant_fraction=alpha if n_unlabeled else None,
-            trial=index % trials, gamma=gamma, seed=index)
+    def one(index: int, stream: RngStream) -> list[TrialRow]:
+        draws = trial_draws(model, [arm[3:] for arm in arms], stream)
+        rows = []
+        for (experiment, _, _, n, n_unlabeled, alpha), fd in zip(arms, draws):
+            rows.append(_closed_form_row(
+                experiment, model, fd.stats(model.mu), spec, n_labeled=n,
+                n_unlabeled=n_unlabeled,
+                relevant_fraction=alpha if n_unlabeled else None,
+                trial=index, gamma=fd.agreement, seed=index))
+        return rows
 
-    # one pool over every arm's block, so no worker idles at an arm's end
-    rows = _run_indexed(one, len(arms) * trials, spec.master_seed, 0,
-                        spec.workers)
+    per_trial = _run_indexed(one, spec.trial_count, spec.master_seed, 0,
+                             spec.workers)
+    rows: list[TrialRow] = []
     summaries: list[SummaryRow] = []
     for j, (experiment, grid_key, grid_value, *_) in enumerate(arms):
+        arm_rows = [trial[j] for trial in per_trial]
+        rows.extend(arm_rows)
         summaries.extend(_summaries_for(experiment, grid_key, grid_value,
-                                        rows[j * trials:(j + 1) * trials]))
+                                        arm_rows))
     return rows, summaries
 
 

@@ -367,6 +367,23 @@ class TestFactoredScores:
                               m.mu + (m.sigma / math.sqrt(3)) * z1)
         assert res.pseudo_label_agreement == draw.agreement
 
+    def test_blocked_l1_leaves_the_normals_alone(self):
+        # d is not a multiple of the block, so the last block is partial
+        d = 2 * estimators._L1_BLOCK + 123
+        m = GaussianModel(mu=split_stream(83, 0).normal(0.3, 1.0, d),
+                          sigma=1.7, epsilon=0.05)
+        draws = estimators.trial_draws(
+            m, [(3, None, 1.0), (3, 700, 0.25), (5, 300, 1.0)],
+            split_stream(83, 1))
+        z1, z = draws[0].z1.copy(), draws[1].z.copy()
+        assert all(fd.z1 is draws[0].z1 for fd in draws)
+        for fd in draws:
+            l1 = fd.stats(m.mu)[2]
+            want = float(np.sum(np.abs(fd.theta(m.mu))))
+            assert l1 == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert draws[0].z1.tobytes() == z1.tobytes()
+        assert draws[2].z.tobytes() == z.tobytes()
+
 
 def _reference_pool(m, sigma, n_rel, n_irr, stream, labels):
     # per point, with explicit labels: signal point i has noise projection

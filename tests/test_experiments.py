@@ -40,6 +40,7 @@ from rstsim.statkit import (
     gaussian_cdf,
     inverse_gaussian_cdf,
     q_function,
+    split_stream,
 )
 
 
@@ -214,10 +215,9 @@ def test_gap_arm_structure():
     assert all(r.n_unlabeled == 125_123 for r in st)
     assert all(r.gamma is not None for r in st)
     assert all(r.gamma is None for r in by_arm["gap:supervised_n0"])
-    # disjoint seed blocks in arm order
-    assert [r.seed for r in by_arm["gap:supervised_n0"]] == [0, 1, 2]
-    assert [r.seed for r in by_arm["gap:supervised_scaled"]] == [3, 4, 5]
-    assert [r.seed for r in st] == [6, 7, 8]
+    # trial t of every arm draws from split_stream(master_seed, t)
+    for arm_rows in by_arm.values():
+        assert [r.seed for r in arm_rows] == [0, 1, 2]
 
 
 def test_gap_respects_n_labeled_override():
@@ -388,11 +388,83 @@ def test_arms_share_one_trial_pool(monkeypatch):
                           trial_count=3, n_unlabeled=30,
                           alpha_grid=(1.0, 0.5, 0.0), workers=2)
     rows, summaries = run_irrelevant_sweep(spec)
-    # three fixed arms and two scaled ones
-    assert calls == [(15, 0)]
-    assert [r.seed for r in rows] == list(range(15))
+    # one task per trial index runs all three fixed arms and two scaled ones
+    assert calls == [(3, 0)]
+    assert [r.seed for r in rows] == [0, 1, 2] * 5
     assert [r.trial for r in rows] == [0, 1, 2] * 5
     assert [s.trials for s in summaries] == [3] * len(summaries)
+
+
+def _two_sample_agree(a: np.ndarray, b: np.ndarray, ecdf_gap: float) -> None:
+    # mean and variance z-statistics (the variance one from the fourth
+    # moment, as the error laws are far from Gaussian) and the largest gap
+    # between the empirical CDFs
+    n = a.size
+    se = math.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
+    assert abs(a.mean() - b.mean()) <= 4.0 * se
+
+    def var_and_se(x):
+        s2 = x.var(ddof=1)
+        m4 = float(np.mean((x - x.mean()) ** 4))
+        return s2, math.sqrt((m4 - (n - 3) / (n - 1) * s2**2) / n)
+
+    va, ea = var_and_se(a)
+    vb, eb = var_and_se(b)
+    assert abs(va - vb) <= 4.0 * math.sqrt(ea**2 + eb**2)
+    grid = np.sort(np.concatenate([a, b]))
+    fa = np.searchsorted(np.sort(a), grid, side="right") / n
+    fb = np.searchsorted(np.sort(b), grid, side="right") / n
+    assert float(np.max(np.abs(fa - fb))) <= ecdf_gap
+
+
+def test_shared_draws_keep_each_arm_law():
+    # arms that share z1 and z within a trial against the same arms drawn
+    # alone, each trial on a stream of its own
+    from rstsim.estimators import fast_selftrain_sample, fast_supervised_sample
+    from rstsim.experiments import _run_arms
+    from rstsim.gaussian import error_rates
+
+    trials = 500
+    spec = ExperimentSpec(kind="gap", n0=4, d=64, epsilon=0.2,
+                          trial_count=trials, master_seed=31)
+    model = spec.model()
+    arms = [("supervised_4", "arm", "a", 4, None, 1.0),
+            ("supervised_40", "arm", "b", 40, None, 1.0),
+            ("selftrain_1", "arm", "c", 4, 200, 1.0),
+            ("selftrain_half", "arm", "d", 4, 400, 0.5),
+            ("selftrain_0", "arm", "e", 2, 200, 0.0)]
+    rows, _ = _run_arms(spec, arms)
+    for j, (_, _, _, n, n_unlabeled, alpha) in enumerate(arms):
+        shared = rows[j * trials:(j + 1) * trials]
+        alone = []
+        for t in range(trials):
+            stream = split_stream(32 + j, t)
+            if n_unlabeled:
+                clf = fast_selftrain_sample(model, n, n_unlabeled, alpha,
+                                            stream).final
+            else:
+                clf = fast_supervised_sample(model, n, stream)
+            alone.append(error_rates(model, clf))
+        alone = np.array(alone)
+        # 1.95 sqrt(2 / 500), the two-sample Kolmogorov-Smirnov bound at
+        # level 0.001
+        for k, metric in enumerate(("std_err", "rob_err")):
+            _two_sample_agree(np.array([getattr(r, metric) for r in shared]),
+                              alone[:, k], ecdf_gap=0.124)
+
+
+def test_one_gap_trial_holds_two_vectors_beyond_mu():
+    # the trial's z1 and z, plus small buffers; mu is the driver's own
+    d = 755_000
+    spec = ExperimentSpec(kind="gap", n0=4, d=d, epsilon=0.5,
+                          allow_large_epsilon=True, trial_count=1)
+    tracemalloc.start()
+    try:
+        run_gap(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * d + 2 * 2**20
 
 
 @pytest.mark.parametrize("kind", ["adversarial_exact", "adversarial_pg",
