@@ -2,8 +2,7 @@
 
 Every driver takes an ExperimentSpec and returns (trial_rows, summary_rows).
 Trials are embarrassingly parallel: trial j of an experiment always uses
-split_stream(master_seed, global_index_j), with global indices fixed by the
-trial and never by scheduling, so output is byte-identical for any worker
+split_stream(master_seed, j), so output is byte-identical for any worker
 count. Reductions happen in index order after all trials complete.
 rst-demo keeps the seeds but trains its trials in lockstep groups on the
 calling thread instead (run_rst_demo).
@@ -13,7 +12,8 @@ grid and list their arms; one runner, _run_arms, draws each arm's estimator,
 scores it in closed form and summarizes the arm. Trial t of every arm runs
 on split_stream(master_seed, t): one task per trial draws z1 and z once and
 scores every arm from them, in the order of the list, so the arms of one
-trial are positively coupled while each keeps its own law."""
+trial are positively coupled while each keeps its own law.
+"""
 
 from __future__ import annotations
 

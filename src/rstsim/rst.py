@@ -429,7 +429,8 @@ def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
         else:
             k, d = config.noise_samples, xs.shape[-1]
             copies = _scratch(work, "copies", xs.shape[:-1] + (k, d))
-            for st, block in zip(streams, copies.reshape((-1, n, k, d))):
+            for st, block in zip(streams, copies.reshape((-1, n, k, d)),
+                                 strict=True):
                 st.standard_normal(out=block)
             copies *= config.noise_sigma
             copies += xs[..., None, :]
