@@ -122,18 +122,19 @@ class FactoredDraw:
         a, b, c = self.a, self.b, self.c
         sq = (a * a * mm + b * b * s11 + c * c * szz
               + 2.0 * (a * b * m1 + a * c * mz + b * c * s1z))
-        d = mu.size
-        scratch = np.empty((2, min(_L1_BLOCK, d)))
+        d, z1, z = mu.size, self.z1, self.z
+        theta, spare = np.empty((2, min(_L1_BLOCK, d)))
         l1 = 0.0
         for start in range(0, d, _L1_BLOCK):
-            stop = min(start + _L1_BLOCK, d)
-            theta, spare = scratch[:, :stop - start]
-            np.multiply(self.z1[start:stop], b, out=theta)
-            if self.z is not None:
-                theta += np.multiply(self.z[start:stop], c, out=spare)
+            stop = start + _L1_BLOCK
+            if stop > d:
+                theta, spare = theta[:d - start], spare[:d - start]
+            np.multiply(z1[start:stop], b, out=theta)
+            if z is not None:
+                theta += np.multiply(z[start:stop], c, out=spare)
             theta += np.multiply(mu[start:stop], a, out=spare)
-            l1 += float(np.sum(np.abs(theta, out=theta)))
-        return a * mm + b * m1 + c * mz, math.sqrt(max(sq, 0.0)), l1
+            l1 += np.abs(theta, out=theta).sum()
+        return a * mm + b * m1 + c * mz, math.sqrt(max(sq, 0.0)), float(l1)
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -327,8 +328,7 @@ def selftrain_draw(model: GaussianModel, n_labeled: int, n_unlabeled: int,
     """The final self-training estimator, factored, with its agreement:
     trial_draws of one arm. Draw order: z1, the pool's normals, the
     binomial, then z."""
-    if int(n_unlabeled) < 1:
-        raise ValueError(f"n_unlabeled must be >= 1, got {n_unlabeled}")
+    _pool_split(n_unlabeled, relevant_fraction)  # rejects an empty pool
     return trial_draws(model, [(n_labeled, n_unlabeled, relevant_fraction)],
                        stream)[0]
 
