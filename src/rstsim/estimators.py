@@ -6,9 +6,9 @@ with the supervised classifier and then averages pseudo-label * input. Both
 have fast samplers that draw from the exact estimator distribution without
 materializing the data matrix, which is what makes the large-d regimes
 (d ~ 10^6, n_unlabeled ~ 10^5) cheap to simulate. The fast draws come
-factored, theta = a mu + b z1 + c z, so scoring one takes six inner products
-and one pass for ||theta||_1; the pool enters only through running sums over
-fixed chunks of scalar normals, so memory is O(d + chunk) for any pool.
+factored, theta = a mu + b z1 + c z, all arms of a trial on one z1 and z
+(trial_draws); scoring takes six inner products and one ||theta||_1 pass, and
+a pool enters only as running sums over chunks, so memory is O(d + chunk).
 """
 
 from __future__ import annotations
