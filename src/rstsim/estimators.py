@@ -6,9 +6,10 @@ with the supervised classifier and then averages pseudo-label * input. Both
 have fast samplers that draw from the exact estimator distribution without
 materializing the data matrix, which is what makes the large-d regimes
 (d ~ 10^6, n_unlabeled ~ 10^5) cheap to simulate. The fast draws come
-factored, theta = a mu + b z1 + c z, all arms of a trial on one z1 and z
-(trial_draws); scoring takes six inner products and one ||theta||_1 pass, and
-a pool enters only as running sums over chunks, so memory is O(d + chunk).
+factored, theta = a mu + b z1 + c z: trial_draws returns one FactoredDraw per
+trial, every arm an (a, b, c) row on one z1 and z. Scoring takes six inner
+products per trial and one ||theta||_1 pass for all its arms, and a pool
+enters only as running sums over chunks, so memory is O(d + chunk).
 """
 
 from __future__ import annotations
@@ -90,51 +91,54 @@ _L1_BLOCK = 1 << 13
 
 @dataclass(frozen=True)
 class FactoredDraw:
-    """One estimator theta = a mu + b z1 + c z, held in factored form.
+    """Every arm's estimator of one trial, theta_k = a_k mu + b_k z1 + c_k z.
 
-    z1 and z are the standard normal d-vectors of the trial (z is None in
-    a supervised draw, where c = 0); gram = (mu.mu, mu.z1, mu.z, z1.z1,
-    z1.z, z.z). Neither method writes to z1 or z, so the draws of every arm
-    of a trial share them.
+    coef holds one (a, b, c) row per arm and agreements one agreement per
+    arm (None for a supervised arm, whose c is 0). z1 and z are the trial's
+    standard normal d-vectors (z is None when no arm self-trains); gram =
+    (mu.mu, mu.z1, mu.z, z1.z1, z1.z, z.z). Neither method writes to them.
     """
 
-    a: float
-    b: float
-    c: float
+    coef: np.ndarray
+    agreements: tuple[float | None, ...]
     z1: np.ndarray
     z: np.ndarray | None
     gram: tuple[float, float, float, float, float, float]
-    agreement: float | None = None
 
-    def theta(self, mu: np.ndarray) -> np.ndarray:
-        """theta as a new d-vector."""
-        theta = np.multiply(self.z1, self.b)
+    def theta(self, mu: np.ndarray, arm: int = 0) -> np.ndarray:
+        """One arm's theta as a new d-vector."""
+        a, b, c = self.coef[arm].tolist()
+        theta = np.multiply(self.z1, b)
         spare = np.empty_like(theta)
         if self.z is not None:
-            theta += np.multiply(self.z, self.c, out=spare)
-        theta += np.multiply(mu, self.a, out=spare)
+            theta += np.multiply(self.z, c, out=spare)
+        theta += np.multiply(mu, a, out=spare)
         return theta
 
-    def stats(self, mu: np.ndarray) -> tuple[float, float, float]:
-        """(mu^T theta, ||theta||_2) from gram, then ||theta||_1 in one pass
-        over blocks of _L1_BLOCK coordinates, in one small scratch buffer."""
+    def stats(self, mu: np.ndarray) -> list[tuple[float, float, float]]:
+        """(mu^T theta, ||theta||_2, ||theta||_1) per arm: the first two from
+        gram, ||theta||_1 in one pass for all arms over blocks of _L1_BLOCK
+        coordinates, in one (2, K, _L1_BLOCK) scratch buffer."""
         mm, m1, mz, s11, s1z, szz = self.gram
-        a, b, c = self.a, self.b, self.c
-        sq = (a * a * mm + b * b * s11 + c * c * szz
-              + 2.0 * (a * b * m1 + a * c * mz + b * c * s1z))
         d, z1, z = mu.size, self.z1, self.z
-        theta, spare = np.empty((2, min(_L1_BLOCK, d)))
-        l1 = 0.0
+        a, b, c = self.coef.T[:, :, None]  # (K, 1) columns
+        theta, spare = np.empty((2, len(self.coef), min(_L1_BLOCK, d)))
+        l1 = np.zeros(len(self.coef))
         for start in range(0, d, _L1_BLOCK):
             stop = start + _L1_BLOCK
             if stop > d:
-                theta, spare = theta[:d - start], spare[:d - start]
+                theta, spare = theta[:, :d - start], spare[:, :d - start]
             np.multiply(z1[start:stop], b, out=theta)
             if z is not None:
                 theta += np.multiply(z[start:stop], c, out=spare)
             theta += np.multiply(mu[start:stop], a, out=spare)
-            l1 += np.abs(theta, out=theta).sum()
-        return a * mm + b * m1 + c * mz, math.sqrt(max(sq, 0.0)), float(l1)
+            l1 += np.abs(theta, out=theta).sum(axis=1)
+        out = []
+        for (a, b, c), n1 in zip(self.coef.tolist(), l1.tolist()):
+            sq = (a * a * mm + b * b * s11 + c * c * szz
+                  + 2.0 * (a * b * m1 + a * c * mz + b * c * s1z))
+            out.append((a * mm + b * m1 + c * mz, math.sqrt(max(sq, 0.0)), n1))
+        return out
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -143,20 +147,12 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
-def supervised_draw(model: GaussianModel, n_labeled: int,
-                    stream: RngStream) -> FactoredDraw:
-    """The supervised average of n samples, distributed exactly as
-    mu + (sigma / sqrt(n)) z1: trial_draws of one supervised arm, whose
-    draw is one standard_normal(d) call."""
-    return trial_draws(model, [(n_labeled, 0, 1.0)], stream)[0]
-
-
 def fast_supervised_sample(model: GaussianModel, n_labeled: int,
                            stream: RngStream) -> LinearClassifier:
-    """Draw the supervised estimator without materializing data: the
-    theta of supervised_draw, with its one standard_normal(d) call."""
+    """Draw the supervised estimator without materializing data: trial_draws
+    of one supervised arm, whose draw is one standard_normal(d) call."""
     return LinearClassifier(
-        theta=supervised_draw(model, n_labeled, stream).theta(model.mu))
+        theta=trial_draws(model, [(n_labeled, 0, 1.0)], stream).theta(model.mu))
 
 
 def pseudo_label(clf: LinearClassifier, x) -> int:
@@ -266,10 +262,11 @@ def _pool_sums(m: float, sigma: float, n_rel: int, n_irr: int,
 
 
 def trial_draws(model: GaussianModel, arms, stream: RngStream
-                ) -> list[FactoredDraw]:
-    """One draw per arm, (n_labeled, n_unlabeled, relevant_fraction), all
-    on one z1 and one z: the self-trained estimator on n_unlabeled points
-    when that is > 0, else the supervised one.
+                ) -> FactoredDraw:
+    """The draws of one trial's arms, (n_labeled, n_unlabeled,
+    relevant_fraction) each, all on one z1 and one z: the self-trained
+    estimator on n_unlabeled points when that is > 0, else the supervised
+    one.
 
     The supervised average of n samples is exactly mu + s z1, s =
     sigma / sqrt(n), for any n. Self-training takes O(d + n_unlabeled)
@@ -308,39 +305,31 @@ def trial_draws(model: GaussianModel, arms, stream: RngStream
     if any(pool for _, pool in pools):
         z = stream.standard_normal(model.d)
         mz, s1z, szz = _dot(mu, z), _dot(z1, z), _dot(z, z)
-    gram = (mm, m1, mz, s11, s1z, szz)
-    draws = []
+    rows = []
     for s, pool in pools:
         if pool is None:
-            draws.append(FactoredDraw(1.0, s, 0.0, z1, None, gram))
+            rows.append(((1.0, s, 0.0), None))
             continue
         norm, n, agree, along, noise_agree = pool
         c = model.sigma / math.sqrt(n)
         # the coefficient of pi, U/n - c pi^T z, over ||mu + s z1||
         k = (along / n - c * (mz + s * s1z) / norm) / norm
-        draws.append(FactoredDraw(agree / n + k, k * s, c, z1, z, gram,
-                                  (agree + noise_agree) / n))
-    return draws
-
-
-def selftrain_draw(model: GaussianModel, n_labeled: int, n_unlabeled: int,
-                   relevant_fraction: float, stream: RngStream) -> FactoredDraw:
-    """The final self-training estimator, factored, with its agreement:
-    trial_draws of one arm. Draw order: z1, the pool's normals, the
-    binomial, then z."""
-    _pool_split(n_unlabeled, relevant_fraction)  # rejects an empty pool
-    return trial_draws(model, [(n_labeled, n_unlabeled, relevant_fraction)],
-                       stream)[0]
+        rows.append(((agree / n + k, k * s, c), (agree + noise_agree) / n))
+    coef, agreements = zip(*rows)
+    return FactoredDraw(np.array(coef), agreements, z1, z,
+                        (mm, m1, mz, s11, s1z, szz))
 
 
 def fast_selftrain_sample(model: GaussianModel, n_labeled: int,
                           n_unlabeled: int, relevant_fraction: float,
                           stream: RngStream) -> SelfTrainResult:
-    """Draw (intermediate, final) from the exact self-training distribution,
-    with the draws of selftrain_draw, as d-vectors."""
-    draw = selftrain_draw(model, n_labeled, n_unlabeled, relevant_fraction,
-                          stream)
+    """Draw (intermediate, final) from the exact self-training distribution
+    as d-vectors: trial_draws of one arm, whose draw order is z1, the
+    pool's normals, the binomial, then z."""
+    _pool_split(n_unlabeled, relevant_fraction)  # rejects an empty pool
+    draw = trial_draws(model, [(n_labeled, n_unlabeled, relevant_fraction)],
+                       stream)
     theta_hat = model.mu + (model.sigma / math.sqrt(int(n_labeled))) * draw.z1
     return SelfTrainResult(intermediate=LinearClassifier(theta=theta_hat),
                            final=LinearClassifier(theta=draw.theta(model.mu)),
-                           pseudo_label_agreement=draw.agreement)
+                           pseudo_label_agreement=draw.agreements[0])

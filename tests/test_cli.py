@@ -4,7 +4,7 @@ import argparse
 
 import pytest
 
-from rstsim import cli, gaussian
+from rstsim import cli, gaussian, smoothing
 from rstsim.cli import (
     SUBCOMMAND_KINDS,
     build_parser,
@@ -406,6 +406,23 @@ def test_certify_demo_check_passes_at_seed_11(tmp_path, capsys):
     assert main(["certify-demo", "--seed", "11", "--check",
                  "--out", out]) == 0
     assert "check passed" in capsys.readouterr().out
+
+
+def test_certify_demo_check_catches_a_wrong_minus_one_vote_law(
+        tmp_path, capsys, monkeypatch):
+    # the mutant draws a -1 label's votes with p+ in place of 1 - p+; at
+    # the default size the unpatched run passes and the mutant fails
+    out = str(tmp_path / "c.csv")
+    assert main(["certify-demo", "--check", "--out", out]) == 0
+    real = smoothing._count_noisy_votes
+    monkeypatch.setattr(smoothing, "_count_noisy_votes",
+                        lambda base, x, n, sigma, stream, target:
+                        real(base, x, n, sigma, stream, 1))
+    capsys.readouterr()
+    assert main(["certify-demo", "--check", "--out", out]) == 2
+    failures = capsys.readouterr().err.splitlines()
+    assert len(failures) == 5  # one per radius
+    assert all("exact two-sided tail" in f for f in failures)
 
 
 def test_rst_demo_cli_small(tmp_path):

@@ -15,9 +15,8 @@ from rstsim.estimators import (
     pseudo_label,
     sample_mixture,
     self_train,
-    selftrain_draw,
-    supervised_draw,
     supervised_estimator,
+    trial_draws,
 )
 from rstsim.gaussian import (
     GaussianModel,
@@ -316,8 +315,8 @@ _FACTORED_CASES = [
 
 def _factored(kind, model, alpha, stream):
     if kind == "supervised":
-        return supervised_draw(model, 3, stream)
-    return selftrain_draw(model, 3, 700, alpha, stream)
+        return trial_draws(model, [(3, 0, 1.0)], stream)
+    return trial_draws(model, [(3, 700, alpha)], stream)
 
 
 def test_mu_sq_is_computed_once_per_model(monkeypatch):
@@ -328,7 +327,8 @@ def test_mu_sq_is_computed_once_per_model(monkeypatch):
     real = np.einsum
     monkeypatch.setattr(np, "einsum",
                         lambda *a, **k: calls.append(a[0]) or real(*a, **k))
-    draws = [supervised_draw(m, 3, split_stream(67, k)) for k in range(4)]
+    draws = [trial_draws(m, [(3, 0, 1.0)], split_stream(67, k))
+             for k in range(4)]
     assert all(draw.gram[0] == want for draw in draws)
     # one mu.mu for the model, then mu.z1 and z1.z1 per draw
     assert len(calls) == 1 + 2 * len(draws)
@@ -340,8 +340,8 @@ class TestFactoredScores:
         # the same draw scored twice: from the Gram scalars and one pass,
         # and by materializing theta and scoring it as any classifier
         for t in range(5):
-            direct = _factored(kind, model, alpha, split_stream(81, t)).stats(
-                model.mu)
+            [direct] = _factored(kind, model, alpha,
+                                 split_stream(81, t)).stats(model.mu)
             clf = LinearClassifier(theta=_factored(
                 kind, model, alpha, split_stream(81, t)).theta(model.mu))
             reference = alignment_stats(model, clf)
@@ -353,36 +353,69 @@ class TestFactoredScores:
 
     def test_samplers_return_the_materialized_draw(self):
         m = _random_mu_model()
-        theta = supervised_draw(m, 3, split_stream(82, 0)).theta(m.mu)
+        theta = trial_draws(m, [(3, 0, 1.0)], split_stream(82, 0)).theta(m.mu)
         clf = fast_supervised_sample(m, 3, split_stream(82, 0))
         assert np.array_equal(clf.theta, theta)
         assert np.array_equal(clf.theta,
                               m.mu + (m.sigma / math.sqrt(3))
                               * split_stream(82, 0).standard_normal(m.d))
-        draw = selftrain_draw(m, 3, 700, 0.25, split_stream(82, 1))
+        draw = trial_draws(m, [(3, 700, 0.25)], split_stream(82, 1))
         z1 = draw.z1.copy()
         res = fast_selftrain_sample(m, 3, 700, 0.25, split_stream(82, 1))
         assert np.array_equal(res.final.theta, draw.theta(m.mu))
         assert np.array_equal(res.intermediate.theta,
                               m.mu + (m.sigma / math.sqrt(3)) * z1)
-        assert res.pseudo_label_agreement == draw.agreement
+        assert res.pseudo_label_agreement == draw.agreements[0]
 
     def test_blocked_l1_leaves_the_normals_alone(self):
         # d is not a multiple of the block, so the last block is partial
         d = 2 * estimators._L1_BLOCK + 123
         m = GaussianModel(mu=split_stream(83, 0).normal(0.3, 1.0, d),
                           sigma=1.7, epsilon=0.05)
-        draws = estimators.trial_draws(
-            m, [(3, None, 1.0), (3, 700, 0.25), (5, 300, 1.0)],
-            split_stream(83, 1))
-        z1, z = draws[0].z1.copy(), draws[1].z.copy()
-        assert all(fd.z1 is draws[0].z1 for fd in draws)
-        for fd in draws:
-            l1 = fd.stats(m.mu)[2]
-            want = float(np.sum(np.abs(fd.theta(m.mu))))
+        fd = trial_draws(m, [(3, None, 1.0), (3, 700, 0.25), (5, 300, 1.0)],
+                         split_stream(83, 1))
+        z1, z = fd.z1.copy(), fd.z.copy()
+        for arm, (_, _, l1) in enumerate(fd.stats(m.mu)):
+            want = float(np.sum(np.abs(fd.theta(m.mu, arm))))
             assert l1 == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert draws[0].z1.tobytes() == z1.tobytes()
-        assert draws[2].z.tobytes() == z.tobytes()
+        assert fd.z1.tobytes() == z1.tobytes()
+        assert fd.z.tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("arms", [
+        [(3, 0, 1.0), (3, 700, 0.25), (5, 300, 1.0)],
+        [(3, 0, 1.0), (7, 0, 1.0)],  # no arm self-trains: z is None
+    ])
+    def test_one_pass_equals_the_per_arm_loop(self, arms):
+        # the trial's one blocked pass against a copy of the per-arm loop,
+        # in which a supervised arm skips z; equal bit for bit
+        def per_arm(mu, a, b, c, z1, z, gram):
+            mm, m1, mz, s11, s1z, szz = gram
+            sq = (a * a * mm + b * b * s11 + c * c * szz
+                  + 2.0 * (a * b * m1 + a * c * mz + b * c * s1z))
+            d = mu.size
+            theta, spare = np.empty((2, min(estimators._L1_BLOCK, d)))
+            l1 = 0.0
+            for start in range(0, d, estimators._L1_BLOCK):
+                stop = start + estimators._L1_BLOCK
+                if stop > d:
+                    theta, spare = theta[:d - start], spare[:d - start]
+                np.multiply(z1[start:stop], b, out=theta)
+                if z is not None:
+                    theta += np.multiply(z[start:stop], c, out=spare)
+                theta += np.multiply(mu[start:stop], a, out=spare)
+                l1 += np.abs(theta, out=theta).sum()
+            return (a * mm + b * m1 + c * mz, math.sqrt(max(sq, 0.0)),
+                    float(l1))
+
+        d = 2 * estimators._L1_BLOCK + 123
+        m = GaussianModel(mu=split_stream(84, 0).normal(0.3, 1.0, d),
+                          sigma=1.7, epsilon=0.05)
+        fd = trial_draws(m, arms, split_stream(84, 1))
+        assert (fd.z is None) == all(not n_tilde for _, n_tilde, _ in arms)
+        want = [per_arm(m.mu, a, b, c, fd.z1, fd.z if n_tilde else None,
+                        fd.gram)
+                for (a, b, c), (_, n_tilde, _) in zip(fd.coef.tolist(), arms)]
+        assert fd.stats(m.mu) == want
 
 
 def _reference_pool(m, sigma, n_rel, n_irr, stream, labels):
@@ -425,7 +458,7 @@ class TestLabelFreePool:
         n_irr = n_tilde - n_rel
         for t in range(3):
             stream, ref = split_stream(92, t), split_stream(92, t)
-            draw = selftrain_draw(m, n, n_tilde, alpha, stream)
+            draw = trial_draws(m, [(n, n_tilde, alpha)], stream)
             theta_hat = m.mu + (m.sigma / math.sqrt(n)) * ref.standard_normal(m.d)
             pi = theta_hat / math.sqrt(float(np.sum(theta_hat * theta_hat)))
             a_sum, u_sum = _reference_pool(float(np.sum(m.mu * pi)), m.sigma,
@@ -436,7 +469,7 @@ class TestLabelFreePool:
             c = m.sigma / math.sqrt(n_tilde)
             want = ((a_sum / n_tilde) * m.mu + (u_sum / n_tilde) * pi
                     + c * (z - float(np.sum(pi * z)) * pi))
-            assert draw.agreement == (a_sum + b_sum) / n_tilde
+            assert draw.agreements == ((a_sum + b_sum) / n_tilde,)
             got = draw.theta(m.mu)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             assert stream.bit_generator.state == ref.bit_generator.state
