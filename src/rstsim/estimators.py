@@ -9,18 +9,20 @@ materializing the data matrix, which is what makes the large-d regimes
 factored, theta = a mu + b z1 + c z: trial_draws returns one FactoredDraw per
 trial, every arm an (a, b, c) row on one z1 and z. Scoring takes six inner
 products per trial and one ||theta||_1 pass for all its arms, and a pool
-enters only as running sums over chunks, so memory is O(d + chunk).
+enters only as sums over blocks. A trial is drawn in fixed blocks, each
+from its own substream, that a run's threads share (TrialWork), so a run
+holds z1, z and one block-sized scratch per thread.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import GaussianModel, LabeledSet, LinearClassifier
-from .statkit import RngStream
+from .gaussian import GaussianModel, LabeledSet, LinearClassifier, run_blocks
+from .statkit import RngStream, split_stream
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,28 @@ def supervised_estimator(data: LabeledSet) -> LinearClassifier:
     return LinearClassifier(theta=theta)
 
 
-# ||theta||_1 is summed over blocks of this many coordinates
-_L1_BLOCK = 1 << 13
+# a trial draws its normals and pool points in blocks of _BLOCK, block k
+# from split_stream(seed, k), and sums ||theta||_1 over each block's
+# sub-blocks of _L1_BLOCK coordinates
+_BLOCK = 1 << 16
+_L1_BLOCK = 1 << 14
+
+
+class TrialWork:
+    """What one run's trials reuse: z1, z (when some arm self-trains), one
+    scratch buffer per thread, and the pool whose workers run beside the
+    caller (see gaussian.run_blocks). A FactoredDraw made on it holds its
+    z1 and z until the next trial_draws on it."""
+
+    def __init__(self, d: int, arms, threads: int = 1, pool=None):
+        self.threads, self.pool = threads, pool
+        self.z1 = np.empty(d)
+        self.z = np.empty(d) if any(arm[1] for arm in arms) else None
+        size = max(_BLOCK, 2 * len(arms) * _L1_BLOCK)
+        self.scratch = [np.empty(size) for _ in range(threads)]
+
+    def run(self, task, n_blocks: int) -> list:
+        return run_blocks(task, n_blocks, self.threads, self.pool)
 
 
 @dataclass(frozen=True)
@@ -104,6 +126,7 @@ class FactoredDraw:
     z1: np.ndarray
     z: np.ndarray | None
     gram: tuple[float, float, float, float, float, float]
+    work: TrialWork = field(repr=False)
 
     def theta(self, mu: np.ndarray, arm: int = 0) -> np.ndarray:
         """One arm's theta as a new d-vector."""
@@ -117,27 +140,38 @@ class FactoredDraw:
 
     def stats(self, mu: np.ndarray) -> list[tuple[float, float, float]]:
         """(mu^T theta, ||theta||_2, ||theta||_1) per arm: the first two from
-        gram, ||theta||_1 in one pass for all arms over blocks of _L1_BLOCK
-        coordinates, in one (2, K, _L1_BLOCK) scratch buffer."""
+        gram, ||theta||_1 in one pass for all arms. Each block of _BLOCK
+        coordinates is a task on the work's threads, summed in sub-blocks of
+        _L1_BLOCK in a (2, K, _L1_BLOCK) view of the thread's scratch; the
+        block sums are added exactly (math.fsum)."""
         mm, m1, mz, s11, s1z, szz = self.gram
-        d, z1, z = mu.size, self.z1, self.z
+        d, z1, z, arms = mu.size, self.z1, self.z, len(self.coef)
         a, b, c = self.coef.T[:, :, None]  # (K, 1) columns
-        theta, spare = np.empty((2, len(self.coef), min(_L1_BLOCK, d)))
-        l1 = np.zeros(len(self.coef))
-        for start in range(0, d, _L1_BLOCK):
-            stop = start + _L1_BLOCK
-            if stop > d:
-                theta, spare = theta[:, :d - start], spare[:, :d - start]
-            np.multiply(z1[start:stop], b, out=theta)
-            if z is not None:
-                theta += np.multiply(z[start:stop], c, out=spare)
-            theta += np.multiply(mu[start:stop], a, out=spare)
-            l1 += np.abs(theta, out=theta).sum(axis=1)
+        sub = _L1_BLOCK
+
+        def l1_block(k: int, w: int) -> np.ndarray:
+            scratch = self.work.scratch[w][:2 * arms * sub]
+            theta, spare = scratch.reshape(2, arms, sub)
+            total = np.zeros(arms)
+            end = min((k + 1) * _BLOCK, d)
+            for start in range(k * _BLOCK, end, sub):
+                stop = min(start + sub, end)
+                if stop - start < sub:
+                    theta, spare = theta[:, :stop - start], spare[:, :stop - start]
+                np.multiply(z1[start:stop], b, out=theta)
+                if z is not None:
+                    theta += np.multiply(z[start:stop], c, out=spare)
+                theta += np.multiply(mu[start:stop], a, out=spare)
+                total += np.abs(theta, out=theta).sum(axis=1)
+            return total
+
+        blocks = self.work.run(l1_block, -(-d // _BLOCK))
         out = []
-        for (a, b, c), n1 in zip(self.coef.tolist(), l1.tolist()):
+        for (a, b, c), n1 in zip(self.coef.tolist(), zip(*blocks)):
             sq = (a * a * mm + b * b * s11 + c * c * szz
                   + 2.0 * (a * b * m1 + a * c * mz + b * c * s1z))
-            out.append((a * mm + b * m1 + c * mz, math.sqrt(max(sq, 0.0)), n1))
+            out.append((a * mm + b * m1 + c * mz, math.sqrt(max(sq, 0.0)),
+                        math.fsum(n1)))
         return out
 
 
@@ -150,7 +184,7 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
 def fast_supervised_sample(model: GaussianModel, n_labeled: int,
                            stream: RngStream) -> LinearClassifier:
     """Draw the supervised estimator without materializing data: trial_draws
-    of one supervised arm, whose draw is one standard_normal(d) call."""
+    of one supervised arm, whose draw is z1 in its block layout."""
     return LinearClassifier(
         theta=trial_draws(model, [(n_labeled, 0, 1.0)], stream).theta(model.mu))
 
@@ -233,99 +267,125 @@ def sample_mixture(model: GaussianModel, n_unlabeled: int,
     return pool, pool.hidden_ys
 
 
-# the pool's scalar normals are drawn and summed this many at a time; the
-# two small buffers keep a trial thread's peak at z1, z and 128 KB
-_POOL_CHUNK = 1 << 14
-
-
-def _pool_sums(m: float, sigma: float, n_rel: int, n_irr: int,
-               stream: RngStream) -> tuple[int, float]:
-    """(A, U) of a pool of n_rel signal and n_irr noise points, label-free.
+def _pool_sums(pools, sigma: float, seed: int, first: int,
+               work: TrialWork) -> list[tuple[int, float, int]]:
+    """(A, U, B) of each pool (m, n_rel, n_irr), label-free, on work's
+    threads.
 
     A signal point's w = y u ~ N(0, sigma^2) does not depend on its label
     y; it adds sign(m + w) (ties to +1) to A and sign(m + w) w to U. A
-    noise point adds |u| to U. Draw order: the n_rel, then the n_irr
-    normals, in chunks of _POOL_CHUNK into one reused buffer.
+    noise point adds |u| to U, and the noise points' labels, independent
+    of u, agree B = 2 Binomial(n_irr, 1/2) - n_irr times. A pool's points,
+    signal points first, are drawn in blocks of _BLOCK, pool after pool,
+    block i from split_stream(seed, first + i) into the thread's scratch;
+    the block sums are added in block order, U's exactly (math.fsum).
+    With J blocks in all, pool j's binomial comes from
+    split_stream(seed, first + J + j).
     """
-    buf = np.empty(min(_POOL_CHUNK, max(n_rel, n_irr)))
-    agree, along = 0, 0.0
-    for count, signal in ((n_rel, True), (n_irr, False)):
-        for start in range(0, count, _POOL_CHUNK):
-            w = stream.standard_normal(out=buf[:min(_POOL_CHUNK, count - start)])
-            w *= sigma
-            if signal:
-                wrong = w < -m  # exactly when m + w < 0
-                agree += w.size - 2 * int(np.count_nonzero(wrong))
-                np.negative(w, out=w, where=wrong)
-            along += float(np.sum(w if signal else np.abs(w, out=w)))
-    return agree, along
+    jobs = [(j, start) for j, (_, n_rel, n_irr) in enumerate(pools)
+            for start in range(0, n_rel + n_irr, _BLOCK)]
+
+    def block(i: int, w: int) -> tuple[int, float]:
+        j, start = jobs[i]
+        m, n_rel, n_irr = pools[j]
+        u = work.scratch[w][:min(_BLOCK, n_rel + n_irr - start)]
+        split_stream(seed, first + i).standard_normal(out=u)
+        u *= sigma
+        signal = u[:max(0, n_rel - start)]
+        wrong = signal < -m  # exactly when m + w < 0
+        np.negative(signal, out=signal, where=wrong)
+        np.abs(u[signal.size:], out=u[signal.size:])
+        return signal.size - 2 * int(np.count_nonzero(wrong)), float(np.sum(u))
+
+    parts = [[] for _ in pools]
+    for (j, _), part in zip(jobs, work.run(block, len(jobs))):
+        parts[j].append(part)
+    out = []
+    for j, ((_, _, n_irr), part) in enumerate(zip(pools, parts)):
+        agree, along = zip(*part)
+        binomial = split_stream(seed, first + len(jobs) + j).binomial(n_irr, 0.5)
+        out.append((sum(agree), math.fsum(along), 2 * int(binomial) - n_irr))
+    return out
 
 
-def trial_draws(model: GaussianModel, arms, stream: RngStream
-                ) -> FactoredDraw:
+def trial_draws(model: GaussianModel, arms, stream: RngStream,
+                work: TrialWork | None = None) -> FactoredDraw:
     """The draws of one trial's arms, (n_labeled, n_unlabeled,
     relevant_fraction) each, all on one z1 and one z: the self-trained
     estimator on n_unlabeled points when that is > 0, else the supervised
-    one.
+    one. work holds z1, z and the threads (default: fresh, one thread).
 
     The supervised average of n samples is exactly mu + s z1, s =
     sigma / sqrt(n), for any n. Self-training takes O(d + n_unlabeled)
-    time and O(d + chunk) memory: given the intermediate's direction pi =
+    time and O(d + block) memory: given the intermediate's direction pi =
     (mu + s z1) / ||mu + s z1||, a pool point enters only through its hidden
     label and u = pi^T noise ~ N(0, sigma^2), so the final average is
-    (A/n) mu + (U/n) pi + (sigma/sqrt(n)) (z - (pi^T z) pi) with A, U from
-    _pool_sums, and the noise points' labels, independent of u, agree
-    B = 2 Binomial(n_irr, 1/2) - n_irr times. That law needs z independent
+    (A/n) mu + (U/n) pi + (sigma/sqrt(n)) (z - (pi^T z) pi), with A, U and
+    the noise points' agreement B from _pool_sums. That law needs z independent
     of z1 and of the pool, which holds for every arm, so each arm keeps
-    its law while the arms of one trial are coupled. Draw order: z1, each
-    self-training arm's pool normals and binomial in arm order, then z
-    when some arm self-trains; so a thread holds z1 and z together only
-    when the pools are done.
+    its law while the arms of one trial are coupled.
+
+    Block layout: the trial draws one seed = stream.integers(0, 2**63);
+    with D = ceil(d / _BLOCK), block k < D of z1 comes from
+    split_stream(seed, k) and block k of z from split_stream(seed, D + k),
+    then each self-training arm's pool blocks in arm order, then one index
+    per self-training arm for its binomial. The layout depends on d
+    and the pool sizes alone, and every inner product is an exact sum of
+    per-block einsums, so the draw does not depend on the thread count.
+    Phases: z1 and z with their inner products, every pool, then (in
+    stats) ||theta||_1, each spread over the work's threads.
     """
+    work = work if work is not None else TrialWork(model.d, arms)
     arms = [(int(n), n_unlabeled and _pool_split(n_unlabeled, fraction))
             for n, n_unlabeled, fraction in arms]
     for n, _ in arms:
         if n < 1:
             raise ValueError(f"n_labeled must be >= 1, got {n}")
-    mu, z1 = model.mu, stream.standard_normal(model.d)
-    mm, m1, s11 = model.mu_sq, _dot(mu, z1), _dot(z1, z1)
-    pools = []
+    mu, sigma, d = model.mu, model.sigma, model.d
+    z1 = work.z1
+    z = work.z if any(split for _, split in arms) else None
+    seed = int(stream.integers(0, 2**63))
+    n_blocks = -(-d // _BLOCK)
+
+    def normals(k: int, w: int) -> tuple[float, ...]:
+        part = slice(k * _BLOCK, (k + 1) * _BLOCK)
+        m, u = mu[part], split_stream(seed, k).standard_normal(out=z1[part])
+        if z is None:
+            return _dot(m, u), _dot(u, u)
+        v = split_stream(seed, n_blocks + k).standard_normal(out=z[part])
+        return _dot(m, u), _dot(u, u), _dot(m, v), _dot(u, v), _dot(v, v)
+
+    sums = [math.fsum(col) for col in zip(*work.run(normals, n_blocks))]
+    mm, (m1, s11, *rest) = model.mu_sq, sums
+    mz, s1z, szz = rest or (0.0, 0.0, 0.0)
+    stages = []  # every arm's s, ||mu + s z1|| and pool split
     for n, split in arms:
-        s = model.sigma / math.sqrt(n)
-        if not split:
-            pools.append((s, None))
-            continue
-        n_rel, n_irr = split
-        norm = math.sqrt(mm + 2.0 * s * m1 + s * s * s11)
-        agree, along = _pool_sums((mm + s * m1) / norm, model.sigma, n_rel,
-                                  n_irr, stream)
-        noise_agree = 2 * int(stream.binomial(n_irr, 0.5)) - n_irr
-        pools.append((s, (norm, n_rel + n_irr, agree, along, noise_agree)))
-    z, mz, s1z, szz = None, 0.0, 0.0, 0.0
-    if any(pool for _, pool in pools):
-        z = stream.standard_normal(model.d)
-        mz, s1z, szz = _dot(mu, z), _dot(z1, z), _dot(z, z)
+        s = sigma / math.sqrt(n)
+        stages.append((s, math.sqrt(mm + 2.0 * s * m1 + s * s * s11), split))
+    pools = iter(_pool_sums(
+        [((mm + s * m1) / norm, *split) for s, norm, split in stages if split],
+        sigma, seed, 2 * n_blocks, work))
     rows = []
-    for s, pool in pools:
-        if pool is None:
+    for s, norm, split in stages:
+        if not split:
             rows.append(((1.0, s, 0.0), None))
             continue
-        norm, n, agree, along, noise_agree = pool
-        c = model.sigma / math.sqrt(n)
+        agree, along, noise_agree = next(pools)
+        n = sum(split)
+        c = sigma / math.sqrt(n)
         # the coefficient of pi, U/n - c pi^T z, over ||mu + s z1||
         k = (along / n - c * (mz + s * s1z) / norm) / norm
         rows.append(((agree / n + k, k * s, c), (agree + noise_agree) / n))
     coef, agreements = zip(*rows)
     return FactoredDraw(np.array(coef), agreements, z1, z,
-                        (mm, m1, mz, s11, s1z, szz))
+                        (mm, m1, mz, s11, s1z, szz), work)
 
 
 def fast_selftrain_sample(model: GaussianModel, n_labeled: int,
                           n_unlabeled: int, relevant_fraction: float,
                           stream: RngStream) -> SelfTrainResult:
     """Draw (intermediate, final) from the exact self-training distribution
-    as d-vectors: trial_draws of one arm, whose draw order is z1, the
-    pool's normals, the binomial, then z."""
+    as d-vectors: trial_draws of one arm, in its block layout."""
     _pool_split(n_unlabeled, relevant_fraction)  # rejects an empty pool
     draw = trial_draws(model, [(n_labeled, n_unlabeled, relevant_fraction)],
                        stream)

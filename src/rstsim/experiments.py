@@ -10,9 +10,10 @@ calling thread instead (run_rst_demo).
 The four closed-form drivers (gap and the three sweeps) only validate their
 grid and list their arms; one runner, _run_arms, draws each arm's estimator,
 scores it in closed form and summarizes the arm. Trial t of every arm runs
-on split_stream(master_seed, t): one task per trial draws z1 and z once and
-scores every arm from them, in the order of the list, so the arms of one
-trial are positively coupled while each keeps its own law.
+on split_stream(master_seed, t): it draws z1 and z once and scores every
+arm from them, in the order of the list, so the arms of one trial are
+positively coupled while each keeps its own law. Its trials run one after
+another, each spread over the worker threads in fixed blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import sample_mixture, trial_draws
+from .estimators import TrialWork, sample_mixture, trial_draws
 from .gaussian import (
     GaussianModel,
     LinearClassifier,
@@ -242,26 +243,29 @@ def _run_arms(spec: ExperimentSpec, arms) -> tuple[list[TrialRow],
     An arm is (experiment, grid_key, grid_value, n_labeled, n_unlabeled,
     alpha). It draws the self-trained estimator on n_unlabeled points when
     that is > 0 and the supervised estimator otherwise, each from its exact
-    law; n_unlabeled goes to the trial rows as given. Trial t is one task
-    on split_stream(master_seed, t) that draws every arm with one
-    trial_draws: one z1 and one z for all arms, a pool and binomial per
-    self-training arm, and one stats pass that scores every arm. Rows come
-    back arm by arm, each arm's in trial order, with seed t.
+    law; n_unlabeled goes to the trial rows as given. Trial t draws every
+    arm with one trial_draws on split_stream(master_seed, t): one z1 and
+    one z for all arms, a pool and binomial per self-training arm, and one
+    stats pass that scores every arm. The trials run one after another,
+    each phase of a trial spread over spec.workers threads, in one
+    TrialWork for the run. Rows come back arm by arm, each arm's in trial
+    order, with seed t.
     """
     model = spec.model()
-
-    def one(index: int, stream: RngStream) -> list[TrialRow]:
-        fd = trial_draws(model, [arm[3:] for arm in arms], stream)
-        return [_closed_form_row(
-                    experiment, model, stats, spec, n_labeled=n,
-                    n_unlabeled=n_unlabeled,
-                    relevant_fraction=alpha if n_unlabeled else None,
-                    trial=index, gamma=gamma, seed=index)
+    draws = [arm[3:] for arm in arms]
+    per_trial = []
+    with ThreadPoolExecutor(max_workers=max(1, spec.workers - 1)) as pool:
+        work = TrialWork(model.d, draws, spec.workers, pool)
+        for t in range(spec.trial_count):
+            fd = trial_draws(model, draws, split_stream(spec.master_seed, t),
+                             work)
+            per_trial.append([_closed_form_row(
+                experiment, model, stats, spec, n_labeled=n,
+                n_unlabeled=n_unlabeled,
+                relevant_fraction=alpha if n_unlabeled else None,
+                trial=t, gamma=gamma, seed=t)
                 for (experiment, _, _, n, n_unlabeled, alpha), stats, gamma
-                in zip(arms, fd.stats(model.mu), fd.agreements, strict=True)]
-
-    per_trial = _run_indexed(one, spec.trial_count, spec.master_seed, 0,
-                             spec.workers)
+                in zip(arms, fd.stats(model.mu), fd.agreements, strict=True)])
     rows: list[TrialRow] = []
     summaries: list[SummaryRow] = []
     for j, (experiment, grid_key, grid_value, *_) in enumerate(arms):

@@ -24,7 +24,11 @@ def _as_float_vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a 1-d vector with at least one entry")
-    if not np.all(np.isfinite(arr)):
+    # min and max are finite exactly when every entry is, and unlike
+    # isfinite(arr) they need no d-length temporary; a 0-stride view
+    # repeats its first entry
+    probe = arr[:1] if arr.strides == (0,) else arr
+    if not (np.isfinite(probe.min()) and np.isfinite(probe.max())):
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -109,7 +113,8 @@ def canonical_model(n0: int, d: int, epsilon: float,
                     allow_large_epsilon: bool = False) -> GaussianModel:
     """Construct the scaling family instance: mu = all-ones, sigma = (n0 d)^(1/4).
 
-    With this choice ||mu||^2 / sigma^2 = sqrt(d / n0) and
+    mu is a read-only broadcast view of one 1.0, so the model holds no
+    d-vector. With this choice ||mu||^2 / sigma^2 = sqrt(d / n0) and
     ||mu||_1 / ||mu||_2 = sqrt(d) exactly. epsilon >= 1/2 collapses the
     robust problem (the perturbation can cross between the class means)
     and is rejected unless allow_large_epsilon is set.
@@ -122,8 +127,8 @@ def canonical_model(n0: int, d: int, epsilon: float,
         raise ValueError(
             f"epsilon = {epsilon} >= 0.5 is outside the meaningful attack range; "
             "pass allow_large_epsilon=True to override")
-    return GaussianModel(mu=np.ones(int(d)), sigma=sigma, epsilon=epsilon,
-                         n0=int(n0))
+    return GaussianModel(mu=np.broadcast_to(1.0, (int(d),)), sigma=sigma,
+                         epsilon=epsilon, n0=int(n0))
 
 
 # Monte Carlo draws chunks of about _MC_BLOCK_SCALARS, one substream each,
@@ -224,6 +229,30 @@ def thread_budget(callers: int) -> int:
     return max(1, _mc_threads() // callers)
 
 
+def run_blocks(task, n_blocks: int, threads: int, pool=None) -> list:
+    """task(k, w) for every block k < n_blocks, in block order.
+
+    T = min(threads, n_blocks) threads run them, the caller as thread 0
+    and pool's workers (a pool made for the call when None) as the rest;
+    thread w takes blocks w, w + T, ... as one task, and w picks its own
+    buffer. A caller that combines the results in block order gets the
+    same result for any thread count.
+    """
+    t = max(1, min(threads, n_blocks))
+    if t > 1 and pool is None:
+        with ThreadPoolExecutor(max_workers=t - 1) as pool:
+            return run_blocks(task, n_blocks, t, pool)
+
+    def share(w: int) -> list:
+        return [task(k, w) for k in range(w, n_blocks, t)]
+
+    others = [pool.submit(share, w) for w in range(1, t)]
+    out = [None] * n_blocks
+    for w, part in enumerate([share(0)] + [f.result() for f in others]):
+        out[w::t] = part
+    return out
+
+
 def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
                       n_samples: int, stream: RngStream,
                       threads: int | None = None) -> tuple[float, float]:
@@ -264,13 +293,12 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     threads = min(thread_budget(1) if threads is None else threads, n_chunks)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-
     block = min(rows, n_samples, max(1, _MC_ROW_BLOCK_SCALARS // model.d))
+    bufs = [np.empty((block, model.d)) for _ in range(threads)]
     shift = model.epsilon * l1
 
-    def misses(first: int) -> tuple[int, int]:
-        # (standard, robust) miss counts of chunks first, first + threads, ...
-        buf = np.empty((block, model.d))
+    def misses(k: int, w: int) -> tuple[int, int]:
+        # (standard, robust) miss counts of chunk k, drawn into thread w's buffer
         counts = [0, 0]
 
         def count(labels: np.ndarray, xs: np.ndarray) -> None:
@@ -283,13 +311,10 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
             counts[1] += int(np.count_nonzero(
                 (margin < 0.0) | ((margin == 0.0) & neg)))
 
-        for k in range(first, n_chunks, threads):
-            _draw_labeled(model, split_stream(seed, k),
-                          min(rows, n_samples - k * rows), buf, count)
+        _draw_labeled(model, split_stream(seed, k),
+                      min(rows, n_samples - k * rows), bufs[w], count)
         return counts[0], counts[1]
 
-    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
-        others = pool.map(misses, range(1, threads))
-        counts = [misses(0), *others]
+    counts = run_blocks(misses, n_chunks, threads)
     std_total, rob_total = map(sum, zip(*counts))
     return std_total / n_samples, rob_total / n_samples

@@ -319,10 +319,24 @@ def _factored(kind, model, alpha, stream):
     return trial_draws(model, [(3, 700, alpha)], stream)
 
 
+def _block_normals(seed, first, size):
+    # size normals in a trial's block layout: block i of _BLOCK from
+    # split_stream(seed, first + i)
+    block = estimators._BLOCK
+    return np.concatenate([
+        split_stream(seed, first + i).standard_normal(min(block, size - start))
+        for i, start in enumerate(range(0, size, block))])
+
+
+def _trial_seed(stream):
+    return int(stream.integers(0, 2**63))
+
+
 def test_mu_sq_is_computed_once_per_model(monkeypatch):
     m = GaussianModel(mu=split_stream(67, 0).standard_normal(50), sigma=1.3,
                       epsilon=0.1)
     want = float(np.einsum("i,i->", m.mu, m.mu))
+    monkeypatch.setattr(estimators, "_BLOCK", 16)  # 4 blocks of z1
     calls = []
     real = np.einsum
     monkeypatch.setattr(np, "einsum",
@@ -330,8 +344,8 @@ def test_mu_sq_is_computed_once_per_model(monkeypatch):
     draws = [trial_draws(m, [(3, 0, 1.0)], split_stream(67, k))
              for k in range(4)]
     assert all(draw.gram[0] == want for draw in draws)
-    # one mu.mu for the model, then mu.z1 and z1.z1 per draw
-    assert len(calls) == 1 + 2 * len(draws)
+    # one mu.mu for the model, then mu.z1 and z1.z1 per block of each draw
+    assert len(calls) == 1 + 2 * 4 * len(draws)
 
 
 class TestFactoredScores:
@@ -356,9 +370,8 @@ class TestFactoredScores:
         theta = trial_draws(m, [(3, 0, 1.0)], split_stream(82, 0)).theta(m.mu)
         clf = fast_supervised_sample(m, 3, split_stream(82, 0))
         assert np.array_equal(clf.theta, theta)
-        assert np.array_equal(clf.theta,
-                              m.mu + (m.sigma / math.sqrt(3))
-                              * split_stream(82, 0).standard_normal(m.d))
+        z1 = _block_normals(_trial_seed(split_stream(82, 0)), 0, m.d)
+        assert np.array_equal(clf.theta, m.mu + (m.sigma / math.sqrt(3)) * z1)
         draw = trial_draws(m, [(3, 700, 0.25)], split_stream(82, 1))
         z1 = draw.z1.copy()
         res = fast_selftrain_sample(m, 3, 700, 0.25, split_stream(82, 1))
@@ -369,7 +382,7 @@ class TestFactoredScores:
 
     def test_blocked_l1_leaves_the_normals_alone(self):
         # d is not a multiple of the block, so the last block is partial
-        d = 2 * estimators._L1_BLOCK + 123
+        d = 2 * estimators._BLOCK + 123
         m = GaussianModel(mu=split_stream(83, 0).normal(0.3, 1.0, d),
                           sigma=1.7, epsilon=0.05)
         fd = trial_draws(m, [(3, None, 1.0), (3, 700, 0.25), (5, 300, 1.0)],
@@ -386,28 +399,32 @@ class TestFactoredScores:
         [(3, 0, 1.0), (7, 0, 1.0)],  # no arm self-trains: z is None
     ])
     def test_one_pass_equals_the_per_arm_loop(self, arms):
-        # the trial's one blocked pass against a copy of the per-arm loop,
-        # in which a supervised arm skips z; equal bit for bit
+        # the trial's one blocked pass against a per-arm loop over the same
+        # blocks and sub-blocks, in which a supervised arm skips z; equal
+        # bit for bit, on one thread and on three
+        block, sub = estimators._BLOCK, estimators._L1_BLOCK
+
         def per_arm(mu, a, b, c, z1, z, gram):
             mm, m1, mz, s11, s1z, szz = gram
             sq = (a * a * mm + b * b * s11 + c * c * szz
                   + 2.0 * (a * b * m1 + a * c * mz + b * c * s1z))
             d = mu.size
-            theta, spare = np.empty((2, min(estimators._L1_BLOCK, d)))
-            l1 = 0.0
-            for start in range(0, d, estimators._L1_BLOCK):
-                stop = start + estimators._L1_BLOCK
-                if stop > d:
-                    theta, spare = theta[:d - start], spare[:d - start]
-                np.multiply(z1[start:stop], b, out=theta)
-                if z is not None:
-                    theta += np.multiply(z[start:stop], c, out=spare)
-                theta += np.multiply(mu[start:stop], a, out=spare)
-                l1 += np.abs(theta, out=theta).sum()
+            blocks = []
+            for first in range(0, d, block):
+                end = min(first + block, d)
+                l1 = 0.0
+                for start in range(first, end, sub):
+                    stop = min(start + sub, end)
+                    theta = np.multiply(z1[start:stop], b)
+                    if z is not None:
+                        theta += np.multiply(z[start:stop], c)
+                    theta += np.multiply(mu[start:stop], a)
+                    l1 += np.abs(theta).sum()
+                blocks.append(l1)
             return (a * mm + b * m1 + c * mz, math.sqrt(max(sq, 0.0)),
-                    float(l1))
+                    math.fsum(blocks))
 
-        d = 2 * estimators._L1_BLOCK + 123
+        d = 2 * block + 123
         m = GaussianModel(mu=split_stream(84, 0).normal(0.3, 1.0, d),
                           sigma=1.7, epsilon=0.05)
         fd = trial_draws(m, arms, split_stream(84, 1))
@@ -416,13 +433,17 @@ class TestFactoredScores:
                         fd.gram)
                 for (a, b, c), (_, n_tilde, _) in zip(fd.coef.tolist(), arms)]
         assert fd.stats(m.mu) == want
+        fd3 = trial_draws(m, arms, split_stream(84, 1),
+                          estimators.TrialWork(d, arms, threads=3))
+        assert fd3.gram == fd.gram
+        assert fd3.stats(m.mu) == want
 
 
-def _reference_pool(m, sigma, n_rel, n_irr, stream, labels):
+def _reference_pool(m, sigma, n_rel, n_irr, normals, labels):
     # per point, with explicit labels: signal point i has noise projection
     # u = y w, pseudo-label sign(y m + u); a noise point has u = v
-    w = sigma * stream.standard_normal(n_rel)
-    v = sigma * stream.standard_normal(n_irr)
+    w = sigma * normals[:n_rel]
+    v = sigma * normals[n_rel:n_rel + n_irr]
     y = 2 * labels.integers(0, 2, size=n_rel) - 1
     u = y * w
     tilde = np.where(y * m + u >= 0.0, 1, -1)
@@ -436,36 +457,59 @@ class TestLabelFreePool:
     @pytest.mark.parametrize("n_rel,n_irr", [(1000, 537), (300, 0), (0, 250)])
     def test_matches_per_point_reference(self, monkeypatch, chunk, n_rel,
                                          n_irr):
-        monkeypatch.setattr(estimators, "_POOL_CHUNK", chunk)
+        # two pools in blocks of chunk points, pool after pool from index
+        # first, then one binomial index per pool; on 1 and 3 threads
+        monkeypatch.setattr(estimators, "_BLOCK", chunk)
+        pools = [(0.8, n_rel, n_irr), (-1.3, n_irr, n_rel)]
+        first, n_tilde = 5, n_rel + n_irr
+        blocks = -(-n_tilde // chunk)
         for t, m in enumerate((0.0, 0.8, -1.3)):
-            stream, ref_stream = split_stream(91, t), split_stream(91, t)
-            agree, along = estimators._pool_sums(m, 1.9, n_rel, n_irr, stream)
-            want_a, want_u = _reference_pool(m, 1.9, n_rel, n_irr, ref_stream,
-                                             np.random.default_rng(t))
-            assert agree == want_a
-            assert along == pytest.approx(want_u, rel=1e-12, abs=0.0)
-            assert stream.bit_generator.state == ref_stream.bit_generator.state
+            pools[0] = (m, n_rel, n_irr)
+            seed = _trial_seed(split_stream(91, t))
+            got = []
+            for threads in (1, 3):
+                work = estimators.TrialWork(1, [(1, 1, 1.0)] * 2, threads)
+                got.append(estimators._pool_sums(pools, 1.9, seed, first,
+                                                 work))
+            assert got[0] == got[1]
+            for j, (mj, rel, irr) in enumerate(pools):
+                normals = _block_normals(seed, first + j * blocks, n_tilde)
+                want_a, want_u = _reference_pool(mj, 1.9, rel, irr, normals,
+                                                 np.random.default_rng(t))
+                binomial = split_stream(seed, first + 2 * blocks + j).binomial(
+                    irr, 0.5)
+                agree, along, noise_agree = got[0][j]
+                assert agree == want_a
+                assert along == pytest.approx(want_u, rel=1e-12, abs=0.0)
+                assert noise_agree == 2 * int(binomial) - irr
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
     @pytest.mark.parametrize("alpha", [1.0, 0.25, 0.0])
     def test_draw_matches_decomposition(self, monkeypatch, chunk, alpha):
         # reference: theta_hat materialized, the pool per point with labels,
-        # B from the binomial, final = (A/n) mu + (U/n) pi + c (z - pi^T z pi)
-        monkeypatch.setattr(estimators, "_POOL_CHUNK", chunk)
+        # B from the binomial, final = (A/n) mu + (U/n) pi + c (z - pi^T z pi),
+        # every normal read from the block layout
+        monkeypatch.setattr(estimators, "_BLOCK", chunk)
         m = _random_mu_model()
         n, n_tilde = 3, 777
         n_rel = math.floor(alpha * n_tilde + 0.5)
         n_irr = n_tilde - n_rel
+        blocks = -(-m.d // chunk)
         for t in range(3):
             stream, ref = split_stream(92, t), split_stream(92, t)
             draw = trial_draws(m, [(n, n_tilde, alpha)], stream)
-            theta_hat = m.mu + (m.sigma / math.sqrt(n)) * ref.standard_normal(m.d)
+            seed = _trial_seed(ref)
+            theta_hat = (m.mu + (m.sigma / math.sqrt(n))
+                         * _block_normals(seed, 0, m.d))
             pi = theta_hat / math.sqrt(float(np.sum(theta_hat * theta_hat)))
-            a_sum, u_sum = _reference_pool(float(np.sum(m.mu * pi)), m.sigma,
-                                           n_rel, n_irr, ref,
-                                           np.random.default_rng(t))
-            b_sum = 2 * int(ref.binomial(n_irr, 0.5)) - n_irr
-            z = ref.standard_normal(m.d)
+            a_sum, u_sum = _reference_pool(
+                float(np.sum(m.mu * pi)), m.sigma, n_rel, n_irr,
+                _block_normals(seed, 2 * blocks, n_tilde),
+                np.random.default_rng(t))
+            binomial = split_stream(
+                seed, 2 * blocks + -(-n_tilde // chunk)).binomial(n_irr, 0.5)
+            b_sum = 2 * int(binomial) - n_irr
+            z = _block_normals(seed, blocks, m.d)
             c = m.sigma / math.sqrt(n_tilde)
             want = ((a_sum / n_tilde) * m.mu + (u_sum / n_tilde) * pi
                     + c * (z - float(np.sum(pi * z)) * pi))

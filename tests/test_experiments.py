@@ -377,19 +377,19 @@ def test_rst_demo_memory_at_defaults():
 def test_arms_share_one_trial_pool(monkeypatch):
     from rstsim import experiments
     calls = []
-    real = experiments._run_indexed
+    real = experiments.trial_draws
 
-    def counted(fn, count, master_seed, base_index, workers):
-        calls.append((count, base_index))
-        return real(fn, count, master_seed, base_index, workers)
+    def counted(model, arms, stream, work=None):
+        calls.append(len(arms))
+        return real(model, arms, stream, work)
 
-    monkeypatch.setattr(experiments, "_run_indexed", counted)
+    monkeypatch.setattr(experiments, "trial_draws", counted)
     spec = ExperimentSpec(kind="irrelevant_sweep", n0=5, d=24, epsilon=0.2,
                           trial_count=3, n_unlabeled=30,
                           alpha_grid=(1.0, 0.5, 0.0), workers=2)
     rows, summaries = run_irrelevant_sweep(spec)
-    # one task per trial index runs all three fixed arms and two scaled ones
-    assert calls == [(3, 0)]
+    # one draw per trial index runs all three fixed arms and two scaled ones
+    assert calls == [5, 5, 5]
     assert [r.seed for r in rows] == [0, 1, 2] * 5
     assert [r.trial for r in rows] == [0, 1, 2] * 5
     assert [s.trials for s in summaries] == [3] * len(summaries)
@@ -453,18 +453,22 @@ def test_shared_draws_keep_each_arm_law():
                               alone[:, k], ecdf_gap=0.124)
 
 
-def test_one_gap_trial_holds_two_vectors_beyond_mu():
-    # the trial's z1 and z, plus small buffers; mu is the driver's own
-    d = 755_000
+def test_gap_run_holds_two_vectors_at_any_worker_count():
+    # z1 and z for the whole run, one scratch buffer per thread, small
+    # arrays; mu is a broadcast view
+    from rstsim import estimators
+    d, threads = 755_000, 4
     spec = ExperimentSpec(kind="gap", n0=4, d=d, epsilon=0.5,
-                          allow_large_epsilon=True, trial_count=1)
+                          allow_large_epsilon=True, trial_count=8,
+                          workers=threads)
+    scratch = 8 * max(estimators._BLOCK, 2 * 3 * estimators._L1_BLOCK)
     tracemalloc.start()
     try:
         run_gap(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * d + 2 * 2**20
+    assert peak <= 2 * 8 * d + threads * scratch + 2**20
 
 
 @pytest.mark.parametrize("kind", ["adversarial_exact", "adversarial_pg",
@@ -759,20 +763,31 @@ def test_every_bound_matches_a_summary_row(kind):
                    for s in summaries), (experiment, metric, grid_value)
 
 
-@pytest.mark.parametrize("spec", _tiny_specs(), ids=lambda s: s.kind)
+def _block_specs():
+    # d = 2 blocks + 123, a pool over 3 blocks, one trial (fewer than the
+    # threads)
+    from rstsim.estimators import _BLOCK
+    common = dict(n0=4, d=2 * _BLOCK + 123, epsilon=0.5,
+                  allow_large_epsilon=True, trial_count=1,
+                  n_unlabeled=2 * _BLOCK + 7, master_seed=8)
+    return [pytest.param(ExperimentSpec(kind="gap", **common),
+                         id="gap-blocks"),
+            pytest.param(ExperimentSpec(kind="irrelevant_sweep",
+                                        alpha_grid=(1.0, 0.5, 0.0), **common),
+                         id="irrelevant_sweep-blocks")]
+
+
+@pytest.mark.parametrize("spec", [pytest.param(s, id=s.kind)
+                                  for s in _tiny_specs()] + _block_specs())
 def test_output_invariant_to_worker_count(spec):
-    from dataclasses import replace
+    from rstsim.experiments import RUNNERS
 
     def lines(workers):
-        s = replace(spec, workers=workers)
-        rows, summaries = out = run_for(s)
+        rows, summaries = RUNNERS[spec.kind](replace(spec, workers=workers))
         return trial_csv_lines(rows), summary_csv_lines(summaries)
 
-    def run_for(s):
-        from rstsim.experiments import RUNNERS
-        return RUNNERS[s.kind](s)
-
-    assert lines(1) == lines(2)
+    one = lines(1)
+    assert all(lines(workers) == one for workers in (2, 3, 8))
 
 
 @pytest.mark.parametrize("spec", _tiny_specs()[:2], ids=lambda s: s.kind)

@@ -67,6 +67,19 @@ class TestCanonicalModel:
         snr = float(np.sum(m.mu * m.mu)) / m.sigma**2
         assert snr == pytest.approx(math.sqrt(144 / 9), rel=1e-12)
 
+    def test_holds_no_d_vector(self):
+        # mu is a read-only broadcast view of 1.0, so a model at d = 10^7
+        # allocates nothing near 80 MB; mu^T mu is still d
+        tracemalloc.start()
+        try:
+            m = canonical_model(4, 10**7, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert m.d == 10**7 and not m.mu.flags.writeable
+        assert m.mu_sq == 1e7
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             canonical_model(0, 16, 0.25)
@@ -90,6 +103,19 @@ class TestModelValidation:
             GaussianModel(mu=np.ones((2, 2)), sigma=1.0, epsilon=0.1)
         with pytest.raises(ValueError):
             GaussianModel(mu=np.array([1.0, float("inf")]), sigma=1.0, epsilon=0.1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), float("inf")])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_rejects_any_non_finite_entry(self, bad, where):
+        mu = np.linspace(-2.0, 2.0, 7)
+        mu[where] = bad
+        with pytest.raises(ValueError):
+            GaussianModel(mu=mu, sigma=1.0, epsilon=0.1)
+        with pytest.raises(ValueError):
+            LinearClassifier(theta=mu)
+        with pytest.raises(ValueError):  # a 0-stride view, like canonical mu
+            GaussianModel(mu=np.broadcast_to(bad, (7,)), sigma=1.0,
+                          epsilon=0.1)
 
     def test_labeled_set_validation(self):
         with pytest.raises(ValueError):
