@@ -143,7 +143,7 @@ class FactoredDraw:
         gram, ||theta||_1 in one pass for all arms. Each block of _BLOCK
         coordinates is a task on the work's threads, summed in sub-blocks of
         _L1_BLOCK in a (2, K, _L1_BLOCK) view of the thread's scratch; the
-        block sums are added exactly (math.fsum)."""
+        block sums are added correctly rounded (math.fsum)."""
         mm, m1, mz, s11, s1z, szz = self.gram
         d, z1, z, arms = mu.size, self.z1, self.z, len(self.coef)
         a, b, c = self.coef.T[:, :, None]  # (K, 1) columns
@@ -278,8 +278,8 @@ def _pool_sums(pools, sigma: float, seed: int, first: int,
     of u, agree B = 2 Binomial(n_irr, 1/2) - n_irr times. A pool's points,
     signal points first, are drawn in blocks of _BLOCK, pool after pool,
     block i from split_stream(seed, first + i) into the thread's scratch;
-    the block sums are added in block order, U's exactly (math.fsum).
-    With J blocks in all, pool j's binomial comes from
+    the block sums are added in block order, U's correctly rounded
+    (math.fsum). With J blocks in all, pool j's binomial comes from
     split_stream(seed, first + J + j).
     """
     jobs = [(j, start) for j, (_, n_rel, n_irr) in enumerate(pools)
@@ -330,8 +330,9 @@ def trial_draws(model: GaussianModel, arms, stream: RngStream,
     split_stream(seed, k) and block k of z from split_stream(seed, D + k),
     then each self-training arm's pool blocks in arm order, then one index
     per self-training arm for its binomial. The layout depends on d
-    and the pool sizes alone, and every inner product is an exact sum of
-    per-block einsums, so the draw does not depend on the thread count.
+    and the pool sizes alone, and every inner product is the correctly
+    rounded sum (math.fsum) of per-block einsums, so the draw does not
+    depend on the thread count.
     Phases: z1 and z with their inner products, every pool, then (in
     stats) ||theta||_1, each spread over the work's threads.
     """
