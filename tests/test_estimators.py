@@ -460,11 +460,10 @@ class TestLabelFreePool:
         # two pools in blocks of chunk points, pool after pool from index
         # first, then one binomial index per pool; on 1 and 3 threads
         monkeypatch.setattr(estimators, "_BLOCK", chunk)
-        pools = [(0.8, n_rel, n_irr), (-1.3, n_irr, n_rel)]
         first, n_tilde = 5, n_rel + n_irr
         blocks = -(-n_tilde // chunk)
         for t, m in enumerate((0.0, 0.8, -1.3)):
-            pools[0] = (m, n_rel, n_irr)
+            pools = [(m, n_rel, n_irr), (-1.3, n_irr, n_rel)]
             seed = _trial_seed(split_stream(91, t))
             got = []
             for threads in (1, 3):
