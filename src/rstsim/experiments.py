@@ -33,6 +33,7 @@ from .gaussian import (
     error_rates,
     mc_error_estimate,
     rates_from_stats,
+    run_blocks,
     sample_labeled,
     thread_budget,
 )
@@ -178,13 +179,10 @@ def _mean_ci(values: list[float]) -> tuple[float, float | None]:
 
 def _run_indexed(fn, count: int, master_seed: int, base_index: int,
                  workers: int) -> list:
-    """Run fn(global_index, stream) for count trials, results in index order."""
-    indices = range(base_index, base_index + count)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(
-                lambda i: fn(i, split_stream(master_seed, i)), indices))
-    return [fn(i, split_stream(master_seed, i)) for i in indices]
+    """Run fn(global_index, stream) for count trials, results in index
+    order; trial k runs on thread k mod workers (gaussian.run_blocks)."""
+    return run_blocks(lambda k, _: fn(base_index + k, split_stream(
+        master_seed, base_index + k)), count, workers)
 
 
 def selftrain_pool_threshold(n0: int, d: int, epsilon: float) -> int:

@@ -14,11 +14,9 @@ rows with one stream, or G problems of one shape stacked on a leading axis,
 numpy call overhead of a step is paid once per group. Each problem draws
 from its own stream in the one-problem order, and every array operation is
 per element or reduces along the last axis, so each problem's parameters
-and loss trace equal its one-problem run bit for bit. When an update draws
-nothing (stage one, the exact regularizer, beta = 0), each problem draws
-all its batch indices before the first step; numpy's bounded-integer draws
-consume a stream alike in one call or in many, so the indices and the
-stream's final state do not change.
+and loss trace equal its one-problem run bit for bit. Every training draws
+all its batch indices before the first step; the pg and stability
+regularizers then draw at each step.
 
 standard_loss, kl_bernoulli, adversarial_reg_exact, adversarial_reg_pg and
 stability_reg score one example at a time, as references: acceptance
@@ -460,43 +458,36 @@ def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 
 def _lockstep_sgd(update: Callable, xs, ys, weights, stream,
                   n_rows: int | None, n_labeled: int | None, batch_size: int,
-                  equal_parts: bool, grad_steps: int, update_draws: bool
+                  equal_parts: bool, grad_steps: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """SGD from zero on one problem or G stacked problems, stepped together.
 
     xs is an (N, d) row buffer with ys and weights (N,) and one stream, or
-    (G, N, d) with (G, N) and a sequence of G streams; weights may be None.
-    Each problem trains on its first n_rows rows (None: all N), the first
-    n_labeled of them labeled (None: all n_rows). Each step gathers the
-    batch rows of all problems with one np.take on the flattened buffer and
-    sets (values, theta) = update(theta, bx, by, bw, streams) on the (G, b,
-    d) batch; values (or None) fill the trace. batch_size = 0 is the full
-    batch. Returns theta, (d,) or (G, d), and the trace, (grad_steps,) or
-    (G, grad_steps). Per-step draw order: each problem in problem order
-    draws its batch indices from its own stream (labeled block first under
-    equal parts); then update's draws. An update that draws nothing
-    (update_draws False) interleaves no draws, so each problem draws all
-    its batches before the first step instead, with one integers call of
-    shape (grad_steps, b) (per step and part under equal parts), and the
-    labels and weights are gathered once. The indices are the same either
-    way: numpy keeps the unused half of a 64-bit output in the bit
-    generator's state, so one bounded-integer call of shape (steps, b)
-    consumes a stream as steps calls of b do.
+    (G, N, d) with (G, N) and a sequence of G streams; weights None means
+    ones. Each problem trains on its first n_rows rows (None: all N), the
+    first n_labeled of them labeled (None: all n_rows). Each step gathers
+    the batch rows of all problems with one np.take on the flattened buffer
+    and sets (values, theta) = update(theta, bx, by, bw, streams) on the
+    (G, b, d) batch; values (or None) fill the trace. batch_size = 0 is the
+    full batch. Returns theta, (d,) or (G, d), and the trace, (grad_steps,)
+    or (G, grad_steps). Draw order: before the first step, each problem in
+    problem order draws all its batch indices from its own stream, with one
+    integers call of shape (grad_steps, b), or under equal parts a labeled
+    call and then a pseudo-labeled call per step; then update makes its own
+    draws, if any, step by step.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
+    weights = (np.ones(ys.shape) if weights is None
+               else np.asarray(weights, dtype=np.float64))
     if xs.ndim not in (2, 3):
         raise ValueError("xs must be (N, d) or (G, N, d)")
-    if ys.shape != xs.shape[:-1] or (weights is not None
-                                     and weights.shape != ys.shape):
+    if ys.shape != xs.shape[:-1] or weights.shape != ys.shape:
         raise ValueError("xs, ys, weights lengths differ")
     stacked = xs.ndim == 3
     streams = list(stream) if stacked else [stream]
     if not stacked:
-        xs, ys = xs[None], ys[None]
-        weights = None if weights is None else weights[None]
+        xs, ys, weights = xs[None], ys[None], weights[None]
     if len(streams) != len(xs):
         raise ValueError("need one stream per problem")
     count, stride, d = xs.shape
@@ -512,47 +503,32 @@ def _lockstep_sgd(update: Callable, xs, ys, weights, stream,
             raise ValueError("equal_parts_batches needs batch_size >= 2")
         if n_rows == n_labeled:
             raise ValueError("equal_parts_batches needs unlabeled rows")
-    flat_xs = xs.reshape(-1, d)
-    flat_ys = ys.reshape(-1)
-    flat_w = None if weights is None else weights.reshape(-1)
-    offsets = np.arange(count)[:, None] * stride
     half = batch_size // 2
 
     def indices(stream):
-        if not equal_parts:
-            return stream.integers(0, n_rows, size=batch_size)
-        lab = stream.integers(0, n_labeled, size=batch_size - half)
-        unl = n_labeled + stream.integers(0, n_rows - n_labeled, size=half)
-        return np.concatenate([lab, unl])
-
-    def all_indices(stream):
-        # what grad_steps calls of indices(stream) draw, as (grad_steps, b)
+        # (grad_steps, b): every batch of one problem
         if not equal_parts:
             return stream.integers(0, n_rows, size=(grad_steps, batch_size))
-        return np.stack([indices(stream) for _ in range(grad_steps)])
+        return np.stack([np.concatenate([
+            stream.integers(0, n_labeled, size=batch_size - half),
+            n_labeled + stream.integers(0, n_rows - n_labeled, size=half)])
+            for _ in range(grad_steps)])
 
-    hoisted = batch_size > 0 and not update_draws
-    if hoisted:
+    if batch_size == 0:
+        full = xs[:, :n_rows], ys[:, :n_rows], weights[:, :n_rows]
+    else:
         # (grad_steps, G, b): each step's block is contiguous
-        all_idx = np.stack([all_indices(s) for s in streams], axis=1)
-        all_idx += offsets
-        all_ys = np.take(flat_ys, all_idx)
-        all_w = None if flat_w is None else np.take(flat_w, all_idx)
+        all_idx = np.stack([indices(s) for s in streams], axis=1)
+        all_idx += np.arange(count)[:, None] * stride
+        flat_xs = xs.reshape(-1, d)
+        all_ys = np.take(ys.reshape(-1), all_idx)
+        all_w = np.take(weights.reshape(-1), all_idx)
     theta = np.zeros((count, d))
     trace = np.empty((count, grad_steps))
     for step in range(grad_steps):
-        if batch_size == 0:
-            bx, by = xs[:, :n_rows], ys[:, :n_rows]
-            bw = None if weights is None else weights[:, :n_rows]
-        elif hoisted:
-            bx = np.take(flat_xs, all_idx[step], axis=0)
-            by = all_ys[step]
-            bw = None if all_w is None else all_w[step]
-        else:
-            idx = np.stack([indices(s) for s in streams])
-            idx += offsets
-            bx, by = np.take(flat_xs, idx, axis=0), np.take(flat_ys, idx)
-            bw = None if flat_w is None else np.take(flat_w, idx)
+        bx, by, bw = full if batch_size == 0 else (
+            np.take(flat_xs, all_idx[step], axis=0), all_ys[step],
+            all_w[step])
         values, theta = update(theta, bx, by, bw, streams)
         if values is not None:
             trace[:, step] = values
@@ -587,7 +563,7 @@ def standard_train(xs, ys, learning_rate: float, grad_steps: int,
             "...i,...ij->...j", c, bx) / bx.shape[-2]
 
     theta, _ = _lockstep_sgd(update, xs, ys, None, stream, n_rows, None,
-                             batch_size, False, grad_steps, False)
+                             batch_size, False, grad_steps)
     return theta
 
 
@@ -607,8 +583,9 @@ def rst_train(xs, ys, weights, n_labeled: int, config: RstConfig,
     config.w_unlabeled. Batches are sampled with replacement from the
     n_rows rows; equal_parts_batches instead draws half of each batch from
     each part. The trace records the batch objective at the pre-update
-    parameters. Per-step draw order: batch indices (labeled block first
-    under equal parts), then any regularizer draws.
+    parameters. Draw order: all batch indices before the first step
+    (labeled part first under equal parts), then robust_objective's draws
+    step by step.
     """
     work: dict = {}
 
@@ -617,11 +594,9 @@ def rst_train(xs, ys, weights, n_labeled: int, config: RstConfig,
                                          work)
         return values, theta - config.learning_rate * grads
 
-    # robust_objective draws for pg and stability, unless beta is 0
-    draws = config.beta != 0.0 and config.reg_kind != "adversarial_exact"
     return _lockstep_sgd(update, xs, ys, weights, stream, n_rows, n_labeled,
                          config.batch_size, config.equal_parts_batches,
-                         config.grad_steps, draws)
+                         config.grad_steps)
 
 
 def smoothed_predict_exact(model: LogisticModel, x,

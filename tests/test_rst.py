@@ -626,17 +626,19 @@ class TestLockstep:
 
 def _per_step_training(xs, ys, weights, n_labeled, n_rows, config, stream,
                        stage_one=False):
-    """One problem trained step by step, its batch indices drawn at each
-    step: rst_train's loop written out, or stage one's with stage_one."""
+    """One problem trained step by step on batch indices all drawn before
+    the first step: rst_train's loop written out, or stage one's with
+    stage_one."""
     theta, trace = np.zeros(xs.shape[1]), []
     b, half = config.batch_size, config.batch_size // 2
-    for _ in range(config.grad_steps):
-        if config.equal_parts_batches:
-            idx = np.concatenate([
-                stream.integers(0, n_labeled, size=b - half),
-                n_labeled + stream.integers(0, n_rows - n_labeled, size=half)])
-        else:
-            idx = stream.integers(0, n_rows, size=b)
+    if config.equal_parts_batches:
+        batches = [np.concatenate([
+            stream.integers(0, n_labeled, size=b - half),
+            n_labeled + stream.integers(0, n_rows - n_labeled, size=half)])
+            for _ in range(config.grad_steps)]
+    else:
+        batches = stream.integers(0, n_rows, size=(config.grad_steps, b))
+    for idx in batches:
         bx, by = xs[idx], ys[idx]
         if stage_one:
             c = -by * _sigmoid(-by * np.einsum("ij,j->i", bx, theta))
@@ -651,9 +653,10 @@ def _per_step_training(xs, ys, weights, n_labeled, n_rows, config, stream,
 
 
 class TestHoistedBatches:
-    """A draw-free update's batches, drawn before the first step, equal the
-    per-step draws: same parameters, traces and final stream states. An
-    update that draws (pg at beta > 0) keeps drawing after each batch."""
+    """Every training draws its batches before the first step, and the pg
+    and stability updates at beta > 0 then draw at each step: the trainers
+    equal that loop written out, with the same parameters, traces and
+    final stream states."""
 
     @pytest.mark.parametrize("beta,kind,equal_parts", [
         (2.0, "adversarial_exact", False),
@@ -661,6 +664,8 @@ class TestHoistedBatches:
         (0.0, "adversarial_pg", False),
         (0.0, "stability", True),
         (2.0, "adversarial_pg", False),
+        (2.0, "stability", False),
+        (2.0, "adversarial_pg", True),
     ])
     @pytest.mark.parametrize("batch_size", [4, 5])
     def test_rst_equals_the_per_step_loop(self, beta, kind, equal_parts,

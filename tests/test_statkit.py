@@ -243,9 +243,10 @@ class TestBinomialUpperTailArrays:
 
 class TestBoundedIntegerDraws:
     def test_one_call_equals_a_call_per_row(self):
-        # rst's trainers draw every batch of a draw-free update at once; a
-        # range near 2^31 rejects about half its 32-bit candidates, and an
-        # odd batch leaves half a 64-bit output over at each row's end
+        # a property of numpy's bounded-integer draws, which no trainer
+        # relies on: a range near 2^31 rejects about half its 32-bit
+        # candidates, and an odd batch leaves half a 64-bit output over at
+        # each row's end
         steps, b, high = 7, 5, 2**31 + 1
         for seed in range(20):
             whole, rows = split_stream(62, seed), split_stream(62, seed)
