@@ -11,7 +11,7 @@ trial, every arm an (a, b, c) row on one z1 and z. Scoring takes six inner
 products per trial and one ||theta||_1 pass for all its arms, and a pool
 enters only as sums over blocks. A trial is drawn in fixed blocks, each
 from its own substream, that a run's threads share (TrialWork), so a run
-holds z1, z and one block-sized scratch per thread.
+holds z1 and one scratch per thread, into which z's blocks are drawn twice.
 """
 
 from __future__ import annotations
@@ -95,15 +95,14 @@ _L1_BLOCK = 1 << 14
 
 
 class TrialWork:
-    """What one run's trials reuse: z1, z (when some arm self-trains), one
-    scratch buffer per thread, and the pool whose workers run beside the
-    caller (see gaussian.run_blocks). A FactoredDraw made on it holds its
-    z1 and z until the next trial_draws on it."""
+    """What one run's trials reuse: z1, one scratch buffer per thread for
+    a block of z or of pool points or for FactoredDraw.stats, and the pool
+    whose workers run beside the caller (see gaussian.run_blocks). A
+    FactoredDraw made on it holds its z1 until the next trial_draws."""
 
     def __init__(self, d: int, arms, threads: int = 1, pool=None):
         self.threads, self.pool = threads, pool
         self.z1 = np.empty(d)
-        self.z = np.empty(d) if any(arm[1] for arm in arms) else None
         size = max(_BLOCK, 2 * len(arms) * _L1_BLOCK)
         self.scratch = [np.empty(size) for _ in range(threads)]
 
@@ -116,56 +115,69 @@ class FactoredDraw:
     """Every arm's estimator of one trial, theta_k = a_k mu + b_k z1 + c_k z.
 
     coef holds one (a, b, c) row per arm and agreements one agreement per
-    arm (None for a supervised arm, whose c is 0). z1 and z are the trial's
-    standard normal d-vectors (z is None when no arm self-trains); gram =
-    (mu.mu, mu.z1, mu.z, z1.z1, z1.z, z.z). Neither method writes to them.
+    arm (None for a supervised arm, whose c is 0). z1 is the trial's normal
+    d-vector; z is redrawn from seed, the trial seed (None when no arm
+    self-trains). gram = (mu.mu, mu.z1, mu.z, z1.z1, z1.z, z.z).
     """
 
     coef: np.ndarray
     agreements: tuple[float | None, ...]
     z1: np.ndarray
-    z: np.ndarray | None
+    seed: int | None
     gram: tuple[float, float, float, float, float, float]
     work: TrialWork = field(repr=False)
+
+    @property
+    def z(self) -> np.ndarray | None:
+        """z as a new d-vector, drawn again from its blocks' substreams."""
+        if self.seed is None:
+            return None
+        d, n_blocks = self.z1.size, -(-self.z1.size // _BLOCK)
+        return np.concatenate([split_stream(self.seed, n_blocks + k)
+                               .standard_normal(min(_BLOCK, d - k * _BLOCK))
+                               for k in range(n_blocks)])
 
     def theta(self, mu: np.ndarray, arm: int = 0) -> np.ndarray:
         """One arm's theta as a new d-vector."""
         a, b, c = self.coef[arm].tolist()
-        theta = np.multiply(self.z1, b)
-        spare = np.empty_like(theta)
-        if self.z is not None:
-            theta += np.multiply(self.z, c, out=spare)
-        theta += np.multiply(mu, a, out=spare)
+        theta = b * self.z1
+        if self.seed is not None:
+            theta += c * self.z
+        theta += a * mu
         return theta
 
     def stats(self, mu: np.ndarray) -> list[tuple[float, float, float]]:
         """(mu^T theta, ||theta||_2, ||theta||_1) per arm: the first two from
         gram, ||theta||_1 in one pass for all arms. Each block of _BLOCK
         coordinates is a task on the work's threads, summed in sub-blocks of
-        _L1_BLOCK in a (2, K, _L1_BLOCK) view of the thread's scratch; the
-        block sums are added correctly rounded (math.fsum)."""
+        _L1_BLOCK in a (2, K, _L1_BLOCK) view of the thread's scratch, z's
+        sub-block redrawn into its spare half; the block sums are added
+        correctly rounded (math.fsum)."""
         mm, m1, mz, s11, s1z, szz = self.gram
-        d, z1, z, arms = mu.size, self.z1, self.z, len(self.coef)
+        d, z1, seed, arms = mu.size, self.z1, self.seed, len(self.coef)
         a, b, c = self.coef.T[:, :, None]  # (K, 1) columns
-        sub = _L1_BLOCK
+        sub, n_blocks = _L1_BLOCK, -(-d // _BLOCK)
 
         def l1_block(k: int, w: int) -> np.ndarray:
             scratch = self.work.scratch[w][:2 * arms * sub]
             theta, spare = scratch.reshape(2, arms, sub)
+            gen = None if seed is None else split_stream(seed, n_blocks + k)
             total = np.zeros(arms)
             end = min((k + 1) * _BLOCK, d)
             for start in range(k * _BLOCK, end, sub):
                 stop = min(start + sub, end)
                 if stop - start < sub:
                     theta, spare = theta[:, :stop - start], spare[:, :stop - start]
-                np.multiply(z1[start:stop], b, out=theta)
-                if z is not None:
-                    theta += np.multiply(z[start:stop], c, out=spare)
+                if gen is None:
+                    np.multiply(z1[start:stop], b, out=theta)
+                else:  # c z + b z1 is b z1 + c z bit for bit: + commutes
+                    np.multiply(gen.standard_normal(out=spare[0]), c, out=theta)
+                    theta += np.multiply(z1[start:stop], b, out=spare)
                 theta += np.multiply(mu[start:stop], a, out=spare)
                 total += np.abs(theta, out=theta).sum(axis=1)
             return total
 
-        blocks = self.work.run(l1_block, -(-d // _BLOCK))
+        blocks = self.work.run(l1_block, n_blocks)
         out = []
         for (a, b, c), n1 in zip(self.coef.tolist(), zip(*blocks)):
             sq = (a * a * mm + b * b * s11 + c * c * szz
@@ -313,7 +325,7 @@ def trial_draws(model: GaussianModel, arms, stream: RngStream,
     """The draws of one trial's arms, (n_labeled, n_unlabeled,
     relevant_fraction) each, all on one z1 and one z: the self-trained
     estimator on n_unlabeled points when that is > 0, else the supervised
-    one. work holds z1, z and the threads (default: fresh, one thread).
+    one. work holds z1, scratch and the threads (default: fresh, one thread).
 
     The supervised average of n samples is exactly mu + s z1, s =
     sigma / sqrt(n), for any n. Self-training takes O(d + n_unlabeled)
@@ -333,8 +345,9 @@ def trial_draws(model: GaussianModel, arms, stream: RngStream,
     and the pool sizes alone, and every inner product is the correctly
     rounded sum (math.fsum) of per-block einsums, so the draw does not
     depend on the thread count.
-    Phases: z1 and z with their inner products, every pool, then (in
-    stats) ||theta||_1, each spread over the work's threads.
+    Phases: z1 and z with their inner products (z in the thread's scratch,
+    redrawn in stats), every pool, then (in stats) ||theta||_1, each
+    spread over the work's threads.
     """
     work = work if work is not None else TrialWork(model.d, arms)
     arms = [(int(n), n_unlabeled and _pool_split(n_unlabeled, fraction))
@@ -343,17 +356,17 @@ def trial_draws(model: GaussianModel, arms, stream: RngStream,
         if n < 1:
             raise ValueError(f"n_labeled must be >= 1, got {n}")
     mu, sigma, d = model.mu, model.sigma, model.d
-    z1 = work.z1
-    z = work.z if any(split for _, split in arms) else None
+    z1, self_trains = work.z1, any(split for _, split in arms)
     seed = int(stream.integers(0, 2**63))
     n_blocks = -(-d // _BLOCK)
 
     def normals(k: int, w: int) -> tuple[float, ...]:
         part = slice(k * _BLOCK, (k + 1) * _BLOCK)
         m, u = mu[part], split_stream(seed, k).standard_normal(out=z1[part])
-        if z is None:
+        if not self_trains:
             return _dot(m, u), _dot(u, u)
-        v = split_stream(seed, n_blocks + k).standard_normal(out=z[part])
+        v = split_stream(seed, n_blocks + k).standard_normal(
+            out=work.scratch[w][:u.size])
         return _dot(m, u), _dot(u, u), _dot(m, v), _dot(u, v), _dot(v, v)
 
     sums = [math.fsum(col) for col in zip(*work.run(normals, n_blocks))]
@@ -378,7 +391,8 @@ def trial_draws(model: GaussianModel, arms, stream: RngStream,
         k = (along / n - c * (mz + s * s1z) / norm) / norm
         rows.append(((agree / n + k, k * s, c), (agree + noise_agree) / n))
     coef, agreements = zip(*rows)
-    return FactoredDraw(np.array(coef), agreements, z1, z,
+    return FactoredDraw(np.array(coef), agreements, z1,
+                        seed if self_trains else None,
                         (mm, m1, mz, s11, s1z, szz), work)
 
 

@@ -515,7 +515,7 @@ def _streams(count, seed=150):
 
 
 def _states(streams):
-    return [s.bit_generator.state for s in streams]
+    return [repr(s.bit_generator.state) for s in streams]
 
 
 class TestLockstep:

@@ -254,7 +254,23 @@ class TestBoundedIntegerDraws:
             want = np.stack([rows.integers(0, high, size=b)
                              for _ in range(steps)])
             assert np.array_equal(got, want)
-            assert whole.bit_generator.state == rows.bit_generator.state
+            assert (repr(whole.bit_generator.state)
+                    == repr(rows.bit_generator.state))
+
+
+class TestChunkedNormals:
+    def test_one_call_equals_sub_block_calls(self):
+        # the ||theta||_1 pass draws each block of z again one sub-block at
+        # a time, and must get the values the whole-block draw got
+        for seed in range(20):
+            whole, parts = split_stream(63, seed), split_stream(63, seed)
+            got = whole.standard_normal(1000)
+            want = np.empty(1000)
+            for start, stop in ((0, 1), (1, 256), (256, 257), (257, 1000)):
+                parts.standard_normal(out=want[start:stop])
+            assert np.array_equal(got, want)
+            assert (repr(whole.bit_generator.state)
+                    == repr(parts.bit_generator.state))
 
 
 class TestSplitStream:
