@@ -204,13 +204,14 @@ def split_stream(master_seed: int, index: int) -> RngStream:
     The combined state is mix64(master_seed XOR index * GAMMA) with GAMMA
     an odd 64-bit golden-ratio constant and mix64 the splitmix64
     avalanche finalizer, so neighboring indices land in unrelated parts
-    of the seed space. The mixed value seeds a PCG64 generator, whose
-    output is bit-exact for a fixed numpy version regardless of how many
-    workers consume the streams or in which order.
+    of the seed space. The mixed value seeds an SFC64 generator (Small
+    Fast Chaotic, period at least 2^64), which draws normals about a third
+    faster than PCG64; its output is bit-exact for a fixed numpy version
+    regardless of how many workers consume the streams or in which order.
     """
     master_seed = int(master_seed)
     index = int(index)
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
     mixed = _mix64((master_seed & _MASK64) ^ ((index * _GAMMA64) & _MASK64))
-    return np.random.Generator(np.random.PCG64(mixed))
+    return np.random.Generator(np.random.SFC64(mixed))
