@@ -151,8 +151,8 @@ class FactoredDraw:
         gram, ||theta||_1 in one pass for all arms. Each block of _BLOCK
         coordinates is a task on the work's threads, summed in sub-blocks of
         _L1_BLOCK in a (2, K, _L1_BLOCK) view of the thread's scratch, z's
-        sub-block redrawn into its spare half; the block sums are added
-        correctly rounded (math.fsum)."""
+        sub-block redrawn into the spare half's first row; the block sums
+        are added correctly rounded (math.fsum)."""
         mm, m1, mz, s11, s1z, szz = self.gram
         d, z1, seed, arms = mu.size, self.z1, self.seed, len(self.coef)
         a, b, c = self.coef.T[:, :, None]  # (K, 1) columns

@@ -204,10 +204,9 @@ def split_stream(master_seed: int, index: int) -> RngStream:
     The combined state is mix64(master_seed XOR index * GAMMA) with GAMMA
     an odd 64-bit golden-ratio constant and mix64 the splitmix64
     avalanche finalizer, so neighboring indices land in unrelated parts
-    of the seed space. The mixed value seeds an SFC64 generator (Small
-    Fast Chaotic, period at least 2^64), which draws normals about a third
-    faster than PCG64; its output is bit-exact for a fixed numpy version
-    regardless of how many workers consume the streams or in which order.
+    of the seed space. The mixed value seeds SFC64 (its normals are
+    cheaper than PCG64's), whose output is bit-exact for a fixed numpy
+    version however many workers consume the streams, in any order.
     """
     master_seed = int(master_seed)
     index = int(index)
