@@ -6,7 +6,10 @@ per-example weights (weight 1 on labeled rows, a configurable weight on
 pseudo-labeled rows). Three regularizers are provided: the exact worst-case
 KL over an l-infinity ball (closed form for linear scores), a projected
 gradient ascent approximation of the same quantity, and a Gaussian noise
-stability penalty. Training is plain minibatch SGD from zero.
+stability penalty. The ascent runs two chains per example, from antithetic
+random starts; along a chain the score only moves away from the clean one,
+so each chain's last iterate is its best and is computed in closed form.
+Training is plain minibatch SGD from zero.
 
 The two trainers, standard_train and rst_train, take one problem, (N, d)
 rows with one stream, or G problems of one shape stacked on a leading axis,
@@ -210,26 +213,31 @@ def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
                     steps: int, step_size: float,
                     streams: Sequence[RngStream], work: dict | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Best-iterate PG ascent on the prediction KL, one row per example.
+    """PG ascent on the prediction KL, one row per example, in closed form.
 
     Draws a single uniform perturbation per example and runs one ascent
     chain from each of the two antithetic starts x + delta and x - delta;
     a lone chain only ever climbs toward the extreme point on its own side
-    of the clean score, so the pair is what finds the global one. Steps are
-    sign steps of the x'-gradient (q - p) theta followed by projection onto
-    the ball. theta is (d,) or (G, d) and xs (b, d) or (G, b, d), with one
-    stream per problem, drawn from in problem order. Returns (best KL
-    values, best iterates); with work (see _scratch) the iterates live in
-    work until the next call.
+    of the clean score, so the pair is what finds the global one. Each row
+    keeps the chain whose last iterate has the larger KL, the + chain on a
+    tie. A chain takes steps sign steps of the x'-gradient (q - p) theta,
+    each followed by projection onto the ball. theta is (d,) or (G, d) and
+    xs (b, d) or (G, b, d), with one stream per problem, drawn from in
+    problem order. Returns (KL values, iterates); with work (see _scratch)
+    the iterates live in work until the next call.
 
-    The chains run in sign-folded coordinates v = D x', D = s sgn(theta_j)
-    with s the row's step sign and a zero in either counted as +1. Every
-    coordinate then steps up, so a step and its projection are v +=
-    step_size and one minimum against the face vb = D x + epsilon;
-    coordinates with theta_j = 0 and rows with q = p do not move, so their
-    vb is v itself. Negation is exact and the terms are summed in the same
-    order, so s einsum(v, |theta|) equals einsum(x', theta) bit for bit,
-    and D v is the iterate. The start x -+ delta already lies in the ball.
+    A step moves the score away from the clean one and the logistic link
+    is monotone, so a row's step sign s = sign(q - p) never changes along
+    a chain and the KL grows with every step: the last iterate is the best
+    one. In sign-folded coordinates v = D x', D = s sgn(theta_j) with a
+    zero in either counted as +1, every moving coordinate climbs by
+    step_size until it meets its face D x + epsilon, so the last iterate
+    is min(v + steps step_size, face), one add and one minimum from the
+    start; coordinates with theta_j = 0 and rows with q = p do not move, so
+    their face is v itself. Negation is exact and the terms are summed in
+    the same order, so s einsum(v, |theta|) equals einsum(x', theta) bit
+    for bit, and D v is the iterate. The start x -+ delta already lies in
+    the ball.
     """
     # uniform(-eps, eps) is -eps + (eps - -eps) U with U from random(), so
     # the offsets are drawn in place
@@ -245,50 +253,29 @@ def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
     any_fixed = bool(fixed.any())
     xs_fold = np.multiply(xs, fold, out=_scratch(work, "xs_fold", xs.shape))
     delta *= fold
-    v = _scratch(work, "v", xs.shape)
     face = _scratch(work, "face", xs.shape)
-    best_val = np.full(xs.shape[:-1], -1.0)
-    # the best iterates stay folded, each row with its s, until the end
-    best_v = _scratch(work, "best", xs.shape)
-    best_sign = np.ones(xs.shape[:-1])
-    for start in (np.add, np.subtract):
-        row_sign = np.ones(xs.shape[:-1])
-        start(xs_fold, delta, out=v)
-        move_sign = None
-        for it in range(steps + 1):
-            score = row_sign * np.einsum("...ij,...j->...i", v, abs_theta)
-            q = _clamp_probs(_sigmoid(score))
-            val = _kl_vec(p, q)
-            better = val > best_val
-            best_val = np.where(better, val, best_val)
-            best_sign = np.where(better, row_sign, best_sign)
-            # a masked copy costs several plain ones, and early in a chain
-            # every row improves
-            if better.all():
-                np.copyto(best_v, v)
-            elif better.any():
-                np.copyto(best_v, v, where=better[..., None])
-            if it == steps:
-                break
-            # a row's score moves one way along a chain, so its step sign
-            # does not change; rows are refolded and the faces rebuilt only
-            # if rounding ever flips one
-            sign = np.sign(q - p)
-            if move_sign is None or not np.array_equal(sign, move_sign):
-                move_sign = sign
-                new_sign = np.where(sign < 0.0, -1.0, 1.0)
-                v *= (new_sign * row_sign)[..., None]
-                row_sign = new_sign
-                np.multiply(xs_fold, row_sign[..., None], out=face)
-                face += epsilon
-                still = sign == 0.0
-                if any_fixed or still.any():
-                    np.copyto(face, v, where=fixed | still[..., None])
-            v += step_size
-            np.minimum(v, face, out=v)
+    chains = []
+    for start, name in ((np.add, "best"), (np.subtract, "v")):
+        v = start(xs_fold, delta, out=_scratch(work, name, xs.shape))
+        q = _clamp_probs(_sigmoid(np.einsum("...ij,...j->...i", v,
+                                            abs_theta)))
+        row_sign = np.where(q < p, -1.0, 1.0)
+        v *= row_sign[..., None]
+        np.multiply(xs_fold, row_sign[..., None], out=face)
+        face += epsilon
+        still = q == p
+        if any_fixed or still.any():
+            np.copyto(face, v, where=fixed | still[..., None])
+        v += steps * step_size
+        np.minimum(v, face, out=v)
+        score = row_sign * np.einsum("...ij,...j->...i", v, abs_theta)
+        chains.append((v, row_sign, _kl_vec(p, _clamp_probs(_sigmoid(score)))))
+    (best_v, plus_sign, plus_val), (minus_v, minus_sign, minus_val) = chains
+    take = minus_val > plus_val
+    np.copyto(best_v, minus_v, where=take[..., None])
     best_v *= fold
-    best_v *= best_sign[..., None]
-    return best_val, best_v
+    best_v *= np.where(take, minus_sign, plus_sign)[..., None]
+    return np.where(take, minus_val, plus_val), best_v
 
 
 def adversarial_reg_pg(model: LogisticModel, x, epsilon: float, steps: int,
@@ -296,8 +283,12 @@ def adversarial_reg_pg(model: LogisticModel, x, epsilon: float, steps: int,
                        stream: RngStream) -> tuple[float, np.ndarray]:
     """Projected gradient ascent approximation of adversarial_reg_exact.
 
-    Always a lower bound on the exact value since every iterate stays in
-    the ball. Draw order: one uniform (1, d) start offset.
+    steps sign steps of step_size from each of the antithetic starts x +
+    delta and x - delta, each projected onto the ball; the KL grows along a
+    chain, so the better of the two last iterates, computed in closed form
+    (see _pg_worst_batch), is returned. Always a lower bound on the exact
+    value since every iterate stays in the ball. Draw order: one uniform
+    (1, d) start offset.
     """
     epsilon = float(epsilon)
     if epsilon < 0:

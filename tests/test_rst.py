@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-import rstsim.rst as rst_module
 from rstsim.estimators import sample_mixture
 from rstsim.gaussian import canonical_model, sample_labeled
 from rstsim.rst import (
@@ -179,10 +178,8 @@ class TestAdversarialPG:
 
     @staticmethod
     def _reference_ascent(theta, xs, epsilon, steps, step_size, stream):
-        # every step rebuilds the (b, d) step block and masks the copy of
-        # the improved rows; the sigmoid is looked up when called, as the
-        # kernel does, so a test may patch it
-        _sigmoid = rst_module._sigmoid
+        # the iterated ascent: every step rebuilds the (b, d) step block and
+        # masks the copy of the improved rows
         delta = stream.uniform(-epsilon, epsilon, size=xs.shape)
         lo, hi = xs - epsilon, xs + epsilon
         p = _clamp_probs(_sigmoid(np.einsum("ij,j->i", xs, theta)))
@@ -201,7 +198,28 @@ class TestAdversarialPG:
                 cur += (step_size * np.sign(q - p))[:, None] * np.sign(theta)
         return best_val, best_x
 
-    def test_ascent_equals_the_reference(self):
+    @staticmethod
+    def _closed_form_ascent(theta, xs, epsilon, steps, step_size, stream):
+        # each chain's last iterate, unfolded: the start's step sign, one
+        # climb of steps * step_size and one clip to the ball; the - chain
+        # replaces the + chain only where its KL is strictly larger
+        delta = stream.uniform(-epsilon, epsilon, size=xs.shape)
+        p = _clamp_probs(_sigmoid(np.einsum("ij,j->i", xs, theta)))
+        chains = []
+        for start in (xs + delta, xs - delta):
+            q = _clamp_probs(_sigmoid(np.einsum("ij,j->i", start, theta)))
+            climb = (np.sign(q - p) * (steps * step_size))[:, None]
+            end = np.clip(start + climb * np.sign(theta), xs - epsilon,
+                          xs + epsilon)
+            q = _clamp_probs(_sigmoid(np.einsum("ij,j->i", end, theta)))
+            chains.append((_kl_vec(p, q), end))
+        (plus_val, plus_x), (minus_val, minus_x) = chains
+        take = minus_val > plus_val
+        return (np.where(take, minus_val, plus_val),
+                np.where(take[:, None], minus_x, plus_x))
+
+    @staticmethod
+    def _ascent_cases():
         # zero weights, zero radius, steps past the corner and q == p rows
         stream = split_stream(109, 0)
         for t in range(60):
@@ -211,65 +229,37 @@ class TestAdversarialPG:
             xs = 2.0 * stream.standard_normal((b, d))
             eps = [0.0, 0.1, 0.5][t % 3 - 1]
             steps, step_size = int(stream.integers(1, 12)), [0.01, 0.3][t % 2]
-            want = self._reference_ascent(theta, xs, eps, steps, step_size,
-                                          split_stream(109, 100 + t))
-            got = _pg_worst_batch(theta, xs, eps, steps, step_size,
-                                  [split_stream(109, 100 + t)])
+            yield theta, xs, eps, steps, step_size, 100 + t
+
+    def test_ascent_equals_the_reference(self):
+        for *args, key in self._ascent_cases():
+            want = self._closed_form_ascent(*args, split_stream(109, key))
+            got = _pg_worst_batch(*args, [split_stream(109, key)])
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
-    def test_ascent_follows_step_signs_that_change(self, monkeypatch):
-        # a sigmoid that wiggles makes q - p change sign along a chain, so
-        # the kernel must rebuild its step block
-        real = rst_module._sigmoid
-        monkeypatch.setattr(rst_module, "_sigmoid",
-                            lambda s: real(s) + 0.05 * np.sin(40.0 * s))
+    def test_ascent_matches_the_iterated_chains(self):
+        # one climb of steps * step_size rounds differently from steps
+        # climbs of step_size, and nothing else differs
+        for *args, key in self._ascent_cases():
+            want = self._reference_ascent(*args, split_stream(109, key))
+            got = _pg_worst_batch(*args, [split_stream(109, key)])
+            np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+
+    def test_values_do_not_decrease_with_the_step_count(self):
+        # the closed form's premise: with the package's sigmoid a longer
+        # chain ends no lower, for one problem and for stacked problems
         stream = split_stream(110, 0)
-        theta = stream.standard_normal(6)
-        xs = stream.standard_normal((40, 6))
-        want = self._reference_ascent(theta, xs, 0.5, 15, 0.05,
-                                      split_stream(110, 1))
-        got = _pg_worst_batch(theta, xs, 0.5, 15, 0.05, [split_stream(110, 1)])
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-
-    def test_stacked_ascent_follows_sign_changes_per_problem(self,
-                                                              monkeypatch):
-        # three stacked problems, zero weights among them, with the
-        # wiggling sigmoid: each problem's rows must match its own
-        # reference chain, sign changes mid-chain included
-        real = rst_module._sigmoid
-        monkeypatch.setattr(rst_module, "_sigmoid",
-                            lambda s: real(s) + 0.05 * np.sin(40.0 * s))
-        stream = split_stream(111, 0)
         theta = stream.standard_normal((3, 6))
-        theta[1, 2] = theta[2, 0] = 0.0
-        xs = stream.standard_normal((3, 40, 6))
-        got = _pg_worst_batch(theta, xs, 0.5, 15, 0.05,
-                              [split_stream(111, 1 + g) for g in range(3)])
-        flips = 0
-        for g in range(3):
-            want = self._reference_ascent(theta[g], xs[g], 0.5, 15, 0.05,
-                                          split_stream(111, 1 + g))
-            assert np.array_equal(got[0][g], want[0])
-            assert np.array_equal(got[1][g], want[1])
-            flips += self._sign_changes(theta[g], xs[g], 0.5, 15, 0.05,
-                                        split_stream(111, 1 + g))
-        assert flips > 0
-
-    @staticmethod
-    def _sign_changes(theta, xs, epsilon, steps, step_size, stream):
-        # rows whose step sign changes somewhere along the + chain
-        _sigmoid = rst_module._sigmoid
-        cur = xs + stream.uniform(-epsilon, epsilon, size=xs.shape)
-        p = _clamp_probs(_sigmoid(xs @ theta))
-        signs = []
-        for _ in range(steps):
-            q = _clamp_probs(_sigmoid(cur @ theta))
-            signs.append(np.sign(q - p))
-            cur = np.clip(cur + (step_size * signs[-1])[:, None]
-                          * np.sign(theta), xs - epsilon, xs + epsilon)
-        return int(np.count_nonzero(np.ptp(np.array(signs), axis=0)))
+        theta[1, 2] = 0.0
+        xs = 2.0 * stream.standard_normal((3, 40, 6))
+        for th, x, count in ((theta[0], xs[0], 1), (theta, xs, 3)):
+            vals = np.array([_pg_worst_batch(
+                th, x, 0.5, steps, 0.05,
+                [split_stream(110, 1 + g) for g in range(count)])[0]
+                for steps in range(1, 13)])
+            assert np.all(np.diff(vals, axis=0) >= 0.0)
 
     def test_rejects_bad_arguments(self):
         model = LogisticModel(theta=np.ones(2))
