@@ -8,7 +8,8 @@ KL over an l-infinity ball (closed form for linear scores), a projected
 gradient ascent approximation of the same quantity, and a Gaussian noise
 stability penalty. The ascent runs two chains per example, from antithetic
 random starts; along a chain the score only moves away from the clean one,
-so each chain's last iterate is its best and is computed in closed form.
+so each chain's last iterate is its best: the start moved by steps *
+step_size along the row's step sign times sign(theta), clipped to the ball.
 Training is plain minibatch SGD from zero.
 
 The two trainers, standard_train and rst_train, take one problem, (N, d)
@@ -113,7 +114,10 @@ class RstConfig:
 
     batch_size = 0 selects deterministic full-batch gradient descent.
     equal_parts_batches composes each minibatch from half labeled and half
-    pseudo-labeled rows instead of sampling the concatenated pool.
+    pseudo-labeled rows instead of sampling the concatenated pool. The pg
+    ascent reads pg_steps and pg_step_size only through their product, the
+    distance a chain may travel: for a linear model the two act as one
+    value.
     """
 
     beta: float = 1.0
@@ -229,15 +233,12 @@ def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
     A step moves the score away from the clean one and the logistic link
     is monotone, so a row's step sign s = sign(q - p) never changes along
     a chain and the KL grows with every step: the last iterate is the best
-    one. In sign-folded coordinates v = D x', D = s sgn(theta_j) with a
-    zero in either counted as +1, every moving coordinate climbs by
-    step_size until it meets its face D x + epsilon, so the last iterate
-    is min(v + steps step_size, face), one add and one minimum from the
-    start; coordinates with theta_j = 0 and rows with q = p do not move, so
-    their face is v itself. Negation is exact and the terms are summed in
-    the same order, so s einsum(v, |theta|) equals einsum(x', theta) bit
-    for bit, and D v is the iterate. The start x -+ delta already lies in
-    the ball.
+    one. Each coordinate moves by s sign(theta_j) step_size per step until
+    it meets the ball's face, so the last iterate is the start plus s
+    (steps step_size) sign(theta), clipped to [x - epsilon, x + epsilon];
+    steps and step_size act only through that product. Coordinates with
+    theta_j = 0 and rows with q = p stay at the start, which already lies
+    in the ball.
     """
     # uniform(-eps, eps) is -eps + (eps - -eps) U with U from random(), so
     # the offsets are drawn in place
@@ -247,35 +248,21 @@ def _pg_worst_batch(theta: np.ndarray, xs: np.ndarray, epsilon: float,
     delta *= epsilon - -epsilon
     delta += -epsilon
     p = _clamp_probs(_sigmoid(np.einsum("...ij,...j->...i", xs, theta)))
-    abs_theta = np.abs(theta)
-    fold = np.where(theta < 0.0, -1.0, 1.0)[..., None, :]
-    fixed = (theta == 0.0)[..., None, :]
-    any_fixed = bool(fixed.any())
-    xs_fold = np.multiply(xs, fold, out=_scratch(work, "xs_fold", xs.shape))
-    delta *= fold
-    face = _scratch(work, "face", xs.shape)
-    chains = []
-    for start, name in ((np.add, "best"), (np.subtract, "v")):
-        v = start(xs_fold, delta, out=_scratch(work, name, xs.shape))
-        q = _clamp_probs(_sigmoid(np.einsum("...ij,...j->...i", v,
-                                            abs_theta)))
-        row_sign = np.where(q < p, -1.0, 1.0)
-        v *= row_sign[..., None]
-        np.multiply(xs_fold, row_sign[..., None], out=face)
-        face += epsilon
-        still = q == p
-        if any_fixed or still.any():
-            np.copyto(face, v, where=fixed | still[..., None])
-        v += steps * step_size
-        np.minimum(v, face, out=v)
-        score = row_sign * np.einsum("...ij,...j->...i", v, abs_theta)
-        chains.append((v, row_sign, _kl_vec(p, _clamp_probs(_sigmoid(score)))))
-    (best_v, plus_sign, plus_val), (minus_v, minus_sign, minus_val) = chains
-    take = minus_val > plus_val
-    np.copyto(best_v, minus_v, where=take[..., None])
-    best_v *= fold
-    best_v *= np.where(take, minus_sign, plus_sign)[..., None]
-    return np.where(take, minus_val, plus_val), best_v
+    plus = np.add(xs, delta, out=_scratch(work, "plus", xs.shape))
+    minus = np.subtract(xs, delta, out=_scratch(work, "minus", xs.shape))
+    lo = np.subtract(xs, epsilon, out=_scratch(work, "lo", xs.shape))
+    hi = np.add(xs, epsilon, out=delta)
+    climb = (steps * step_size) * np.sign(theta)[..., None, :]
+    vals = []
+    for x in (plus, minus):
+        q = _clamp_probs(_sigmoid(np.einsum("...ij,...j->...i", x, theta)))
+        x += np.sign(q - p)[..., None] * climb
+        np.clip(x, lo, hi, out=x)
+        q = _clamp_probs(_sigmoid(np.einsum("...ij,...j->...i", x, theta)))
+        vals.append(_kl_vec(p, q))
+    take = vals[1] > vals[0]
+    np.copyto(plus, minus, where=take[..., None])
+    return np.where(take, vals[1], vals[0]), plus
 
 
 def adversarial_reg_pg(model: LogisticModel, x, epsilon: float, steps: int,
@@ -286,9 +273,10 @@ def adversarial_reg_pg(model: LogisticModel, x, epsilon: float, steps: int,
     steps sign steps of step_size from each of the antithetic starts x +
     delta and x - delta, each projected onto the ball; the KL grows along a
     chain, so the better of the two last iterates, computed in closed form
-    (see _pg_worst_batch), is returned. Always a lower bound on the exact
-    value since every iterate stays in the ball. Draw order: one uniform
-    (1, d) start offset.
+    (see _pg_worst_batch), is returned. steps and step_size act only
+    through their product. Always a lower bound on the exact value since
+    every iterate stays in the ball. Draw order: one uniform (1, d) start
+    offset.
     """
     epsilon = float(epsilon)
     if epsilon < 0:

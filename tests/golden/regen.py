@@ -15,10 +15,15 @@ row block. Two more cases read their options from the config files next
 to this script: rst-demo with keys that route to the training and
 stage-one settings, and certify-demo with smoothing keys but no noise
 sigma. Run this only after a deliberate change of draws or output, and say
-in CHANGES.md which files changed and why.
+in CHANGES.md which files changed and why: run as a script, it writes the
+corpus to a temporary directory first, prints the names of the files whose
+bytes changed (or that no file changed), and then rewrites those files.
 """
 
+import filecmp
 import os
+import shutil
+import tempfile
 
 from rstsim.cli import main as cli_main
 
@@ -67,4 +72,12 @@ def write_corpus(directory: str) -> list[str]:
 
 
 if __name__ == "__main__":
-    write_corpus(HERE)
+    with tempfile.TemporaryDirectory() as tmp:
+        changed = [name for name in write_corpus(tmp)
+                   if not os.path.exists(os.path.join(HERE, name))
+                   or not filecmp.cmp(os.path.join(tmp, name),
+                                      os.path.join(HERE, name), shallow=False)]
+        print("\n".join(f"changed: {name}" for name in changed)
+              or "no file changed")
+        for name in changed:
+            shutil.copyfile(os.path.join(tmp, name), os.path.join(HERE, name))

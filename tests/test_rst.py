@@ -200,9 +200,10 @@ class TestAdversarialPG:
 
     @staticmethod
     def _closed_form_ascent(theta, xs, epsilon, steps, step_size, stream):
-        # each chain's last iterate, unfolded: the start's step sign, one
-        # climb of steps * step_size and one clip to the ball; the - chain
-        # replaces the + chain only where its KL is strictly larger
+        # each chain's last iterate in the problem's coordinates: the
+        # start's step sign, one climb of steps * step_size and one clip to
+        # the ball; the - chain replaces the + chain only where its KL is
+        # strictly larger
         delta = stream.uniform(-epsilon, epsilon, size=xs.shape)
         p = _clamp_probs(_sigmoid(np.einsum("ij,j->i", xs, theta)))
         chains = []
@@ -237,6 +238,49 @@ class TestAdversarialPG:
             got = _pg_worst_batch(*args, [split_stream(109, key)])
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
+        # stacked problems, each against its own stream: a row sign or a
+        # sign(theta) broadcast along the wrong axis shows here
+        cases = list(self._ascent_cases())
+        stream = split_stream(109, 1)
+        for t in range(20):
+            count = 2 + t % 2
+            b, d = int(stream.integers(1, 30)), int(stream.integers(1, 12))
+            theta = stream.standard_normal((count, d))
+            theta[stream.random((count, d)) < 0.3] = 0.0
+            theta[0] *= [0.0, 0.1, 3.0][t % 3]
+            xs = 2.0 * stream.standard_normal((count, b, d))
+            _, _, eps, steps, step_size, _ = cases[t]
+            keys = [300 + 3 * t + g for g in range(count)]
+            got = _pg_worst_batch(theta, xs, eps, steps, step_size,
+                                  [split_stream(109, k) for k in keys])
+            for g, k in enumerate(keys):
+                want = self._closed_form_ascent(theta[g], xs[g], eps, steps,
+                                                step_size, split_stream(109, k))
+                assert np.array_equal(got[0][g], want[0])
+                assert np.array_equal(got[1][g], want[1])
+
+    def test_steps_and_step_size_act_through_their_product(self):
+        # the closed form reads only steps * step_size, the distance a
+        # chain may travel
+        stream = split_stream(115, 0)
+        theta = stream.standard_normal((3, 7))
+        theta[1, 3] = 0.0
+        xs = 2.0 * stream.standard_normal((3, 25, 7))
+        for count, th, x in ((3, theta, xs), (1, theta[0], xs[0])):
+            runs = [_pg_worst_batch(th, x, 2.0, steps, step_size,
+                                    [split_stream(115, 1 + g)
+                                     for g in range(count)])
+                    for steps, step_size in ((8, 0.125), (4, 0.25), (1, 1.0))]
+            for vals, worst in runs[1:]:
+                assert np.array_equal(vals, runs[0][0])
+                assert np.array_equal(worst, runs[0][1])
+        model = LogisticModel(theta=theta[2])
+        runs = [adversarial_reg_pg(model, xs[2, 0], 2.0, steps, step_size,
+                                   split_stream(115, 9))
+                for steps, step_size in ((8, 0.125), (4, 0.25), (1, 1.0))]
+        for val, worst in runs[1:]:
+            assert val == runs[0][0]
+            assert np.array_equal(worst, runs[0][1])
 
     def test_ascent_matches_the_iterated_chains(self):
         # one climb of steps * step_size rounds differently from steps
