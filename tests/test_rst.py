@@ -240,7 +240,6 @@ class TestAdversarialPG:
             assert np.array_equal(got[1], want[1])
         # stacked problems, each against its own stream: a row sign or a
         # sign(theta) broadcast along the wrong axis shows here
-        cases = list(self._ascent_cases())
         stream = split_stream(109, 1)
         for t in range(20):
             count = 2 + t % 2
@@ -249,7 +248,8 @@ class TestAdversarialPG:
             theta[stream.random((count, d)) < 0.3] = 0.0
             theta[0] *= [0.0, 0.1, 3.0][t % 3]
             xs = 2.0 * stream.standard_normal((count, b, d))
-            _, _, eps, steps, step_size, _ = cases[t]
+            eps = [0.0, 0.1, 0.5][t % 3 - 1]
+            steps, step_size = int(stream.integers(1, 12)), [0.01, 0.3][t % 2]
             keys = [300 + 3 * t + g for g in range(count)]
             got = _pg_worst_batch(theta, xs, eps, steps, step_size,
                                   [split_stream(109, k) for k in keys])
