@@ -36,6 +36,7 @@ from .gaussian import (
     run_blocks,
     sample_labeled,
     thread_budget,
+    vote_probabilities,
 )
 from .rst import LogisticModel, RstConfig, rst_train, standard_train
 from .smoothing import (
@@ -47,7 +48,6 @@ from .smoothing import (
 from .statkit import (
     RngStream,
     binomial_upper_tail,
-    gaussian_cdf,
     poisson_binomial_two_sided,
     split_stream,
 )
@@ -343,6 +343,7 @@ def run_gap(spec: ExperimentSpec) -> tuple[list[TrialRow], list[SummaryRow]]:
     """Three-arm comparison: supervised at n0, supervised at the robust
     sample-complexity threshold, and self-training at n0 labels plus the
     unlabeled threshold."""
+    spec.model()  # canonical_model vets the model point before any threshold
     n0 = _labeled_count(spec)
     n_big = supervised_label_threshold(spec.n0, spec.d, spec.epsilon)
     alpha = spec.relevant_fraction
@@ -380,6 +381,7 @@ def run_irrelevant_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
         raise ValueError("irrelevant_sweep needs a nonempty alpha_grid")
     if any(not (0.0 <= a <= 1.0) for a in grid):
         raise ValueError("alpha_grid entries must lie in [0, 1]")
+    spec.model()  # canonical_model vets the model point before any threshold
     n = _labeled_count(spec)
     n_tilde = _pool_size(spec)
     fixed = [("irrelevant_sweep:fixed", "relevant_fraction", format_float(a),
@@ -399,6 +401,7 @@ def run_label_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
         raise ValueError("n_labeled_grid entries must be >= 1")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_labeled_grid must be ascending")
+    spec.model()  # canonical_model vets the model point before any threshold
     n_tilde = _pool_size(spec)
     return _run_arms(spec, [
         ("label_sweep", "n_labeled", str(n), n, n_tilde,
@@ -494,7 +497,7 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
     return rows, summaries
 
 
-def analytic_certified_accuracy(model: LogisticModel, xs: np.ndarray,
+def analytic_certified_accuracy(model: LinearClassifier, xs: np.ndarray,
                                 ys: np.ndarray, radii, config: SmoothingConfig
                                 ) -> list[tuple[float, float, float]]:
     """Exact expectation of the finite-sample certification protocol.
@@ -503,16 +506,13 @@ def analytic_certified_accuracy(model: LogisticModel, xs: np.ndarray,
     binomial tail probability, and the estimation stage certifies radius r
     exactly when its vote count reaches min_votes_for_radius(r). Returns
     (radius, expected accuracy, standard deviation of empirical accuracy,
-    each point's probability of counting at that radius).
+    each point's probability of counting at that radius), with the vote law
+    the protocol draws from, gaussian.vote_probabilities.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys)
-    theta = model.theta
-    l2 = float(np.sqrt(np.sum(theta * theta)))
-    if l2 == 0.0:
+    if not model.theta.any():
         raise ValueError("theta must be nonzero")
-    ratios = np.einsum("ij,j->i", xs, theta) / (config.noise_sigma * l2)
-    p_plus = np.array([gaussian_cdf(r) for r in ratios])
+    ys = np.asarray(ys)
+    p_plus = vote_probabilities(model, xs, config.noise_sigma)
     need = config.n0_selection // 2 + 1
     sel_plus = binomial_upper_tail(need, config.n0_selection, p_plus)
     p_sel = np.where(ys == 1, sel_plus, 1.0 - sel_plus)

@@ -6,6 +6,8 @@ the package. The adversary perturbs inputs inside an l-infinity ball of
 radius epsilon, which for a linear classifier shifts the score by at
 most epsilon * ||theta||_1, so both the clean and the worst-case
 misclassification probabilities reduce to Gaussian tail evaluations.
+Under N(0, s^2 I) input noise the halfspace votes +1 with probability
+Phi(theta^T x / (s ||theta||_2)): vote_probabilities, smoothing's vote law.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .statkit import RngStream, q_function, split_stream
+from .statkit import RngStream, gaussian_cdf, q_function, split_stream
 
 
 def _as_float_vector(v, name: str) -> np.ndarray:
@@ -121,8 +123,6 @@ def canonical_model(n0: int, d: int, epsilon: float,
     """
     sigma = canonical_sigma(n0, d)
     epsilon = float(epsilon)
-    if not (epsilon >= 0.0) or not np.isfinite(epsilon):
-        raise ValueError(f"epsilon must be >= 0 and finite, got {epsilon!r}")
     if epsilon >= 0.5 and not allow_large_epsilon:
         raise ValueError(
             f"epsilon = {epsilon} >= 0.5 is outside the meaningful attack range; "
@@ -138,16 +138,15 @@ _MC_ROW_BLOCK_SCALARS = 1 << 17
 
 
 def _draw_labeled(model: GaussianModel, stream: RngStream, n: int,
-                  buf: np.ndarray, take=None) -> np.ndarray:
+                  buf: np.ndarray):
     """Draw n labeled samples into buf block by block, each row times its
-    label; return the labels.
+    label; yield each block's (labels, rows).
 
     Draw order (fixed for reproducibility): n label bits first, then the
     (n, d) noise matrix row-major, len(buf) rows at a time. Each block holds
     y_i x_i = mu + sigma y_i z_i, formed in place by scaling z_i by sigma
     y_i and adding mu, which is y_i times x_i = y_i mu + sigma z_i exactly,
-    because negation is exact. take(labels, block) gets each block and its
-    labels when given. One block when len(buf) >= n.
+    because negation is exact. One block when len(buf) >= n.
     """
     ys = 2 * stream.integers(0, 2, size=n, dtype=np.int64) - 1
     for r0 in range(0, n, len(buf)):
@@ -156,9 +155,7 @@ def _draw_labeled(model: GaussianModel, stream: RngStream, n: int,
         stream.standard_normal(out=xs)
         xs *= (model.sigma * labels)[:, None]
         xs += model.mu
-        if take is not None:
-            take(labels, xs)
-    return ys
+        yield labels, xs
 
 
 def sample_labeled(model: GaussianModel, n: int, stream: RngStream) -> LabeledSet:
@@ -166,8 +163,7 @@ def sample_labeled(model: GaussianModel, n: int, stream: RngStream) -> LabeledSe
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    xs = np.empty((n, model.d))
-    ys = _draw_labeled(model, stream, n, xs)
+    (ys, xs), = _draw_labeled(model, stream, n, np.empty((n, model.d)))
     xs *= ys[:, None]
     return LabeledSet(xs=xs, ys=ys)
 
@@ -215,6 +211,22 @@ def standard_error(model: GaussianModel, clf: LinearClassifier) -> float:
 def robust_error(model: GaussianModel, clf: LinearClassifier) -> float:
     """Exact worst-case l-infinity misclassification probability (see error_rates)."""
     return error_rates(model, clf)[1]
+
+
+def vote_probabilities(clf: LinearClassifier, xs, sigma: float) -> np.ndarray:
+    """P(sign(theta^T (x + z)) = +1), ties to +1, z ~ N(0, sigma^2 I), for
+    each row x of xs: Phi(theta^T x / (sigma ||theta||_2)), and 1 when theta
+    = 0, where every score ties. smoothing draws a LinearClassifier's votes
+    from it, and experiments.analytic_certified_accuracy scores with it."""
+    theta = clf.theta
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != theta.size:
+        raise ValueError("x and theta dimensions differ")
+    l2 = float(np.sqrt(np.sum(theta * theta)))
+    if l2 == 0.0:
+        return np.ones(xs.shape[0])
+    ratios = np.einsum("ij,j->i", xs, theta) / (sigma * l2)
+    return np.array([gaussian_cdf(r) for r in ratios])
 
 
 def _mc_threads() -> int:
@@ -281,12 +293,9 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     theta = clf.theta
-    if theta.shape != model.mu.shape:
-        raise ValueError(
-            f"theta has dimension {theta.size}, model has dimension {model.d}")
-    if float(np.sum(theta * theta)) == 0.0:
+    _, l2, l1 = alignment_stats(model, clf)
+    if l2 == 0.0:
         raise ValueError("theta must be nonzero")
-    l1 = float(np.sum(np.abs(theta)))
     rows = max(1, _MC_BLOCK_SCALARS // model.d)
     n_chunks = -(-n_samples // rows)
     seed = int(stream.integers(0, 2**63))
@@ -299,21 +308,19 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
 
     def misses(k: int, w: int) -> tuple[int, int]:
         # (standard, robust) miss counts of chunk k, drawn into thread w's buffer
-        counts = [0, 0]
-
-        def count(labels: np.ndarray, xs: np.ndarray) -> None:
+        std = rob = 0
+        for labels, xs in _draw_labeled(model, split_stream(seed, k),
+                                        min(rows, n_samples - k * rows),
+                                        bufs[w]):
             # the rows hold y x, so their scores are the margins y theta^T x
             margin = np.einsum("ij,j->i", xs, theta)
             neg = labels < 0
-            counts[0] += int(np.count_nonzero(
+            std += int(np.count_nonzero(
                 (margin < 0.0) | ((margin == 0.0) & neg)))
             margin -= shift
-            counts[1] += int(np.count_nonzero(
+            rob += int(np.count_nonzero(
                 (margin < 0.0) | ((margin == 0.0) & neg)))
-
-        _draw_labeled(model, split_stream(seed, k),
-                      min(rows, n_samples - k * rows), bufs[w], count)
-        return counts[0], counts[1]
+        return std, rob
 
     counts = run_blocks(misses, n_chunks, threads)
     std_total, rob_total = map(sum, zip(*counts))

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian import LinearClassifier
 from .statkit import RngStream, gaussian_cdf
 
 _CLAMP = 1e-12
@@ -94,18 +95,8 @@ def _kl_slopes(pc: np.ndarray, q_raw: np.ndarray
 
 
 @dataclass(frozen=True)
-class LogisticModel:
+class LogisticModel(LinearClassifier):
     """Binary logistic model p(y=+1|x) = sigmoid(theta^T x)."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
-        if theta.ndim != 1 or theta.size < 1:
-            raise ValueError("theta must be a 1-d vector with at least one entry")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "theta", theta)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ candidate label, re-estimate its vote probability on fresh noise, lower
 bound that probability with a Clopper-Pearson interval, and certify the
 l2 radius noise_sigma * Phi^-1(p_lower) when the bound clears 1/2.
 
-A LogisticModel base is the halfspace sign(theta^T x), ties to +1, which
-votes +1 under N(0, sigma^2 I) noise with probability Phi(theta^T x /
-(sigma ||theta||)); its vote counts are drawn as exact binomials. Any other
-base is a batch oracle evaluated on drawn noise, the reference path.
+A LinearClassifier base (a LogisticModel among them) is the halfspace
+sign(theta^T x), ties to +1; its vote counts are drawn as exact binomials
+of gaussian.vote_probabilities, the halfspace's vote law under N(0, sigma^2
+I) noise. Any other base is a batch oracle evaluated on drawn noise, the
+reference path.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rst import LogisticModel
+from .gaussian import LabeledSet, LinearClassifier, vote_probabilities
 from .statkit import (
     RngStream,
     clopper_pearson_lower,
@@ -75,22 +76,12 @@ class CertifyResult:
             raise ValueError("abstention carries no label and zero radius")
 
 
-def _halfspace_p_plus(theta: np.ndarray, x: np.ndarray, sigma: float) -> float:
-    """Probability that sign(theta^T (x + noise)), ties to +1, votes +1."""
-    if theta.shape != x.shape:
-        raise ValueError("x and theta dimensions differ")
-    l2 = math.sqrt(float(np.sum(theta * theta)))
-    if l2 == 0.0:  # every score is 0, a tie
-        return 1.0
-    return gaussian_cdf(float(np.sum(theta * x)) / (sigma * l2))
-
-
 def _count_noisy_votes(base, x: np.ndarray, n_draws: int, sigma: float,
                        stream: RngStream, target: int) -> int:
     """Votes for target among base's labels of n_draws noisy copies of x:
-    one exact binomial draw for a LogisticModel, else oracle evaluations."""
-    if isinstance(base, LogisticModel):
-        p_plus = _halfspace_p_plus(base.theta, x, sigma)
+    one exact binomial draw for a LinearClassifier, else oracle evaluations."""
+    if isinstance(base, LinearClassifier):
+        p_plus = float(vote_probabilities(base, x[None, :], sigma)[0])
         return int(stream.binomial(n_draws, p_plus if target == 1
                                    else 1.0 - p_plus))
     votes = 0
@@ -128,11 +119,11 @@ def certify(base, x, config: SmoothingConfig, stream: RngStream) -> CertifyResul
     """Run the two-stage certification protocol at one input point.
 
     base is a batch oracle mapping an (m, d) array to m labels in {-1, +1},
-    or a LogisticModel (exact vote counts). Selection and estimation noise
-    come from disjoint substreams seeded by two draws from the provided
-    stream (draw order: one integers(2) call), so the Clopper-Pearson
-    guarantee sees fresh estimation noise. The selection plurality tie at
-    even counts goes to label -1.
+    or a LinearClassifier such as a LogisticModel (exact vote counts).
+    Selection and estimation noise come from disjoint substreams seeded by
+    two draws from the provided stream (draw order: one integers(2) call),
+    so the Clopper-Pearson guarantee sees fresh estimation noise. The
+    selection plurality tie at even counts goes to label -1.
     """
     y_hat, k = _vote_counts(base, x, config, stream)
     p_lower = clopper_pearson_lower(k, config.n_estimation, config.conf_alpha)
@@ -203,24 +194,19 @@ def certified_accuracy_curve(base, xs, ys, radii, config: SmoothingConfig,
     one integers(n) call on the provided stream), making results
     independent of evaluation order.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys)
-    if xs.ndim != 2 or ys.shape != (xs.shape[0],):
-        raise ValueError("xs must be (n, d) with one label per row")
-    if not np.all(np.isin(ys, (-1, 1))):
-        raise ValueError("labels must be +-1")
+    points = LabeledSet(xs=xs, ys=ys)
     radii = [float(r) for r in radii]
     if any(r < 0 for r in radii):
         raise ValueError("radii must be nonnegative")
     if any(b < a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be sorted ascending")
     need = np.array([min_votes_for_radius(r, config) for r in radii])
-    n_points = xs.shape[0]
+    n_points = points.n
     seeds = stream.integers(0, 2**63, size=n_points)
     hits = np.zeros(len(radii), dtype=np.int64)
     for i in range(n_points):
-        y_hat, k = _vote_counts(base, xs[i], config,
+        y_hat, k = _vote_counts(base, points.xs[i], config,
                                 split_stream(int(seeds[i]), i))
-        if y_hat == int(ys[i]):
+        if y_hat == int(points.ys[i]):
             hits += k >= need
     return [(r, float(h / n_points)) for r, h in zip(radii, hits)]

@@ -119,6 +119,26 @@ def test_memory_error_exits_one_with_one_line(monkeypatch, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, quantity", [
+    (["gap", "--n0", "0"], "n0"),
+    (["sweep-irrelevant", "--n0", "0"], "n0"),
+    (["sweep-labels", "--n0", "0"], "n0"),
+    (["gap", "--eps", "inf", "--allow-large-eps"], "epsilon"),
+    (["sweep-irrelevant", "--eps", "inf", "--allow-large-eps"], "epsilon"),
+    (["gap", "--n0", "-1"], "n0"),
+    (["gap", "--d", "-5"], "d"),
+    (["gap", "--d", "0"], "d"),
+    (["gap", "--eps", "nan"], "epsilon")])
+def test_bad_model_point_exits_one_naming_it(tmp_path, capsys, argv,
+                                             quantity):
+    # the model point is vetted before the threshold formulas read it
+    assert main(argv + ["--trials", "1",
+                        "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {quantity} must be ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("sub, flag, value, kind", [
     ("sweep-irrelevant", "--alphas", "0.5,x", "float"),
     ("sweep-unlabeled", "--n-unlabeled-grid", "0,1e3", "int")])
@@ -369,6 +389,20 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
     assert (open(out1 + ".summary.csv", "rb").read()
             == open(out2 + ".summary.csv", "rb").read())
+
+
+def test_verify_bytes_equal_at_every_worker_count(tmp_path):
+    # pair 4 is d = 1,024: 30 Monte Carlo chunks of 1,024 rows, the last
+    # one of 305, each drawn in row blocks of 128
+    outputs = set()
+    for workers in (1, 2, 3, 8):
+        out = str(tmp_path / f"v{workers}.csv")
+        assert main(["verify", "--trials", "5", "--mc-samples", "30001",
+                     "--seed", "17", "--workers", str(workers),
+                     "--out", out]) == 0
+        outputs.add((open(out, "rb").read(),
+                     open(out + ".summary.csv", "rb").read()))
+    assert len(outputs) == 1
 
 
 def test_check_gate_exit_codes(tmp_path, capsys):

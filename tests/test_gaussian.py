@@ -214,22 +214,17 @@ class TestSampling:
     @pytest.mark.parametrize("block", [1, 7, 128, 300])
     def test_row_blocks_draw_the_same_sample(self, block):
         # the Monte Carlo's many-block fill consumes the stream exactly as
-        # sample_labeled's one block does
+        # sample_labeled's one block does; each row arrives times its
+        # label, in buf, which the next block overwrites
         m = canonical_model(4, 16, 0.25)
         data = sample_labeled(m, 300, split_stream(24, 0))
         buf = np.empty((block, 16))
-        xs = np.empty((300, 16))
-        filled = []
-
-        def take(labels, rows):
-            # each row arrives times its label
-            r0 = sum(filled)
-            xs[r0:r0 + len(rows)] = labels[:, None] * rows
-            filled.append(len(rows))
-
-        ys = gaussian._draw_labeled(m, split_stream(24, 0), 300, buf, take)
-        assert np.array_equal(data.xs, xs)
-        assert np.array_equal(data.ys, ys)
+        blocks = [(labels.copy(), labels[:, None] * rows) for labels, rows
+                  in gaussian._draw_labeled(m, split_stream(24, 0), 300, buf)]
+        assert [len(ys) for ys, _ in blocks] == [
+            min(block, 300 - r0) for r0 in range(0, 300, block)]
+        assert np.array_equal(data.xs, np.concatenate([x for _, x in blocks]))
+        assert np.array_equal(data.ys, np.concatenate([y for y, _ in blocks]))
 
     def test_deterministic_given_stream(self):
         m = canonical_model(4, 16, 0.25)

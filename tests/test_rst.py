@@ -1,13 +1,15 @@
 """Losses, regularizers, gradients, and the two-stage training pipeline."""
 
+import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 
 from rstsim.estimators import sample_mixture
-from rstsim.gaussian import canonical_model, sample_labeled
+from rstsim.gaussian import LinearClassifier, canonical_model, sample_labeled
 from rstsim.rst import (
     LogisticModel,
     _clamp_probs,
@@ -42,6 +44,31 @@ def assert_close_grad(analytic, numeric, rel):
     denom = max(float(np.sqrt(np.sum(analytic**2))), 1e-12)
     gap = float(np.sqrt(np.sum((analytic - numeric) ** 2)))
     assert gap / denom <= rel, f"gradient gap {gap/denom:.3e} > {rel}"
+
+
+class TestLogisticModel:
+    """A LogisticModel is the halfspace LinearClassifier, validated by it."""
+
+    def test_is_a_frozen_linear_classifier(self):
+        model = LogisticModel(theta=[1, -2])
+        assert isinstance(model, LinearClassifier)
+        assert model.theta.dtype == np.float64
+        assert np.array_equal(model.theta, [1.0, -2.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.theta = np.ones(2)
+
+    @pytest.mark.parametrize("theta, message", [
+        (np.ones((2, 2)), "theta must be a 1-d vector with at least one entry"),
+        (np.array([]), "theta must be a 1-d vector with at least one entry"),
+        (np.array([1.0, np.nan, 0.0]), "theta must be finite"),
+        (np.array([np.inf, 1.0]), "theta must be finite"),
+        (np.array([1.0, -np.inf]), "theta must be finite"),
+        (np.broadcast_to(np.inf, (5,)), "theta must be finite"),
+    ])
+    def test_rejects_what_a_linear_classifier_rejects(self, theta, message):
+        for cls in (LinearClassifier, LogisticModel):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cls(theta=theta)
 
 
 class TestStandardLoss:

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from rstsim.gaussian import LinearClassifier, vote_probabilities
 from rstsim.rst import LogisticModel, smoothed_predict_exact
 from rstsim.smoothing import (
     CertifyResult,
     SmoothingConfig,
-    _halfspace_p_plus,
     _vote_counts,
     certified_accuracy_curve,
     certify,
@@ -23,6 +23,11 @@ from rstsim.statkit import (
     inverse_gaussian_cdf,
     split_stream,
 )
+
+
+def law_p_plus(theta, x, sigma):
+    # the vote law the exact vote counts draw from, at one point
+    return vote_probabilities(LogisticModel(theta=theta), x[None, :], sigma)[0]
 
 
 def linear_oracle(theta):
@@ -275,15 +280,14 @@ class TestExactVoteCounts:
         y_hat = 1 if plus > 30 - plus else -1
         k = split_stream(int(seeds[1]), 1).binomial(
             700, p_plus if y_hat == 1 else 1.0 - p_plus)
-        got = _vote_counts(LogisticModel(theta=theta), x, cfg,
-                           split_stream(221, 0))
-        assert got == (y_hat, k)
+        for base in (LogisticModel(theta=theta), LinearClassifier(theta=theta)):
+            assert _vote_counts(base, x, cfg, split_stream(221, 0)) == (y_hat, k)
 
     def test_zero_theta_votes_all_plus_like_the_oracle(self):
         # every score is exactly 0 and the oracle's tie goes to +1
         cfg = SmoothingConfig(n0_selection=20, n_estimation=500)
         x = np.array([0.4, -1.0])
-        assert _halfspace_p_plus(np.zeros(2), x, cfg.noise_sigma) == 1.0
+        assert law_p_plus(np.zeros(2), x, cfg.noise_sigma) == 1.0
         for t in range(5):
             exact = certify(LogisticModel(theta=np.zeros(2)), x, cfg,
                             split_stream(222, t))
@@ -295,7 +299,7 @@ class TestExactVoteCounts:
     def test_boundary_point_votes_plus_with_probability_half(self):
         # theta^T x = 0: the oracle votes +1 exactly when theta^T noise >= 0
         theta, x = np.array([1.0, -1.0]), np.array([2.0, 2.0])
-        assert _halfspace_p_plus(theta, x, 0.25) == 0.5
+        assert law_p_plus(theta, x, 0.25) == 0.5
         cfg = SmoothingConfig(n0_selection=20, n_estimation=2_000)
         outcomes = [certify(LogisticModel(theta=theta), x, cfg,
                             split_stream(223, t)).certified
@@ -303,7 +307,9 @@ class TestExactVoteCounts:
         assert np.mean(outcomes) <= 0.05
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x and theta dimensions differ"):
+            law_p_plus(np.ones(3), np.ones(2), 0.25)
+        with pytest.raises(ValueError, match="x and theta dimensions differ"):
             certify(LogisticModel(theta=np.ones(3)), np.ones(2),
                     SmoothingConfig(), split_stream(224, 0))
 
@@ -320,7 +326,7 @@ class TestExactVoteCounts:
         cfg = SmoothingConfig(noise_sigma=0.5, n0_selection=10, n_estimation=20)
         theta = np.array([1.0, 0.0])
         x = np.array([0.5 * inverse_gaussian_cdf(p_target), 0.0])
-        p_plus = _halfspace_p_plus(theta, x, 0.5)
+        p_plus = law_p_plus(theta, x, 0.5)
         n, n0, runs = cfg.n_estimation, cfg.n0_selection, 2_400
         sel = stats.binom.sf(n0 // 2, n0, p_plus)
         pmf = stats.binom.pmf(np.arange(n + 1), n, p_plus)
