@@ -7,8 +7,9 @@ have fast samplers that draw from the exact estimator distribution without
 materializing the data matrix, which is what makes the large-d regimes
 (d ~ 10^6, n_unlabeled ~ 10^5) cheap to simulate. The fast draws come
 factored, theta = a mu + b z1 + c z: trial_draws returns one FactoredDraw per
-trial, every arm an (a, b, c) row on one z1 and z. Scoring takes six inner
-products per trial and one ||theta||_1 pass for all its arms, and a pool
+trial, every arm an (a, b, c) row on one z1, one z and one nested pool, of
+which each self-training arm reads a prefix. Scoring takes six inner
+products per trial and one ||theta||_1 pass for all its arms, and the pool
 enters only as sums over blocks. A trial is drawn in fixed blocks, each
 from its own substream, that a run's threads share (TrialWork), so a run
 holds z1 and one scratch per thread, into which z's blocks are drawn twice.
@@ -150,12 +151,15 @@ class FactoredDraw:
         """(mu^T theta, ||theta||_2, ||theta||_1) per arm: the first two from
         gram, ||theta||_1 in one pass for all arms. Each block of _BLOCK
         coordinates is a task on the work's threads, summed in sub-blocks of
-        _L1_BLOCK in a (2, K, _L1_BLOCK) view of the thread's scratch, z's
-        sub-block redrawn into the spare half's first row; the block sums
-        are added correctly rounded (math.fsum)."""
+        _L1_BLOCK in a (2, K, _L1_BLOCK) view of the thread's scratch, the
+        rows with c = 0 first, so that only the others read z, redrawn into
+        the spare half's first row; the block sums are added correctly
+        rounded (math.fsum)."""
         mm, m1, mz, s11, s1z, szz = self.gram
         d, z1, seed, arms = mu.size, self.z1, self.seed, len(self.coef)
-        a, b, c = self.coef.T[:, :, None]  # (K, 1) columns
+        order = np.argsort(self.coef[:, 2] != 0.0, kind="stable")
+        rank, n_sup = np.argsort(order), arms - np.count_nonzero(self.coef[:, 2])
+        a, b, c = self.coef[order].T[:, :, None]  # (K, 1) columns
         sub, n_blocks = _L1_BLOCK, -(-d // _BLOCK)
 
         def l1_block(k: int, w: int) -> np.ndarray:
@@ -168,14 +172,15 @@ class FactoredDraw:
                 stop = min(start + sub, end)
                 if stop - start < sub:
                     theta, spare = theta[:, :stop - start], spare[:, :stop - start]
-                if gen is None:
-                    np.multiply(z1[start:stop], b, out=theta)
-                else:  # c z + b z1 is b z1 + c z bit for bit: + commutes
-                    np.multiply(gen.standard_normal(out=spare[0]), c, out=theta)
-                    theta += np.multiply(z1[start:stop], b, out=spare)
+                np.multiply(z1[start:stop], b[:n_sup], out=theta[:n_sup])
+                if n_sup < arms:  # c z + b z1 is b z1 + c z bit for bit
+                    np.multiply(gen.standard_normal(out=spare[0]), c[n_sup:],
+                                out=theta[n_sup:])
+                    theta[n_sup:] += np.multiply(z1[start:stop], b[n_sup:],
+                                                 out=spare[n_sup:])
                 theta += np.multiply(mu[start:stop], a, out=spare)
                 total += np.abs(theta, out=theta).sum(axis=1)
-            return total
+            return total[rank]
 
         blocks = self.work.run(l1_block, n_blocks)
         out = []
@@ -282,41 +287,55 @@ def sample_mixture(model: GaussianModel, n_unlabeled: int,
 def _pool_sums(pools, sigma: float, seed: int, first: int,
                work: TrialWork) -> list[tuple[int, float, int]]:
     """(A, U, B) of each pool (m, n_rel, n_irr), label-free, on work's
-    threads.
+    threads, every pool a prefix of one nested pool.
 
     A signal point's w = y u ~ N(0, sigma^2) does not depend on its label
     y; it adds sign(m + w) (ties to +1) to A and sign(m + w) w to U. A
     noise point adds |u| to U, and the noise points' labels, independent
-    of u, agree B = 2 Binomial(n_irr, 1/2) - n_irr times. A pool's points,
-    signal points first, are drawn in blocks of _BLOCK, pool after pool,
-    block i from split_stream(seed, first + i) into the thread's scratch;
-    the block sums are added in block order, U's correctly rounded
-    (math.fsum). With J blocks in all, pool j's binomial comes from
-    split_stream(seed, first + J + j).
+    of u, agree B = 2 Binomial(n_irr, 1/2) - n_irr times. The largest
+    n_rel signal points, then the largest n_irr noise points, are drawn in
+    J blocks of _BLOCK, block i from split_stream(seed, first + i); a pool
+    reads the first n_rel and n_irr of them. Blocks are cut at the pools'
+    ends into parts, each summed once (a signal part once per m), and U is
+    the correctly rounded sum (math.fsum) of a pool's parts. B is nested:
+    step j over the ascending distinct n_irr adds Binomial(n_irr_j -
+    n_irr_{j-1}, 1/2) from split_stream(seed, first + J + j).
     """
-    jobs = [(j, start) for j, (_, n_rel, n_irr) in enumerate(pools)
-            for start in range(0, n_rel + n_irr, _BLOCK)]
+    n_sig = max((n_rel for _, n_rel, _ in pools), default=0)
+    n_all = n_sig + max((n_irr for *_, n_irr in pools), default=0)
+    ends = {n for _, n_rel, n_irr in pools for n in (n_rel, n_sig + n_irr)}
+    n_blocks = -(-n_all // _BLOCK)
 
-    def block(i: int, w: int) -> tuple[int, float]:
-        j, start = jobs[i]
-        m, n_rel, n_irr = pools[j]
-        u = work.scratch[w][:min(_BLOCK, n_rel + n_irr - start)]
-        split_stream(seed, first + i).standard_normal(out=u)
+    def block(k: int, w: int) -> list:
+        start, stop, out = k * _BLOCK, min((k + 1) * _BLOCK, n_all), []
+        u = work.scratch[w][:stop - start]
+        split_stream(seed, first + k).standard_normal(out=u)
         u *= sigma
-        signal = u[:max(0, n_rel - start)]
-        wrong = signal < -m  # exactly when m + w < 0
-        np.negative(signal, out=signal, where=wrong)
-        np.abs(u[signal.size:], out=u[signal.size:])
-        return signal.size - 2 * int(np.count_nonzero(wrong)), float(np.sum(u))
+        cuts = sorted({start, stop, *(e for e in ends if start < e < stop)})
+        for lo, hi in zip(cuts, cuts[1:]):
+            part, sums = u[lo - start:hi - start], {}  # m: (A, U) of the part
+            if lo >= n_sig:  # noise, under the key None
+                sums[None] = 0, float(np.sum(np.abs(part, out=part)))
+            for m in {m for m, n_rel, _ in pools if n_rel >= hi}:  # signal
+                if sums:  # negation is exact: undo the last m's
+                    part[wrong] *= -1.0
+                wrong = np.flatnonzero(part < -m)  # exactly when m + w < 0
+                part[wrong] *= -1.0
+                sums[m] = part.size - 2 * wrong.size, float(np.sum(part))
+            out.append((lo, hi, sums))
+        return out
 
-    parts = [[] for _ in pools]
-    for (j, _), part in zip(jobs, work.run(block, len(jobs))):
-        parts[j].append(part)
+    parts = [p for blk in work.run(block, n_blocks) for p in blk]
+    levels, heads, total = sorted({n_irr for *_, n_irr in pools}), {}, 0
+    for j, (lo, hi) in enumerate(zip([0] + levels, levels)):
+        total += int(split_stream(seed, first + n_blocks + j).binomial(hi - lo, 0.5))
+        heads[hi] = total
     out = []
-    for j, ((_, _, n_irr), part) in enumerate(zip(pools, parts)):
-        agree, along = zip(*part)
-        binomial = split_stream(seed, first + len(jobs) + j).binomial(n_irr, 0.5)
-        out.append((sum(agree), math.fsum(along), 2 * int(binomial) - n_irr))
+    for m, n_rel, n_irr in pools:
+        agree, along = zip(*(sums[m] if hi <= n_rel else sums[None]
+                             for lo, hi, sums in parts if hi <= n_rel
+                             or n_sig <= lo and hi <= n_sig + n_irr))
+        out.append((sum(agree), math.fsum(along), 2 * heads[n_irr] - n_irr))
     return out
 
 
@@ -333,21 +352,20 @@ def trial_draws(model: GaussianModel, arms, stream: RngStream,
     (mu + s z1) / ||mu + s z1||, a pool point enters only through its hidden
     label and u = pi^T noise ~ N(0, sigma^2), so the final average is
     (A/n) mu + (U/n) pi + (sigma/sqrt(n)) (z - (pi^T z) pi), with A, U and
-    the noise points' agreement B from _pool_sums. That law needs z independent
-    of z1 and of the pool, which holds for every arm, so each arm keeps
-    its law while the arms of one trial are coupled.
+    the noise points' agreement B from _pool_sums. That law needs an i.i.d.
+    pool of the arm's sizes and z, independent of z1 and of each other;
+    arms sharing z1, z and one nested pool each keep it.
 
     Block layout: the trial draws one seed = stream.integers(0, 2**63);
     with D = ceil(d / _BLOCK), block k < D of z1 comes from
     split_stream(seed, k) and block k of z from split_stream(seed, D + k),
-    then each self-training arm's pool blocks in arm order, then one index
-    per self-training arm for its binomial. The layout depends on d
-    and the pool sizes alone, and every inner product is the correctly
-    rounded sum (math.fsum) of per-block einsums, so the draw does not
-    depend on the thread count.
+    then the nested pool and its binomials from index 2D (_pool_sums). The
+    layout depends on d and the pool sizes alone, and every inner product
+    is the correctly rounded sum (math.fsum) of per-block einsums, so the
+    draw does not depend on the thread count.
     Phases: z1 and z with their inner products (z in the thread's scratch,
-    redrawn in stats), every pool, then (in stats) ||theta||_1, each
-    spread over the work's threads.
+    redrawn in stats), the pool, then (in stats) ||theta||_1, each spread
+    over the work's threads.
     """
     work = work if work is not None else TrialWork(model.d, arms)
     arms = [(int(n), n_unlabeled and _pool_split(n_unlabeled, fraction))

@@ -386,6 +386,10 @@ def run_irrelevant_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
     n_tilde = _pool_size(spec)
     fixed = [("irrelevant_sweep:fixed", "relevant_fraction", format_float(a),
               n, n_tilde, a) for a in grid]
+    big = [a for a in grid if 0.0 < a and a * a * 2.0**63 <= n_tilde]
+    if big:  # numpy's binomial counts points in int64
+        raise ValueError(f"alpha={big[0]} scales the pool of {n_tilde} to "
+                         f"{n_tilde}/alpha^2 >= 2^63 points")
     scaled = [("irrelevant_sweep:scaled", "relevant_fraction", format_float(a),
                n, math.ceil(n_tilde / (a * a)), a) for a in grid if a > 0.0]
     return _run_arms(spec, fixed + scaled)
@@ -509,8 +513,6 @@ def analytic_certified_accuracy(model: LinearClassifier, xs: np.ndarray,
     each point's probability of counting at that radius), with the vote law
     the protocol draws from, gaussian.vote_probabilities.
     """
-    if not model.theta.any():
-        raise ValueError("theta must be nonzero")
     ys = np.asarray(ys)
     p_plus = vote_probabilities(model, xs, config.noise_sigma)
     need = config.n0_selection // 2 + 1

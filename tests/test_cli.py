@@ -139,6 +139,19 @@ def test_bad_model_point_exits_one_naming_it(tmp_path, capsys, argv,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("alpha", ["1e-200", "1e-160"])
+def test_tiny_alpha_exits_one_naming_the_pool(tmp_path, capsys, alpha):
+    # alpha^2 underflows to 0 or a subnormal: the scaled pool is refused
+    # before anything is drawn
+    assert main(["sweep-irrelevant", "--alphas", alpha, "--trials", "1",
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: alpha={float(alpha)} scales the pool of ")
+    assert err.endswith("/alpha^2 >= 2^63 points\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("sub, flag, value, kind", [
     ("sweep-irrelevant", "--alphas", "0.5,x", "float"),
     ("sweep-unlabeled", "--n-unlabeled-grid", "0,1e3", "int")])

@@ -458,30 +458,39 @@ class TestLabelFreePool:
     @pytest.mark.parametrize("n_rel,n_irr", [(1000, 537), (300, 0), (0, 250)])
     def test_matches_per_point_reference(self, monkeypatch, chunk, n_rel,
                                          n_irr):
-        # two pools in blocks of chunk points, pool after pool from index
-        # first, then one binomial index per pool; on 1 and 3 threads
+        # three pools, prefixes of one nested pool: the largest n_rel signal
+        # points, then the largest n_irr noise points, in blocks of chunk
+        # points from index first, then one binomial increment per distinct
+        # n_irr in ascending order; on 1 and 3 threads
         monkeypatch.setattr(estimators, "_BLOCK", chunk)
-        first, n_tilde = 5, n_rel + n_irr
-        blocks = -(-n_tilde // chunk)
+        first = 5
         for t, m in enumerate((0.0, 0.8, -1.3)):
-            pools = [(m, n_rel, n_irr), (-1.3, n_irr, n_rel)]
+            pools = [(m, n_rel, n_irr), (-1.3, n_irr, n_rel),
+                     (m, n_rel // 2, n_irr + 40)]
+            n_sig = max(rel for _, rel, _ in pools)
+            n_all = n_sig + max(irr for *_, irr in pools)
             seed = _trial_seed(split_stream(91, t))
             got = []
             for threads in (1, 3):
-                work = estimators.TrialWork(1, [(1, 1, 1.0)] * 2, threads)
+                work = estimators.TrialWork(1, [(1, 1, 1.0)] * 3, threads)
                 got.append(estimators._pool_sums(pools, 1.9, seed, first,
                                                  work))
             assert got[0] == got[1]
+            normals = _block_normals(seed, first, n_all)
+            levels = sorted({irr for *_, irr in pools})
+            binomial_index = first + -(-n_all // chunk)
+            heads = np.cumsum([
+                split_stream(seed, binomial_index + j).binomial(hi - lo, 0.5)
+                for j, (lo, hi) in enumerate(zip([0] + levels, levels))])
             for j, (mj, rel, irr) in enumerate(pools):
-                normals = _block_normals(seed, first + j * blocks, n_tilde)
-                want_a, want_u = _reference_pool(mj, 1.9, rel, irr, normals,
+                points = np.concatenate([normals[:rel],
+                                         normals[n_sig:n_sig + irr]])
+                want_a, want_u = _reference_pool(mj, 1.9, rel, irr, points,
                                                  np.random.default_rng(t))
-                binomial = split_stream(seed, first + 2 * blocks + j).binomial(
-                    irr, 0.5)
                 agree, along, noise_agree = got[0][j]
                 assert agree == want_a
                 assert along == pytest.approx(want_u, rel=1e-12, abs=0.0)
-                assert noise_agree == 2 * int(binomial) - irr
+                assert noise_agree == 2 * int(heads[levels.index(irr)]) - irr
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
     @pytest.mark.parametrize("alpha", [1.0, 0.25, 0.0])

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rstsim import smoothing
+from rstsim import estimators, smoothing
 from rstsim.experiments import (
     ACCEPTANCE_THRESHOLDS,
     ExperimentSpec,
@@ -271,6 +271,54 @@ def test_irrelevant_sweep_scaled_pool_sizes():
     sizes = {r.relevant_fraction: r.n_unlabeled for r in scaled}
     assert sizes[1.0] == 100 and sizes[0.5] == 400
     assert all(r.n_unlabeled == 100 for r in fixed)
+
+
+def test_irrelevant_sweep_pool_normals_are_the_largest_pool(monkeypatch):
+    # the default grid at the default pool of 125,123: the arms' pools sum
+    # to 3,128,075 points, the largest (alpha 0.25, scaled) has 2,001,968
+    drawn = {}
+
+    class Counted:
+        def __init__(self, gen, index):
+            self.gen, self.index = gen, index
+
+        def standard_normal(self, size=None, out=None):
+            got = self.gen.standard_normal(size, out=out)
+            drawn[self.index] = drawn.get(self.index, 0) + got.size
+            return got
+
+        def binomial(self, n, p):
+            return self.gen.binomial(n, p)
+
+    monkeypatch.setattr(estimators, "split_stream",
+                        lambda seed, index: Counted(split_stream(seed, index),
+                                                    index))
+    spec = ExperimentSpec(kind="irrelevant_sweep", n0=4, d=64, epsilon=0.25,
+                          trial_count=1, n_unlabeled=125_123,
+                          alpha_grid=(1.0, 0.5, 0.25, 0.0))
+    rows, _ = run_irrelevant_sweep(spec)
+    sizes = [r.n_unlabeled for r in rows]
+    assert sum(sizes) == 3_128_075 and max(sizes) == 2_001_968
+    # index 0 is z1's one block, 1 is z's (drawn again in stats)
+    assert drawn.pop(0) == 64 and drawn.pop(1) == 2 * 64
+    assert sum(drawn.values()) == 2_001_968
+
+
+def test_irrelevant_sweep_fixed_and_scaled_rows_agree_at_alpha_one():
+    # at alpha = 1 both arms read the same n_unlabeled points of the pool
+    spec = ExperimentSpec(kind="irrelevant_sweep", n0=5, d=24, epsilon=0.2,
+                          trial_count=3, n_unlabeled=100,
+                          alpha_grid=(1.0, 0.5), master_seed=7)
+    rows, summaries = run_irrelevant_sweep(spec)
+
+    def at_one(records, kind, keep):
+        return [replace(r, experiment="") for r in records
+                if r.experiment == f"irrelevant_sweep:{kind}" and keep(r)]
+
+    for records, keep in ((rows, lambda r: r.relevant_fraction == 1.0),
+                          (summaries, lambda r: r.grid_value == "1")):
+        fixed = at_one(records, "fixed", keep)
+        assert fixed and fixed == at_one(records, "scaled", keep)
 
 
 def test_irrelevant_sweep_alpha_validation():
@@ -585,12 +633,20 @@ def test_analytic_accuracy_single_point_composition():
     assert flipped[0][1] == pytest.approx(out[0][1], rel=1e-12)
 
 
-def test_analytic_accuracy_rejects_zero_theta():
-    config = SmoothingConfig()
-    with pytest.raises(ValueError):
-        analytic_certified_accuracy(LogisticModel(theta=np.zeros(2)),
-                                    np.zeros((1, 2)), np.array([1]), [0.0],
-                                    config)
+def test_analytic_accuracy_at_zero_theta_matches_the_vote_draws():
+    # theta = 0 ties every score and a tie votes +1: the curve gives each
+    # +1 point probability 1 and each -1 point 0, as the exact draws do
+    config = SmoothingConfig(n0_selection=20, n_estimation=500)
+    xs = split_stream(301, 0).normal(size=(6, 2))
+    ys = np.array([1, -1, 1, 1, -1, 1])
+    radii = [0.0, 0.1, 0.5, 100.0]
+    base = LogisticModel(theta=np.zeros(2))
+    analytic = analytic_certified_accuracy(base, xs, ys, radii, config)
+    drawn = smoothing.certified_accuracy_curve(base, xs, ys, radii, config,
+                                               split_stream(301, 1))
+    assert [(r, mean) for r, mean, _, _ in analytic] == drawn
+    assert [sd for _, _, sd, _ in analytic] == [0.0] * len(radii)
+    assert drawn[0][1] == 4 / 6 and drawn[-1][1] == 0.0
 
 
 # -------------------------------------------------------------- check gate
