@@ -21,7 +21,8 @@ from .experiments import (
     trial_csv_lines,
     write_csv,
 )
-from .gaussian import canonical_sigma, thread_budget
+from . import gaussian
+from .gaussian import canonical_sigma
 from .rst import RstConfig
 from .smoothing import SmoothingConfig
 
@@ -169,10 +170,11 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed; trial j uses substream j")
     parser.add_argument("--workers", type=int, default=None,
-                        help="thread count (default: the cores this process "
-                             "may run on); output is identical for any value; "
-                             "rst-demo and certify-demo accept the flag but "
-                             "run on one thread")
+                        help="threads per gap or sweep trial (default: the "
+                             "cores this process may run on); output is "
+                             "identical for any value; verify runs its Monte "
+                             "Carlo on every core, and rst-demo and "
+                             "certify-demo on one thread, whatever the value")
     parser.add_argument("--out", type=str, default=None,
                         help="trial CSV path; summary lands at <out>.summary.csv")
     parser.add_argument("--config", type=str, default=None,
@@ -262,7 +264,7 @@ def _build_spec(subcommand: str, options: dict) -> ExperimentSpec:
             "--allow-large-eps to confirm the weak-signal regime")
     nested_keys = _NESTED_FIELDS.get(kind, set())
     nested = {key: options.pop(key) for key in nested_keys & set(options)}
-    values = {"kind": kind, "workers": thread_budget(1)}
+    values = {"kind": kind, "workers": gaussian._mc_threads()}
     values.update((_SPEC_FIELDS.get(key, key), value)
                   for key, value in options.items())
     spec = ExperimentSpec(**values)

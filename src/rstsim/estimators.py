@@ -96,19 +96,19 @@ _L1_BLOCK = 1 << 14
 
 
 class TrialWork:
-    """What one run's trials reuse: z1, one scratch buffer per thread for
-    a block of z or of pool points or for FactoredDraw.stats, and the pool
-    whose workers run beside the caller (see gaussian.run_blocks). A
-    FactoredDraw made on it holds its z1 until the next trial_draws."""
+    """What one run's trials reuse: z1 and one scratch buffer per thread
+    for a block of z or of pool points or for FactoredDraw.stats; run
+    spreads blocks over the threads (gaussian.run_blocks). A FactoredDraw
+    made on it holds its z1 until the next trial_draws."""
 
-    def __init__(self, d: int, arms, threads: int = 1, pool=None):
-        self.threads, self.pool = threads, pool
+    def __init__(self, d: int, arms, threads: int = 1):
+        self.threads = threads
         self.z1 = np.empty(d)
         size = max(_BLOCK, 2 * len(arms) * _L1_BLOCK)
         self.scratch = [np.empty(size) for _ in range(threads)]
 
     def run(self, task, n_blocks: int) -> list:
-        return run_blocks(task, n_blocks, self.threads, self.pool)
+        return run_blocks(task, n_blocks, self.threads)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ another, each spread over the worker threads in fixed blocks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +34,6 @@ from .gaussian import (
     rates_from_stats,
     run_blocks,
     sample_labeled,
-    thread_budget,
     vote_probabilities,
 )
 from .rst import LogisticModel, RstConfig, rst_train, standard_train
@@ -252,18 +250,16 @@ def _run_arms(spec: ExperimentSpec, arms) -> tuple[list[TrialRow],
     model = spec.model()
     draws = [arm[3:] for arm in arms]
     per_trial = []
-    with ThreadPoolExecutor(max_workers=max(1, spec.workers - 1)) as pool:
-        work = TrialWork(model.d, draws, spec.workers, pool)
-        for t in range(spec.trial_count):
-            fd = trial_draws(model, draws, split_stream(spec.master_seed, t),
-                             work)
-            per_trial.append([_closed_form_row(
-                experiment, model, stats, spec, n_labeled=n,
-                n_unlabeled=n_unlabeled,
-                relevant_fraction=alpha if n_unlabeled else None,
-                trial=t, gamma=gamma, seed=t)
-                for (experiment, _, _, n, n_unlabeled, alpha), stats, gamma
-                in zip(arms, fd.stats(model.mu), fd.agreements, strict=True)])
+    work = TrialWork(model.d, draws, spec.workers)
+    for t in range(spec.trial_count):
+        fd = trial_draws(model, draws, split_stream(spec.master_seed, t), work)
+        per_trial.append([_closed_form_row(
+            experiment, model, stats, spec, n_labeled=n,
+            n_unlabeled=n_unlabeled,
+            relevant_fraction=alpha if n_unlabeled else None,
+            trial=t, gamma=gamma, seed=t)
+            for (experiment, _, _, n, n_unlabeled, alpha), stats, gamma
+            in zip(arms, fd.stats(model.mu), fd.agreements, strict=True)])
     rows: list[TrialRow] = []
     summaries: list[SummaryRow] = []
     for j, (experiment, grid_key, grid_value, *_) in enumerate(arms):
@@ -289,9 +285,6 @@ def run_verify_closed_form(spec: ExperimentSpec) -> tuple[list[TrialRow],
     for i in range(n_pairs):
         dims.append(2 if i % 5 < 2 else (16 if i % 5 < 4 else 1024))
 
-    # the pairs run on spec.workers threads, which share the cores
-    threads = thread_budget(spec.workers)
-
     def one_pair(index: int, stream: RngStream):
         i = index
         d = dims[i]
@@ -302,8 +295,7 @@ def run_verify_closed_form(spec: ExperimentSpec) -> tuple[list[TrialRow],
         else:
             theta = stream.standard_normal(d) + model.mu / math.sqrt(d)
         clf = LinearClassifier(theta=theta)
-        std_mc, rob_mc = mc_error_estimate(model, clf, spec.mc_samples, stream,
-                                           threads)
+        std_mc, rob_mc = mc_error_estimate(model, clf, spec.mc_samples, stream)
         std_err, rob_err = error_rates(model, clf)
         closed = TrialRow(
             experiment="verify_closed_form:closed", n0=spec.n0, d=d,
@@ -314,7 +306,8 @@ def run_verify_closed_form(spec: ExperimentSpec) -> tuple[list[TrialRow],
                      std_err=std_mc, rob_err=rob_mc)
         return closed, mc
 
-    pairs = _run_indexed(one_pair, n_pairs, spec.master_seed, 0, spec.workers)
+    # the pairs run one after another, each estimate on every core
+    pairs = _run_indexed(one_pair, n_pairs, spec.master_seed, 0, 1)
     rows: list[TrialRow] = []
     for closed, mc in pairs:
         rows.append(closed)

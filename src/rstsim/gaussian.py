@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -236,29 +236,29 @@ def _mc_threads() -> int:
     return os.cpu_count() or 1
 
 
-def thread_budget(callers: int) -> int:
-    """Chunk threads per estimate when callers run at once: a core share."""
-    return max(1, _mc_threads() // callers)
+@lru_cache(maxsize=None)
+def _executor(workers: int) -> ThreadPoolExecutor:
+    """The process-wide executor of this many workers, made on first use."""
+    return ThreadPoolExecutor(max_workers=workers)
 
 
-def run_blocks(task, n_blocks: int, threads: int, pool=None) -> list:
+def run_blocks(task, n_blocks: int, threads: int) -> list:
     """task(k, w) for every block k < n_blocks, in block order.
 
     T = min(threads, n_blocks) threads run them, the caller as thread 0
-    and pool's workers (a pool made for the call when None) as the rest;
-    thread w takes blocks w, w + T, ... as one task, and w picks its own
-    buffer. A caller that combines the results in block order gets the
-    same result for any thread count.
+    and the T - 1 workers of _executor(T - 1) as the rest; thread w takes
+    blocks w, w + T, ... as one task, and w picks its own buffer. A caller
+    that combines the results in block order gets the same result for any
+    thread count. A task must not call run_blocks: a worker that waits on
+    its own executor can deadlock it (at threads = 1 every task runs on
+    the caller, so there it may).
     """
     t = max(1, min(threads, n_blocks))
-    if t > 1 and pool is None:
-        with ThreadPoolExecutor(max_workers=t - 1) as pool:
-            return run_blocks(task, n_blocks, t, pool)
 
     def share(w: int) -> list:
         return [task(k, w) for k in range(w, n_blocks, t)]
 
-    others = [pool.submit(share, w) for w in range(1, t)]
+    others = [_executor(t - 1).submit(share, w) for w in range(1, t)]
     out = [None] * n_blocks
     for w, part in enumerate([share(0)] + [f.result() for f in others]):
         out[w::t] = part
@@ -266,8 +266,7 @@ def run_blocks(task, n_blocks: int, threads: int, pool=None) -> list:
 
 
 def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
-                      n_samples: int, stream: RngStream,
-                      threads: int | None = None) -> tuple[float, float]:
+                      n_samples: int, stream: RngStream) -> tuple[float, float]:
     """Monte Carlo (standard, robust) error rates on fresh samples.
 
     The robust event is y * x^T theta - epsilon * ||theta||_1 < 0, i.e.
@@ -281,8 +280,8 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     drawn as sample_labeled(model, rows_k, split_stream(seed, k)) would
     draw it. The layout depends only on n_samples and d, and the miss
     counts are exact integer sums, so the result does not depend on how
-    many threads run the chunks: at most threads (default: the cores this
-    process may run on) and one per chunk, the caller among them. A thread
+    many threads run the chunks: one per core this process may run on, at
+    most one per chunk, the caller among them (run_blocks). A thread
     draws a chunk in the same order in row blocks of max(1, 2^17 // d) into
     one reused buffer, each row times its label, and counts each block's
     misses from its scores, which are then the margins y theta^T x; so
@@ -299,9 +298,7 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     rows = max(1, _MC_BLOCK_SCALARS // model.d)
     n_chunks = -(-n_samples // rows)
     seed = int(stream.integers(0, 2**63))
-    threads = min(thread_budget(1) if threads is None else threads, n_chunks)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = min(_mc_threads(), n_chunks)
     block = min(rows, n_samples, max(1, _MC_ROW_BLOCK_SCALARS // model.d))
     bufs = [np.empty((block, model.d)) for _ in range(threads)]
     shift = model.epsilon * l1

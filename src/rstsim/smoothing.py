@@ -144,8 +144,8 @@ def min_votes_for_radius(radius: float, config: SmoothingConfig) -> int:
     p = Phi(radius / noise_sigma), z = Phi^-1(1 - conf_alpha), then bisects;
     the certifying counts are an upper set, so the count is any search's.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not radius >= 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     n = config.n_estimation
 
     def certifies(k: int) -> bool:
@@ -196,8 +196,9 @@ def certified_accuracy_curve(base, xs, ys, radii, config: SmoothingConfig,
     """
     points = LabeledSet(xs=xs, ys=ys)
     radii = [float(r) for r in radii]
-    if any(r < 0 for r in radii):
-        raise ValueError("radii must be nonnegative")
+    for r in radii:
+        if not r >= 0:
+            raise ValueError(f"radius must be >= 0, got {r}")
     if any(b < a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be sorted ascending")
     need = np.array([min_votes_for_radius(r, config) for r in radii])

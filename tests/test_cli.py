@@ -152,6 +152,15 @@ def test_tiny_alpha_exits_one_naming_the_pool(tmp_path, capsys, alpha):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("radii", ["nan", "0,nan"])
+def test_nan_radius_exits_one_naming_it(tmp_path, capsys, radii):
+    assert main(["certify-demo", "--radii", radii, "--trials", "2",
+                 "--out", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: radius must be >= 0, got nan\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
 @pytest.mark.parametrize("sub, flag, value, kind", [
     ("sweep-irrelevant", "--alphas", "0.5,x", "float"),
     ("sweep-unlabeled", "--n-unlabeled-grid", "0,1e3", "int")])

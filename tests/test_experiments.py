@@ -160,42 +160,32 @@ def test_verify_tolerance_reads_the_threshold_table(monkeypatch):
 
 
 def test_verify_threads_stay_within_the_cores(monkeypatch):
-    # At 8 cores, W trial threads each get max(1, 8 // W) chunk threads,
-    # their own included, so a run holds the main thread plus at most 8.
-    # With 8,192 samples the d = 1024 pairs split into 8 chunks.
+    # At 8 cores verify runs its pairs one after another and each Monte
+    # Carlo estimate on the cores, the caller among them, so at every
+    # --workers the chunks are drawn on the same at most 8 threads. With
+    # 8,192 samples the d = 1024 pairs split into 8 chunks.
     import threading
-    import time
 
     import rstsim.gaussian as gaussian
 
     monkeypatch.setattr(gaussian, "_mc_threads", lambda: 8)
-    cores = 8
+    draw, idents = gaussian._draw_labeled, set()
+
+    def spy(*args):
+        idents.add(threading.get_ident())
+        return draw(*args)
+
+    monkeypatch.setattr(gaussian, "_draw_labeled", spy)
     spec = _small_verify_spec(trial_count=10, mc_samples=8_192)
-    baseline = threading.active_count()  # the main thread, and any others
-    reference = None
-    for workers in range(1, cores + 1):
-        peak, done = [0], threading.Event()
-
-        def sample():
-            while not done.is_set():
-                peak[0] = max(peak[0], threading.active_count())
-                time.sleep(2e-4)
-
-        sampler = threading.Thread(target=sample)
-        sampler.start()
-        try:
-            rows, _ = run_verify_closed_form(replace(spec, workers=workers))
-        finally:
-            done.set()
-            sampler.join(timeout=10)
-        assert not sampler.is_alive()
-        # the main thread and the run's threads; the sampler is not counted
-        live = peak[0] - 1 - (baseline - 1)
-        assert live <= cores + 1, (workers, live)
-        if workers == 1:
-            assert live >= 3, "one worker should still split the chunks"
+    reference, counts = None, []
+    for workers in range(1, 9):
+        idents.clear()
+        rows, _ = run_verify_closed_form(replace(spec, workers=workers))
+        counts.append(len(idents))
         reference = reference or rows
         assert rows == reference
+    assert counts[0] >= 3, "one worker should still split the chunks"
+    assert max(counts) <= 8 and len(set(counts)) == 1, counts
 
 
 def test_gap_arm_structure():

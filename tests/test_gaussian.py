@@ -268,9 +268,6 @@ class TestMonteCarloAgreement:
         clf = LinearClassifier(theta=np.ones(8))
         with pytest.raises(ValueError):
             mc_error_estimate(m, clf, 0, split_stream(33, 0))
-        for threads in (0, -1):
-            with pytest.raises(ValueError):
-                mc_error_estimate(m, clf, 10, split_stream(33, 0), threads)
 
 
 class TestBlockedMonteCarlo:
@@ -334,9 +331,6 @@ class TestBlockedMonteCarlo:
         for threads in (1, 2, 3, 5):
             monkeypatch.setattr(gaussian, "_mc_threads", lambda: threads)
             assert mc_error_estimate(m, clf, n, split_stream(48, 0)) == want
-            # an explicit budget overrides the core count
-            assert mc_error_estimate(m, clf, n, split_stream(48, 0),
-                                     threads=6 - threads) == want
 
     @pytest.mark.parametrize("block_rows", [1, 7, 128])
     @pytest.mark.parametrize("d", [3, 64])
@@ -395,3 +389,68 @@ class TestBlockedMonteCarlo:
             tracemalloc.stop()
         # the materialized sample alone would be 3 x 164 MB
         assert peak < 32 * 2**20
+
+
+class TestRobustOracle:
+    """At d = 2 the robust column is recounted from the l-infinity ball's
+    four vertices, with no ||theta||_1 in the count."""
+
+    N = 20_000
+
+    @classmethod
+    def _counts(cls, monkeypatch):
+        # chunks of 3,000 rows on 3 threads, the last one 2,000 rows
+        monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", 2 * 3000)
+        monkeypatch.setattr(gaussian, "_mc_threads", lambda: 3)
+        m = canonical_model(4, 2, 0.3)
+        theta = np.array([1.0, 0.35])
+        _, rob = mc_error_estimate(m, LinearClassifier(theta=theta), cls.N,
+                                   split_stream(51, 0))
+        # redraw the points chunk by chunk from their substreams
+        seed = int(split_stream(51, 0).integers(0, 2**63))
+        rows = gaussian._MC_BLOCK_SCALARS // 2
+        corners = m.epsilon * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+        misses = 0
+        for k, start in enumerate(range(0, cls.N, rows)):
+            n = min(rows, cls.N - start)
+            (ys, yxs), = gaussian._draw_labeled(m, split_stream(seed, k), n,
+                                                np.empty((n, 2)))
+            xs = ys[:, None] * yxs
+            scores = (xs[:, None, :] + corners[None]) @ theta
+            preds = np.where(scores >= 0.0, 1, -1)  # sign(0) = +1
+            misses += int(np.count_nonzero((preds != ys[:, None]).any(axis=1)))
+        return round(rob * cls.N), misses
+
+    def test_robust_misses_match_the_vertices(self, monkeypatch):
+        got, want = self._counts(monkeypatch)
+        assert got == want
+
+    @pytest.mark.parametrize("mutate", [
+        lambda mu_dot, l2, l1: (mu_dot, l2, l2),
+        lambda mu_dot, l2, l1: (mu_dot, l2, 0.5 * l1),
+        lambda mu_dot, l2, l1: (mu_dot, l2, 1.3 * l1)],
+        ids=["l2-norm", "half-l1", "l1-times-1.3"])
+    def test_a_wrong_l1_norm_fails_the_oracle(self, monkeypatch, mutate):
+        stats = gaussian.alignment_stats
+        monkeypatch.setattr(gaussian, "alignment_stats",
+                            lambda model, clf: mutate(*stats(model, clf)))
+        got, want = self._counts(monkeypatch)
+        assert got != want
+
+
+def test_run_blocks_reuses_its_workers():
+    # the barrier holds every share until all 3 run at once; a second call
+    # at the same thread count runs on the threads the first one left
+    import threading
+
+    barrier = threading.Barrier(3, timeout=10)
+
+    def task(k, w):
+        barrier.wait()
+        return k, w
+
+    want = [(k, k % 3) for k in range(6)]
+    assert gaussian.run_blocks(task, 6, 3) == want
+    live = set(threading.enumerate())
+    assert gaussian.run_blocks(task, 6, 3) == want
+    assert set(threading.enumerate()) == live
