@@ -149,17 +149,19 @@ class FactoredDraw:
 
     def stats(self, mu: np.ndarray) -> list[tuple[float, float, float]]:
         """(mu^T theta, ||theta||_2, ||theta||_1) per arm: the first two from
-        gram, ||theta||_1 in one pass for all arms. Each block of _BLOCK
-        coordinates is a task on the work's threads, summed in sub-blocks of
-        _L1_BLOCK in a (2, K, _L1_BLOCK) view of the thread's scratch, the
-        rows with c = 0 first, so that only the others read z, redrawn into
-        the spare half's first row; the block sums are added correctly
-        rounded (math.fsum)."""
+        gram, ||theta||_1 in one pass over the K distinct (a, b, c) rows,
+        each arm reading its row's sum. Each block of _BLOCK coordinates is
+        a task on the work's threads, summed in sub-blocks of _L1_BLOCK in a
+        (2, K, _L1_BLOCK) view of the thread's scratch, the rows with c = 0
+        first, so that only the others read z, redrawn into the spare half's
+        first row; the block sums are added correctly rounded (math.fsum)."""
         mm, m1, mz, s11, s1z, szz = self.gram
-        d, z1, seed, arms = mu.size, self.z1, self.seed, len(self.coef)
-        order = np.argsort(self.coef[:, 2] != 0.0, kind="stable")
-        rank, n_sup = np.argsort(order), arms - np.count_nonzero(self.coef[:, 2])
-        a, b, c = self.coef[order].T[:, :, None]  # (K, 1) columns
+        rows = list(dict.fromkeys(map(tuple, self.coef.tolist())))
+        coef = np.array(rows)
+        d, z1, seed, arms = mu.size, self.z1, self.seed, len(rows)
+        order = np.argsort(coef[:, 2] != 0.0, kind="stable")
+        rank, n_sup = np.argsort(order), arms - np.count_nonzero(coef[:, 2])
+        a, b, c = coef[order].T[:, :, None]  # (K, 1) columns
         sub, n_blocks = _L1_BLOCK, -(-d // _BLOCK)
 
         def l1_block(k: int, w: int) -> np.ndarray:
@@ -183,12 +185,13 @@ class FactoredDraw:
             return total[rank]
 
         blocks = self.work.run(l1_block, n_blocks)
+        l1 = dict(zip(rows, map(math.fsum, zip(*blocks))))
         out = []
-        for (a, b, c), n1 in zip(self.coef.tolist(), zip(*blocks)):
+        for a, b, c in self.coef.tolist():
             sq = (a * a * mm + b * b * s11 + c * c * szz
                   + 2.0 * (a * b * m1 + a * c * mz + b * c * s1z))
             out.append((a * mm + b * m1 + c * mz, math.sqrt(max(sq, 0.0)),
-                        math.fsum(n1)))
+                        l1[a, b, c]))
         return out
 
 

@@ -131,22 +131,16 @@ def canonical_model(n0: int, d: int, epsilon: float,
                          epsilon=epsilon, n0=int(n0))
 
 
-# Monte Carlo draws chunks of about _MC_BLOCK_SCALARS, one substream each,
-# in row blocks of about _MC_ROW_BLOCK_SCALARS: memory O(threads * block).
-_MC_BLOCK_SCALARS = 1 << 20
-_MC_ROW_BLOCK_SCALARS = 1 << 17
-
-
 def _draw_labeled(model: GaussianModel, stream: RngStream, n: int,
                   buf: np.ndarray):
-    """Draw n labeled samples into buf block by block, each row times its
-    label; yield each block's (labels, rows).
+    """Draw n labeled samples into buf, len(buf) rows at a time, each row
+    times its label; yield each block's (labels, rows).
 
     Draw order (fixed for reproducibility): n label bits first, then the
-    (n, d) noise matrix row-major, len(buf) rows at a time. Each block holds
-    y_i x_i = mu + sigma y_i z_i, formed in place by scaling z_i by sigma
-    y_i and adding mu, which is y_i times x_i = y_i mu + sigma z_i exactly,
-    because negation is exact. One block when len(buf) >= n.
+    (n, d) noise matrix row-major, so the blocks draw what one (n, d) draw
+    would. Each block holds y_i x_i = mu + sigma y_i z_i, formed in place by
+    scaling z_i by sigma y_i and adding mu, which is y_i times x_i = y_i mu
+    + sigma z_i exactly, because negation is exact.
     """
     ys = 2 * stream.integers(0, 2, size=n, dtype=np.int64) - 1
     for r0 in range(0, n, len(buf)):
@@ -265,6 +259,12 @@ def run_blocks(task, n_blocks: int, threads: int) -> list:
     return out
 
 
+# Monte Carlo draws chunks of about _MC_BLOCK_SCALARS, one substream each,
+# in row blocks of about _MC_ROW_BLOCK_SCALARS: memory O(threads * block).
+_MC_BLOCK_SCALARS = 1 << 20
+_MC_ROW_BLOCK_SCALARS = 1 << 17
+
+
 def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
                       n_samples: int, stream: RngStream) -> tuple[float, float]:
     """Monte Carlo (standard, robust) error rates on fresh samples.
@@ -275,49 +275,57 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     y = -1. Both rates use the same sample, so they are comparable and
     the robust rate dominates the standard rate realization-wise.
 
+    Antithetic labels: y is uniform and independent of the noise, so n
+    samples are ceil(n / 2) noise rows z_i, row i carrying (mu + sigma z_i,
+    +1) and, when i < floor(n / 2), (-mu + sigma z_i, -1). With t_i = sigma
+    theta^T z_i and c = mu^T theta (mu^T theta - epsilon ||theta||_1 for
+    the robust column), the pair's margins are c + t_i and c - t_i. The
+    estimate is unbiased, and its variance is at most that of n
+    independent samples: a row's two misses are never both counted when c
+    >= 0, and one of them always is when c < 0, so they covary <= 0. It
+    shares with the closed form the linearity of the score and the
+    epsilon ||theta||_1 step (alignment_stats), not the Gaussian tail.
+
     Draw order: one seed = stream.integers(0, 2**63), then chunk k of
-    R = max(1, 2^20 // d) rows, rows [k R, min((k + 1) R, n_samples)), is
-    drawn as sample_labeled(model, rows_k, split_stream(seed, k)) would
-    draw it. The layout depends only on n_samples and d, and the miss
-    counts are exact integer sums, so the result does not depend on how
-    many threads run the chunks: one per core this process may run on, at
-    most one per chunk, the caller among them (run_blocks). A thread
-    draws a chunk in the same order in row blocks of max(1, 2^17 // d) into
-    one reused buffer, each row times its label, and counts each block's
-    misses from its scores, which are then the margins y theta^T x; so
-    nothing depends on the block size. Memory is O(threads * (block d + R)),
-    the R being the chunk's labels.
+    R = max(1, 2^20 // d) rows, rows [k R, min((k + 1) R, ceil(n / 2))),
+    is split_stream(seed, k).standard_normal((rows_k, d)) row-major. The
+    layout depends only on n_samples and d, and the miss counts are exact
+    integer sums, so the result does not depend on how many threads run
+    the chunks: one per core this process may run on, at most one per
+    chunk, the caller among them (run_blocks). A thread draws a chunk in
+    row blocks of max(1, 2^17 // d) rows into one reused buffer, in the
+    same order, and counts each block's misses; so nothing depends on the
+    block size. Memory is O(threads * block d).
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     theta = clf.theta
-    _, l2, l1 = alignment_stats(model, clf)
+    mu_dot, l2, l1 = alignment_stats(model, clf)
     if l2 == 0.0:
         raise ValueError("theta must be nonzero")
+    n_rows, n_pairs = -(-n_samples // 2), n_samples // 2
     rows = max(1, _MC_BLOCK_SCALARS // model.d)
-    n_chunks = -(-n_samples // rows)
+    n_chunks = -(-n_rows // rows)
     seed = int(stream.integers(0, 2**63))
     threads = min(_mc_threads(), n_chunks)
-    block = min(rows, n_samples, max(1, _MC_ROW_BLOCK_SCALARS // model.d))
+    block = min(rows, n_rows, max(1, _MC_ROW_BLOCK_SCALARS // model.d))
     bufs = [np.empty((block, model.d)) for _ in range(threads)]
-    shift = model.epsilon * l1
+    levels = (mu_dot, mu_dot - model.epsilon * l1)  # c of each column
 
-    def misses(k: int, w: int) -> tuple[int, int]:
+    def misses(k: int, w: int) -> list[int]:
         # (standard, robust) miss counts of chunk k, drawn into thread w's buffer
-        std = rob = 0
-        for labels, xs in _draw_labeled(model, split_stream(seed, k),
-                                        min(rows, n_samples - k * rows),
-                                        bufs[w]):
-            # the rows hold y x, so their scores are the margins y theta^T x
-            margin = np.einsum("ij,j->i", xs, theta)
-            neg = labels < 0
-            std += int(np.count_nonzero(
-                (margin < 0.0) | ((margin == 0.0) & neg)))
-            margin -= shift
-            rob += int(np.count_nonzero(
-                (margin < 0.0) | ((margin == 0.0) & neg)))
-        return std, rob
+        gen, counts = split_stream(seed, k), [0, 0]
+        end = min((k + 1) * rows, n_rows)
+        for r0 in range(k * rows, end, block):
+            zs = gen.standard_normal(out=bufs[w][:min(block, end - r0)])
+            t = np.einsum("ij,j->i", zs, theta)
+            t *= model.sigma
+            minus = t[:n_pairs - r0]  # the rows that also carry y = -1
+            for j, c in enumerate(levels):
+                counts[j] += (int(np.count_nonzero(c + t < 0.0))
+                              + int(np.count_nonzero(c - minus <= 0.0)))
+        return counts
 
     counts = run_blocks(misses, n_chunks, threads)
     std_total, rob_total = map(sum, zip(*counts))

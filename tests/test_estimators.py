@@ -440,6 +440,24 @@ class TestFactoredScores:
         assert fd3.stats(m.mu) == want
 
 
+    def test_repeated_arms_keep_the_lone_arm_stats(self):
+        # one self-training arm three times and two supervised arms twice,
+        # no repeat next to its twin and supervised rows between the
+        # self-training ones; the pass sums each distinct row once, and
+        # every repeat returns its arm's stats drawn alone, bit for bit
+        d = 2 * estimators._BLOCK + 123
+        m = GaussianModel(mu=split_stream(85, 0).normal(0.3, 1.0, d),
+                          sigma=1.7, epsilon=0.05)
+        st, sup3, sup7 = (3, 700, 0.25), (3, 0, 1.0), (7, 0, 1.0)
+        arms = [st, sup3, sup7, st, sup3, sup7, st]
+        for threads in (1, 3):
+            fd = trial_draws(m, arms, split_stream(85, 1),
+                             estimators.TrialWork(d, arms, threads=threads))
+            for arm, stats in zip(arms, fd.stats(m.mu)):
+                [alone] = trial_draws(m, [arm], split_stream(85, 1)).stats(m.mu)
+                assert stats == alone
+
+
 def _reference_pool(m, sigma, n_rel, n_irr, normals, labels):
     # per point, with explicit labels: signal point i has noise projection
     # u = y w, pseudo-label sign(y m + u); a noise point has u = v

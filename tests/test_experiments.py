@@ -163,20 +163,21 @@ def test_verify_threads_stay_within_the_cores(monkeypatch):
     # At 8 cores verify runs its pairs one after another and each Monte
     # Carlo estimate on the cores, the caller among them, so at every
     # --workers the chunks are drawn on the same at most 8 threads. With
-    # 8,192 samples the d = 1024 pairs split into 8 chunks.
+    # 16,384 samples, 8,192 paired rows, the d = 1024 pairs split into 8
+    # chunks, each opening its substream with split_stream.
     import threading
 
     import rstsim.gaussian as gaussian
 
     monkeypatch.setattr(gaussian, "_mc_threads", lambda: 8)
-    draw, idents = gaussian._draw_labeled, set()
+    draw, idents = gaussian.split_stream, set()
 
     def spy(*args):
         idents.add(threading.get_ident())
         return draw(*args)
 
-    monkeypatch.setattr(gaussian, "_draw_labeled", spy)
-    spec = _small_verify_spec(trial_count=10, mc_samples=8_192)
+    monkeypatch.setattr(gaussian, "split_stream", spy)
+    spec = _small_verify_spec(trial_count=10, mc_samples=16_384)
     reference, counts = None, []
     for workers in range(1, 9):
         idents.clear()

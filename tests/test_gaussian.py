@@ -29,21 +29,30 @@ def _materialized_sample(model, n, stream):
 
 
 def _chunked_mc(model, clf, n, stream):
-    # reference for the chunked Monte Carlo: one seed from the caller's
-    # stream, then chunk k of R rows drawn by sample_labeled from
-    # split_stream(seed, k) and scored on its own
+    # reference for the paired Monte Carlo: one seed from the caller's
+    # stream, then ceil(n / 2) noise rows in chunks of R, chunk k drawn
+    # whole from split_stream(seed, k) and scored in one einsum; row i is
+    # the sample (z_i, +1) and, when i < n // 2, also (z_i, -1), with margin
+    # c + y sigma theta^T z_i, c = mu^T theta (minus epsilon ||theta||_1
+    # for the robust column)
     seed = int(stream.integers(0, 2**63))
     rows = max(1, gaussian._MC_BLOCK_SCALARS // model.d)
+    n_rows, n_pairs = -(-n // 2), n // 2
+    mu_dot = float(np.sum(model.mu * clf.theta))
     l1 = float(np.sum(np.abs(clf.theta)))
-    std_miss = rob_miss = 0
-    for k, start in enumerate(range(0, n, rows)):
-        data = sample_labeled(model, min(rows, n - start), split_stream(seed, k))
-        scores = np.einsum("ij,j->i", data.xs, clf.theta)
-        std_miss += int(np.count_nonzero(np.where(scores >= 0.0, 1, -1) != data.ys))
-        margin = data.ys * scores - model.epsilon * l1
-        rob_miss += int(np.count_nonzero(
-            (margin < 0.0) | ((margin == 0.0) & (data.ys == -1))))
-    return std_miss / n, rob_miss / n
+    misses = [0, 0]
+    for k, start in enumerate(range(0, n_rows, rows)):
+        zs = split_stream(seed, k).standard_normal(
+            (min(rows, n_rows - start), model.d))
+        t = model.sigma * np.einsum("ij,j->i", zs, clf.theta)
+        pairs = max(0, min(len(t), n_pairs - start))
+        ys = np.concatenate([np.ones(len(t)), -np.ones(pairs)])
+        ts = np.concatenate([t, t[:pairs]])
+        for j, c in enumerate((mu_dot, mu_dot - model.epsilon * l1)):
+            margin = c + ys * ts
+            misses[j] += int(np.count_nonzero(
+                (margin < 0.0) | ((margin == 0.0) & (ys == -1))))
+    return misses[0] / n, misses[1] / n
 
 
 class TestCanonicalModel:
@@ -213,9 +222,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("block", [1, 7, 128, 300])
     def test_row_blocks_draw_the_same_sample(self, block):
-        # the Monte Carlo's many-block fill consumes the stream exactly as
-        # sample_labeled's one block does; each row arrives times its
-        # label, in buf, which the next block overwrites
+        # a many-block fill consumes the stream exactly as sample_labeled's
+        # one block does; each row arrives times its label, in buf, which
+        # the next block overwrites
         m = canonical_model(4, 16, 0.25)
         data = sample_labeled(m, 300, split_stream(24, 0))
         buf = np.empty((block, 16))
@@ -282,11 +291,12 @@ class TestBlockedMonteCarlo:
 
     @pytest.mark.parametrize("d,n", [
         (16, 1000),            # n below one chunk
-        (1024, 2500),          # chunks of 1024 rows, last one 452
-        (2**20 + 3, 3),        # d above the chunk size: one row per chunk
-        (1, 2**20 + 5),        # d = 1: a full chunk plus 5 rows
-        (1, 3 * 2**17 + 11),   # one partial chunk: 3 row blocks and 11 rows
-        (1024, 30_001),        # last chunk 305 rows: 2 row blocks and 49
+        (1024, 2500),          # 1,250 rows: chunks of 1024 rows, last one 226
+        (2**20 + 3, 3),        # d above the chunk size: one row per chunk,
+                               # the second a lone +1 sample
+        (1, 2**20 + 5),        # d = 1: 2^19 + 3 rows, one partial chunk
+        (1, 3 * 2**17 + 11),   # 3 * 2^16 + 6 rows: a row block and 65,542
+        (1024, 30_001),        # last chunk 665 rows: 5 row blocks and 25
     ])
     def test_matches_materialized_reference(self, d, n):
         m = canonical_model(4, d, 0.2)
@@ -304,24 +314,28 @@ class TestBlockedMonteCarlo:
             assert got == want
 
     def test_ties_follow_sign_zero(self):
-        # sigma at the smallest subnormal rounds most noise to exactly 0,
-        # so many scores are exactly zero (standard ties) ...
+        # sigma at the smallest subnormal rounds most scores sigma theta^T z
+        # to exactly 0, so many paired margins 0 +- t are zero (standard
+        # ties) ...
         m = GaussianModel(mu=np.zeros(2), sigma=5e-324, epsilon=0.0)
         theta = np.ones(2)
         seed = int(split_stream(44, 0).integers(0, 2**63))
-        xs = sample_labeled(m, 3000, split_stream(seed, 0)).xs  # the one chunk
-        assert np.count_nonzero(xs @ theta == 0.0) > 100
+        zs = split_stream(seed, 0).standard_normal((1500, 2))  # the one chunk
+        t = m.sigma * np.einsum("ij,j->i", zs, theta)
+        assert np.count_nonzero(np.concatenate([0.0 + t, 0.0 - t]) == 0.0) > 100
         got, want = self._both(m, theta, 3000, 44)
         assert got == want
-        # ... and with mu = 1, epsilon = 1 every worst-case margin is 0
+        # ... and with mu = 1, epsilon = 1 every worst-case level c is 0,
+        # so exactly one sample of each pair misses, a tie at y = -1
         m = GaussianModel(mu=np.ones(1), sigma=5e-324, epsilon=1.0)
         got, want = self._both(m, np.ones(1), 3000, 45)
         assert got == want
         assert got[0] == 0.0 and 0.4 < got[1] < 0.6
+        assert got[1] == 0.5
 
     @pytest.mark.parametrize("block,d,n", [
-        (1 << 20, 1024, 4500),  # 5 chunks, the last one 404 rows
-        (7, 3, 50),             # 25 chunks of 2 rows
+        (1 << 20, 1024, 4500),  # 2,250 rows: 3 chunks, the last one 202 rows
+        (7, 3, 50),             # 25 rows: 13 chunks of 2 rows, the last 1
     ])
     def test_same_result_for_any_thread_count(self, monkeypatch, block, d, n):
         monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", block)
@@ -335,8 +349,8 @@ class TestBlockedMonteCarlo:
     @pytest.mark.parametrize("block_rows", [1, 7, 128])
     @pytest.mark.parametrize("d", [3, 64])
     def test_row_blocks_match_reference(self, monkeypatch, block_rows, d):
-        # chunks of 300 rows, n = 1000: a ragged last chunk (100 rows), and
-        # neither 300 nor 100 a multiple of 7 or 128
+        # chunks of 300 rows, n = 1000 in 500 rows: a ragged last chunk
+        # (200 rows), and neither 300 nor 200 a multiple of 7 or 128
         monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", 300 * d)
         monkeypatch.setattr(gaussian, "_MC_ROW_BLOCK_SCALARS", block_rows * d)
         m = canonical_model(4, d, 0.3)
@@ -360,8 +374,8 @@ class TestBlockedMonteCarlo:
         assert peak < 2 * 8 * gaussian._MC_ROW_BLOCK_SCALARS + 2**20
 
     def test_traced_peak_at_small_d_is_the_labels(self, monkeypatch):
-        # d = 1: chunks of 2^20 rows, two per thread; a thread holds its
-        # chunk's 8 MiB of labels and one row block, not chunk-long scores
+        # d = 1: 2^21 rows in chunks of 2^20 rows, one per thread; a thread
+        # holds one row block and its scores, no chunk-long array
         monkeypatch.setattr(gaussian, "_mc_threads", lambda: 2)
         m = canonical_model(4, 1, 0.25)
         clf = LinearClassifier(theta=np.ones(1))
@@ -391,6 +405,54 @@ class TestBlockedMonteCarlo:
         assert peak < 32 * 2**20
 
 
+class TestPairedMonteCarlo:
+    """One noise row serves a +1 and a -1 sample: unbiased, with variance at
+    most that of independent samples, and an odd n ends on a lone +1."""
+
+    @pytest.mark.parametrize("eps", [0.25, 0.45])
+    def test_unbiased_with_at_most_the_independent_variance(self, eps):
+        m = canonical_model(4, 16, eps)
+        clf = LinearClassifier(theta=split_stream(60, 0).standard_normal(16) + 0.3)
+        n, seeds = 2000, 400
+        est = np.array([mc_error_estimate(m, clf, n, split_stream(61, s))
+                        for s in range(seeds)])
+        for col, p in zip(est.T, error_rates(m, clf)):
+            sd = float(np.std(col, ddof=1))
+            assert abs(float(np.mean(col)) - p) < 4 * sd / math.sqrt(seeds)
+            assert sd <= math.sqrt(p * (1 - p) / n)
+
+    @staticmethod
+    def _plus_misses(model, clf, seed, row):
+        # (standard, robust) misses of row's +1 sample x = mu + sigma z
+        rows = max(1, gaussian._MC_BLOCK_SCALARS // model.d)
+        zs = split_stream(seed, row // rows).standard_normal(
+            (row % rows + 1, model.d))
+        score = float(np.sum((model.mu + model.sigma * zs[-1]) * clf.theta))
+        shift = model.epsilon * float(np.sum(np.abs(clf.theta)))
+        return int(score < 0.0), int(score - shift < 0.0)
+
+    def test_odd_n_adds_a_lone_plus_one_sample(self, monkeypatch):
+        # chunks of 7 rows in row blocks of 3, so row k may open a chunk
+        # or a block; n = 2k + 1 adds row k's +1 sample and nothing else
+        monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", 7 * 16)
+        monkeypatch.setattr(gaussian, "_MC_ROW_BLOCK_SCALARS", 3 * 16)
+        m = canonical_model(4, 16, 0.45)
+        clf = LinearClassifier(theta=split_stream(62, 0).standard_normal(16) + 0.3)
+        seed = int(split_stream(63, 0).integers(0, 2**63))
+
+        def counts(n):
+            return tuple(round(r * n) for r in
+                         mc_error_estimate(m, clf, n, split_stream(63, 0)))
+
+        lone = []
+        for k in range(40):  # k = 0: the estimate at n = 1 is one +1 sample
+            even = counts(2 * k) if k else (0, 0)
+            want = self._plus_misses(m, clf, seed, k)
+            assert tuple(o - e for o, e in zip(counts(2 * k + 1), even)) == want
+            lone.append(want)
+        assert {rob for _, rob in lone} == {0, 1}
+
+
 class TestRobustOracle:
     """At d = 2 the robust column is recounted from the l-infinity ball's
     four vertices, with no ||theta||_1 in the count."""
@@ -399,26 +461,27 @@ class TestRobustOracle:
 
     @classmethod
     def _counts(cls, monkeypatch):
-        # chunks of 3,000 rows on 3 threads, the last one 2,000 rows
+        # 10,000 rows in chunks of 3,000 on 3 threads, the last one 1,000
         monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", 2 * 3000)
         monkeypatch.setattr(gaussian, "_mc_threads", lambda: 3)
         m = canonical_model(4, 2, 0.3)
         theta = np.array([1.0, 0.35])
         _, rob = mc_error_estimate(m, LinearClassifier(theta=theta), cls.N,
                                    split_stream(51, 0))
-        # redraw the points chunk by chunk from their substreams
+        # redraw the points chunk by chunk from their substreams: each
+        # noise row z gives x = mu + sigma z at y = +1, -mu + sigma z at -1
         seed = int(split_stream(51, 0).integers(0, 2**63))
         rows = gaussian._MC_BLOCK_SCALARS // 2
         corners = m.epsilon * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
         misses = 0
-        for k, start in enumerate(range(0, cls.N, rows)):
-            n = min(rows, cls.N - start)
-            (ys, yxs), = gaussian._draw_labeled(m, split_stream(seed, k), n,
-                                                np.empty((n, 2)))
-            xs = ys[:, None] * yxs
-            scores = (xs[:, None, :] + corners[None]) @ theta
-            preds = np.where(scores >= 0.0, 1, -1)  # sign(0) = +1
-            misses += int(np.count_nonzero((preds != ys[:, None]).any(axis=1)))
+        for k, start in enumerate(range(0, cls.N // 2, rows)):
+            zs = split_stream(seed, k).standard_normal(
+                (min(rows, cls.N // 2 - start), 2))
+            for y in (1, -1):
+                xs = y * m.mu + m.sigma * zs
+                scores = (xs[:, None, :] + corners[None]) @ theta
+                preds = np.where(scores >= 0.0, 1, -1)  # sign(0) = +1
+                misses += int(np.count_nonzero((preds != y).any(axis=1)))
         return round(rob * cls.N), misses
 
     def test_robust_misses_match_the_vertices(self, monkeypatch):
