@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import GaussianModel, LabeledSet, LinearClassifier, run_blocks
+from .gaussian import (
+    GaussianModel,
+    LabeledSet,
+    LinearClassifier,
+    _signed_rows,
+    run_blocks,
+)
 from .statkit import RngStream, split_stream
 
 
@@ -96,19 +102,16 @@ _L1_BLOCK = 1 << 14
 
 
 class TrialWork:
-    """What one run's trials reuse: z1 and one scratch buffer per thread
-    for a block of z or of pool points or for FactoredDraw.stats; run
-    spreads blocks over the threads (gaussian.run_blocks). A FactoredDraw
-    made on it holds its z1 until the next trial_draws."""
+    """What one run's trials reuse: z1, the thread count, and one scratch
+    buffer per thread for a block of z or of pool points or for
+    FactoredDraw.stats. A FactoredDraw made on it holds its z1 until the
+    next trial_draws."""
 
     def __init__(self, d: int, arms, threads: int = 1):
         self.threads = threads
         self.z1 = np.empty(d)
         size = max(_BLOCK, 2 * len(arms) * _L1_BLOCK)
         self.scratch = [np.empty(size) for _ in range(threads)]
-
-    def run(self, task, n_blocks: int) -> list:
-        return run_blocks(task, n_blocks, self.threads)
 
 
 @dataclass(frozen=True)
@@ -150,18 +153,18 @@ class FactoredDraw:
     def stats(self, mu: np.ndarray) -> list[tuple[float, float, float]]:
         """(mu^T theta, ||theta||_2, ||theta||_1) per arm: the first two from
         gram, ||theta||_1 in one pass over the K distinct (a, b, c) rows,
-        each arm reading its row's sum. Each block of _BLOCK coordinates is
-        a task on the work's threads, summed in sub-blocks of _L1_BLOCK in a
-        (2, K, _L1_BLOCK) view of the thread's scratch, the rows with c = 0
-        first, so that only the others read z, redrawn into the spare half's
-        first row; the block sums are added correctly rounded (math.fsum)."""
+        each arm reading its row's sum. The rows are sorted stably with the
+        supervised ones (c = 0) first, so that only the rows after them read
+        z, redrawn into the spare half's first row. Each block of _BLOCK
+        coordinates is a task on the work's threads, summed in sub-blocks
+        of _L1_BLOCK in a (2, K, _L1_BLOCK) view of the thread's scratch;
+        the block sums are added correctly rounded (math.fsum)."""
         mm, m1, mz, s11, s1z, szz = self.gram
-        rows = list(dict.fromkeys(map(tuple, self.coef.tolist())))
-        coef = np.array(rows)
+        rows = sorted(dict.fromkeys(map(tuple, self.coef.tolist())),
+                      key=lambda row: row[2] != 0.0)
         d, z1, seed, arms = mu.size, self.z1, self.seed, len(rows)
-        order = np.argsort(coef[:, 2] != 0.0, kind="stable")
-        rank, n_sup = np.argsort(order), arms - np.count_nonzero(coef[:, 2])
-        a, b, c = coef[order].T[:, :, None]  # (K, 1) columns
+        n_sup = sum(row[2] == 0.0 for row in rows)
+        a, b, c = np.array(rows).T[:, :, None]  # (K, 1) columns
         sub, n_blocks = _L1_BLOCK, -(-d // _BLOCK)
 
         def l1_block(k: int, w: int) -> np.ndarray:
@@ -182,9 +185,9 @@ class FactoredDraw:
                                                  out=spare[n_sup:])
                 theta += np.multiply(mu[start:stop], a, out=spare)
                 total += np.abs(theta, out=theta).sum(axis=1)
-            return total[rank]
+            return total
 
-        blocks = self.work.run(l1_block, n_blocks)
+        blocks = run_blocks(l1_block, n_blocks, self.work.threads)
         l1 = dict(zip(rows, map(math.fsum, zip(*blocks))))
         out = []
         for a, b, c in self.coef.tolist():
@@ -268,17 +271,13 @@ def sample_mixture(model: GaussianModel, n_unlabeled: int,
     the rest are pure noise x = sigma z. Every point gets a hidden uniform
     label y so agreement bookkeeping stays well-defined; irrelevant features
     never depend on it. Draw order: n hidden labels, the (n, d) noise matrix,
-    then one shuffle permutation.
+    then one shuffle permutation; the rows come from the row builder that
+    sample_labeled uses (gaussian._signed_rows), signal rows first.
     """
     n_rel, n_irr = _pool_split(n_unlabeled, relevant_fraction)
     n_unlabeled = n_rel + n_irr
     ys = 2 * stream.integers(0, 2, size=n_unlabeled, dtype=np.int64) - 1
-    xs = stream.standard_normal((n_unlabeled, model.d))
-    xs *= model.sigma
-    # adding or subtracting mu is exactly y mu + sigma z for y = +-1
-    pos = (ys[:n_rel] > 0)[:, None]
-    np.add(xs[:n_rel], model.mu, out=xs[:n_rel], where=pos)
-    np.subtract(xs[:n_rel], model.mu, out=xs[:n_rel], where=~pos)
+    xs = _signed_rows(model, ys, n_rel, stream)
     relevant = np.zeros(n_unlabeled, dtype=bool)
     relevant[:n_rel] = True
     perm = stream.permutation(n_unlabeled)
@@ -328,7 +327,8 @@ def _pool_sums(pools, sigma: float, seed: int, first: int,
             out.append((lo, hi, sums))
         return out
 
-    parts = [p for blk in work.run(block, n_blocks) for p in blk]
+    parts = [p for blk in run_blocks(block, n_blocks, work.threads)
+             for p in blk]
     levels, heads, total = sorted({n_irr for *_, n_irr in pools}), {}, 0
     for j, (lo, hi) in enumerate(zip([0] + levels, levels)):
         total += int(split_stream(seed, first + n_blocks + j).binomial(hi - lo, 0.5))
@@ -390,7 +390,8 @@ def trial_draws(model: GaussianModel, arms, stream: RngStream,
             out=work.scratch[w][:u.size])
         return _dot(m, u), _dot(u, u), _dot(m, v), _dot(u, v), _dot(v, v)
 
-    sums = [math.fsum(col) for col in zip(*work.run(normals, n_blocks))]
+    sums = [math.fsum(col)
+            for col in zip(*run_blocks(normals, n_blocks, work.threads))]
     mm, (m1, s11, *rest) = model.mu_sq, sums
     mz, s1z, szz = rest or (0.0, 0.0, 0.0)
     stages = []  # every arm's s, ||mu + s z1|| and pool split

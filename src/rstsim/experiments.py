@@ -73,7 +73,6 @@ class ExperimentSpec:
     n_unlabeled_grid: tuple[int, ...] = ()
     n_labeled_grid: tuple[int, ...] = ()
     alpha_grid: tuple[float, ...] = ()
-    relevant_fraction: float = 1.0
     mc_samples: int = 100_000
     rst_config: RstConfig | None = None
     stage1_learning_rate: float = 0.01
@@ -339,12 +338,10 @@ def run_gap(spec: ExperimentSpec) -> tuple[list[TrialRow], list[SummaryRow]]:
     spec.model()  # canonical_model vets the model point before any threshold
     n0 = _labeled_count(spec)
     n_big = supervised_label_threshold(spec.n0, spec.d, spec.epsilon)
-    alpha = spec.relevant_fraction
     return _run_arms(spec, [
-        ("gap:supervised_n0", "arm", "supervised_n0", n0, None, alpha),
-        ("gap:supervised_scaled", "arm", "supervised_scaled", n_big, None,
-         alpha),
-        ("gap:selftrain", "arm", "selftrain", n0, _pool_size(spec), alpha),
+        ("gap:supervised_n0", "arm", "supervised_n0", n0, None, 1.0),
+        ("gap:supervised_scaled", "arm", "supervised_scaled", n_big, None, 1.0),
+        ("gap:selftrain", "arm", "selftrain", n0, _pool_size(spec), 1.0),
     ])
 
 
@@ -360,8 +357,8 @@ def run_unlabeled_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
         raise ValueError("n_unlabeled_grid entries must be >= 0")
     n = _labeled_count(spec)
     return _run_arms(spec, [
-        ("unlabeled_sweep", "n_unlabeled", str(n_tilde), n, n_tilde,
-         spec.relevant_fraction) for n_tilde in grid])
+        ("unlabeled_sweep", "n_unlabeled", str(n_tilde), n, n_tilde, 1.0)
+        for n_tilde in grid])
 
 
 def run_irrelevant_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
@@ -401,8 +398,7 @@ def run_label_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
     spec.model()  # canonical_model vets the model point before any threshold
     n_tilde = _pool_size(spec)
     return _run_arms(spec, [
-        ("label_sweep", "n_labeled", str(n), n, n_tilde,
-         spec.relevant_fraction) for n in grid])
+        ("label_sweep", "n_labeled", str(n), n, n_tilde, 1.0) for n in grid])
 
 
 def default_rst_config(epsilon: float) -> RstConfig:
@@ -455,8 +451,7 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
         hidden = np.empty((len(indices), n_tilde), dtype=np.int64)
         for g, stream in enumerate(streams):
             labeled = sample_labeled(model, n, stream)
-            pool, hidden[g] = sample_mixture(model, n_tilde,
-                                             spec.relevant_fraction, stream)
+            pool, hidden[g] = sample_mixture(model, n_tilde, 1.0, stream)
             xs[g, :n], xs[g, n:], ys[g, :n] = labeled.xs, pool.xs, labeled.ys
             del labeled, pool  # the next draw need not hold this pool too
         stage1 = standard_train(xs, ys, spec.stage1_learning_rate,
@@ -476,7 +471,7 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
         for g, index in enumerate(indices):
             pairs.append((
                 trial_row("rst_demo:rst", rst[g], index, n_unlabeled=n_tilde,
-                          relevant_fraction=spec.relevant_fraction,
+                          relevant_fraction=1.0,
                           gamma=float(gammas[g])),
                 trial_row("rst_demo:labeled_only", base[g], index,
                           n_unlabeled=None, relevant_fraction=None,

@@ -131,35 +131,34 @@ def canonical_model(n0: int, d: int, epsilon: float,
                          epsilon=epsilon, n0=int(n0))
 
 
-def _draw_labeled(model: GaussianModel, stream: RngStream, n: int,
-                  buf: np.ndarray):
-    """Draw n labeled samples into buf, len(buf) rows at a time, each row
-    times its label; yield each block's (labels, rows).
+def _signed_rows(model: GaussianModel, ys: np.ndarray, n_signal: int,
+                 stream: RngStream) -> np.ndarray:
+    """The (len(ys), d) rows y_i mu + sigma z_i for i < n_signal and sigma
+    z_i for the rest, the noise drawn row-major from stream.
 
-    Draw order (fixed for reproducibility): n label bits first, then the
-    (n, d) noise matrix row-major, so the blocks draw what one (n, d) draw
-    would. Each block holds y_i x_i = mu + sigma y_i z_i, formed in place by
-    scaling z_i by sigma y_i and adding mu, which is y_i times x_i = y_i mu
-    + sigma z_i exactly, because negation is exact.
+    sigma z is formed in place, then mu is added on the signal rows with
+    y = +1 and subtracted on those with y = -1: for y = +-1 that is
+    exactly y mu + sigma z, since y mu is +-mu without rounding.
     """
-    ys = 2 * stream.integers(0, 2, size=n, dtype=np.int64) - 1
-    for r0 in range(0, n, len(buf)):
-        xs = buf[:min(len(buf), n - r0)]
-        labels = ys[r0:r0 + len(xs)]
-        stream.standard_normal(out=xs)
-        xs *= (model.sigma * labels)[:, None]
-        xs += model.mu
-        yield labels, xs
+    xs = stream.standard_normal((len(ys), model.d))
+    xs *= model.sigma
+    pos = (ys[:n_signal] > 0)[:, None]
+    np.add(xs[:n_signal], model.mu, out=xs[:n_signal], where=pos)
+    np.subtract(xs[:n_signal], model.mu, out=xs[:n_signal], where=~pos)
+    return xs
 
 
 def sample_labeled(model: GaussianModel, n: int, stream: RngStream) -> LabeledSet:
-    """Draw n labeled samples, in the fixed draw order of _draw_labeled."""
+    """Draw n labeled samples x = y mu + sigma z.
+
+    Draw order (fixed for reproducibility): n label bits first, then the
+    (n, d) noise matrix row-major (_signed_rows).
+    """
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    (ys, xs), = _draw_labeled(model, stream, n, np.empty((n, model.d)))
-    xs *= ys[:, None]
-    return LabeledSet(xs=xs, ys=ys)
+    ys = 2 * stream.integers(0, 2, size=n, dtype=np.int64) - 1
+    return LabeledSet(xs=_signed_rows(model, ys, n, stream), ys=ys)
 
 
 def alignment_stats(model: GaussianModel,

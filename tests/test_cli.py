@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, config handling, schemas, determinism."""
 
 import argparse
+import dataclasses
 
 import pytest
 
@@ -11,7 +12,12 @@ from rstsim.cli import (
     main,
     parse_config_text,
 )
-from rstsim.experiments import RUNNERS, SUMMARY_HEADER, TRIAL_HEADER
+from rstsim.experiments import (
+    RUNNERS,
+    SUMMARY_HEADER,
+    TRIAL_HEADER,
+    ExperimentSpec,
+)
 
 
 def test_subcommand_table_is_complete():
@@ -247,6 +253,16 @@ def test_option_surface_is_frozen():
     assert [len(OPTION_SURFACE[name]) for name in SUBCOMMAND_KINDS] == [
         11, 12, 12, 13, 13, 21, 15]
     assert len(set().union(*OPTION_SURFACE.values())) == 30
+
+
+def test_every_spec_field_is_reached_by_an_option():
+    # a field that no flag or config key sets only ever holds its default;
+    # the config objects and the kind are built from the subcommand
+    reached = {cli._SPEC_FIELDS.get(key, key)
+               for table in cli._config_keys(build_parser()).values()
+               for key in table}
+    fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    assert fields - reached - {"kind", "rst_config", "smoothing"} == set()
 
 
 @pytest.fixture

@@ -213,27 +213,21 @@ class TestSampling:
         assert data.ys.shape == (37,)
         assert set(np.unique(data.ys)) <= {-1, 1}
 
-    def test_matches_materialized_formula(self):
-        m = canonical_model(4, 16, 0.25)
-        data = sample_labeled(m, 300, split_stream(23, 0))
-        xs, ys = _materialized_sample(m, 300, split_stream(23, 0))
-        assert np.array_equal(data.xs, xs)
-        assert np.array_equal(data.ys, ys)
-
-    @pytest.mark.parametrize("block", [1, 7, 128, 300])
-    def test_row_blocks_draw_the_same_sample(self, block):
-        # a many-block fill consumes the stream exactly as sample_labeled's
-        # one block does; each row arrives times its label, in buf, which
-        # the next block overwrites
-        m = canonical_model(4, 16, 0.25)
-        data = sample_labeled(m, 300, split_stream(24, 0))
-        buf = np.empty((block, 16))
-        blocks = [(labels.copy(), labels[:, None] * rows) for labels, rows
-                  in gaussian._draw_labeled(m, split_stream(24, 0), 300, buf)]
-        assert [len(ys) for ys, _ in blocks] == [
-            min(block, 300 - r0) for r0 in range(0, 300, block)]
-        assert np.array_equal(data.xs, np.concatenate([x for _, x in blocks]))
-        assert np.array_equal(data.ys, np.concatenate([y for y, _ in blocks]))
+    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize("m", [
+        canonical_model(4, 16, 0.25),
+        GaussianModel(mu=split_stream(66, 9).standard_normal(17), sigma=1.7,
+                      epsilon=0.1)], ids=["canonical", "random_mu"])
+    def test_matches_materialized_formula(self, m, n):
+        # bit for bit, and the stream is left where the formula leaves it
+        for seed in range(5):
+            ref, stream = split_stream(23, seed), split_stream(23, seed)
+            data = sample_labeled(m, n, stream)
+            xs, ys = _materialized_sample(m, n, ref)
+            assert np.array_equal(data.xs, xs)
+            assert np.array_equal(data.ys, ys)
+            assert (repr(stream.bit_generator.state)
+                    == repr(ref.bit_generator.state))
 
     def test_deterministic_given_stream(self):
         m = canonical_model(4, 16, 0.25)
