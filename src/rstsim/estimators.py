@@ -26,6 +26,7 @@ from .gaussian import (
     GaussianModel,
     LabeledSet,
     LinearClassifier,
+    _as_point,
     _signed_rows,
     run_blocks,
 )
@@ -214,11 +215,7 @@ def fast_supervised_sample(model: GaussianModel, n_labeled: int,
 
 def pseudo_label(clf: LinearClassifier, x) -> int:
     """sign(theta^T x) with sign(0) = +1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != clf.theta.shape:
-        raise ValueError(
-            f"x has dimension {x.size}, classifier has dimension {clf.theta.size}")
-    score = float(np.sum(clf.theta * x))
+    score = float(np.sum(clf.theta * _as_point(clf, x)))
     return 1 if score >= 0.0 else -1
 
 

@@ -29,7 +29,6 @@ from .gaussian import (
     LinearClassifier,
     alignment_stats,
     canonical_model,
-    error_rates,
     mc_error_estimate,
     rates_from_stats,
     run_blocks,
@@ -193,15 +192,17 @@ def supervised_label_threshold(n0: int, d: int, epsilon: float) -> int:
 
 
 def _closed_form_row(experiment: str, model: GaussianModel, stats,
-                     spec: ExperimentSpec, *, n_labeled, n_unlabeled,
-                     relevant_fraction, trial, gamma, seed) -> TrialRow:
-    """stats = (mu^T theta, ||theta||_2, ||theta||_1) of the trial's theta."""
+                     trial: int, *, n_labeled=None, n_unlabeled=None,
+                     relevant_fraction=None, gamma=None) -> TrialRow:
+    """The trial row of a theta with stats = (mu^T theta, ||theta||_2,
+    ||theta||_1): its closed-form error rates on model, whose n0, d and
+    epsilon it records; every driver's seed is its trial index."""
     std_err, rob_err = rates_from_stats(model, *stats)
     return TrialRow(
-        experiment=experiment, n0=spec.n0, d=spec.d, epsilon=spec.epsilon,
+        experiment=experiment, n0=model.n0, d=model.d, epsilon=model.epsilon,
         n_labeled=n_labeled, n_unlabeled=n_unlabeled,
         relevant_fraction=relevant_fraction, trial=trial,
-        std_err=std_err, rob_err=rob_err, gamma=gamma, seed=seed)
+        std_err=std_err, rob_err=rob_err, gamma=gamma, seed=trial)
 
 
 def _summaries_for(experiment: str, grid_key: str, grid_value: str,
@@ -253,10 +254,8 @@ def _run_arms(spec: ExperimentSpec, arms) -> tuple[list[TrialRow],
     for t in range(spec.trial_count):
         fd = trial_draws(model, draws, split_stream(spec.master_seed, t), work)
         per_trial.append([_closed_form_row(
-            experiment, model, stats, spec, n_labeled=n,
-            n_unlabeled=n_unlabeled,
-            relevant_fraction=alpha if n_unlabeled else None,
-            trial=t, gamma=gamma, seed=t)
+            experiment, model, stats, t, n_labeled=n, n_unlabeled=n_unlabeled,
+            relevant_fraction=alpha if n_unlabeled else None, gamma=gamma)
             for (experiment, _, _, n, n_unlabeled, alpha), stats, gamma
             in zip(arms, fd.stats(model.mu), fd.agreements, strict=True)])
     rows: list[TrialRow] = []
@@ -277,17 +276,15 @@ def run_verify_closed_form(spec: ExperimentSpec) -> tuple[list[TrialRow],
     known value Q((d/n0)^(1/4))); pairs with index = 1 mod 7 use epsilon = 0
     so the standard and robust columns must coincide; all other pairs draw
     a random theta. Dimensions cycle through {2, 16, 1024} weighted toward
-    the small ones. Emits one ...:closed and one ...:mc row per pair.
+    the small ones. Emits one ...:closed row (_closed_form_row) and one
+    ...:mc row per pair, then per error column the largest gap and the
+    largest excess over the tolerance sigmas * sd + floor.
     """
-    n_pairs = spec.trial_count
-    dims = []
-    for i in range(n_pairs):
-        dims.append(2 if i % 5 < 2 else (16 if i % 5 < 4 else 1024))
+    th = ACCEPTANCE_THRESHOLDS["verify_closed_form"]
 
-    def one_pair(index: int, stream: RngStream):
-        i = index
-        d = dims[i]
-        eps = 0.0 if (i % 7 == 1 and i != 0) else spec.epsilon
+    def one_pair(i: int, stream: RngStream):
+        d = 2 if i % 5 < 2 else (16 if i % 5 < 4 else 1024)
+        eps = 0.0 if i % 7 == 1 else spec.epsilon
         model = canonical_model(spec.n0, d, eps, allow_large_epsilon=True)
         if i == 0:
             theta = model.mu.copy()
@@ -295,40 +292,33 @@ def run_verify_closed_form(spec: ExperimentSpec) -> tuple[list[TrialRow],
             theta = stream.standard_normal(d) + model.mu / math.sqrt(d)
         clf = LinearClassifier(theta=theta)
         std_mc, rob_mc = mc_error_estimate(model, clf, spec.mc_samples, stream)
-        std_err, rob_err = error_rates(model, clf)
-        closed = TrialRow(
-            experiment="verify_closed_form:closed", n0=spec.n0, d=d,
-            epsilon=eps, n_labeled=None, n_unlabeled=None,
-            relevant_fraction=None, trial=i, std_err=std_err,
-            rob_err=rob_err, gamma=None, seed=index)
-        mc = replace(closed, experiment="verify_closed_form:mc",
-                     std_err=std_mc, rob_err=rob_mc)
-        return closed, mc
+        closed = _closed_form_row("verify_closed_form:closed", model,
+                                  alignment_stats(model, clf), i)
+        return closed, replace(closed, experiment="verify_closed_form:mc",
+                               std_err=std_mc, rob_err=rob_mc)
 
     # the pairs run one after another, each estimate on every core
-    pairs = _run_indexed(one_pair, n_pairs, spec.master_seed, 0, 1)
-    rows: list[TrialRow] = []
-    for closed, mc in pairs:
-        rows.append(closed)
-        rows.append(mc)
-
-    def tolerance(p_hat: float) -> float:
-        th = ACCEPTANCE_THRESHOLDS["verify_closed_form"]
-        sd = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / spec.mc_samples)
-        return th["tolerance_sigmas"] * sd + th["tolerance_floor"]
-
-    gaps_std = [abs(c.std_err - m.std_err) for c, m in pairs]
-    gaps_rob = [abs(c.rob_err - m.rob_err) for c, m in pairs]
-    excess_std = [g - tolerance(m.std_err) for g, (_, m) in zip(gaps_std, pairs)]
-    excess_rob = [g - tolerance(m.rob_err) for g, (_, m) in zip(gaps_rob, pairs)]
+    pairs = _run_indexed(one_pair, spec.trial_count, spec.master_seed, 0, 1)
+    columns = ("std", "rob")
+    largest_gap, largest_excess = [], []
+    for column in columns:
+        gaps, excess = [], []
+        for closed, mc in pairs:
+            p_hat = getattr(mc, column + "_err")
+            g = abs(getattr(closed, column + "_err") - p_hat)
+            sd = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / spec.mc_samples)
+            gaps.append(g)
+            excess.append(g - (th["tolerance_sigmas"] * sd
+                               + th["tolerance_floor"]))
+        largest_gap.append(max(gaps))
+        largest_excess.append(max(excess))
     summaries = [
-        SummaryRow("verify_closed_form", "aggregate", "all", metric,
-                   max(values), None, n_pairs)
-        for metric, values in (("max_abs_gap_std", gaps_std),
-                               ("max_abs_gap_rob", gaps_rob),
-                               ("max_tolerance_excess_std", excess_std),
-                               ("max_tolerance_excess_rob", excess_rob))]
-    return rows, summaries
+        SummaryRow("verify_closed_form", "aggregate", "all", metric + column,
+                   value, None, len(pairs))
+        for metric, values in (("max_abs_gap_", largest_gap),
+                               ("max_tolerance_excess_", largest_excess))
+        for column, value in zip(columns, values)]
+    return [row for pair in pairs for row in pair], summaries
 
 
 def run_gap(spec: ExperimentSpec) -> tuple[list[TrialRow], list[SummaryRow]]:
@@ -436,10 +426,9 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
     group = min(trials, max(1, _RST_GROUP_SCALARS // (n_rows * model.d)))
 
     def trial_row(experiment: str, theta: np.ndarray, index: int, **fields):
-        return _closed_form_row(
-            experiment, model,
-            alignment_stats(model, LinearClassifier(theta=theta)), spec,
-            n_labeled=n, trial=index, seed=index, **fields)
+        stats = alignment_stats(model, LinearClassifier(theta=theta))
+        return _closed_form_row(experiment, model, stats, index, n_labeled=n,
+                                **fields)
 
     pairs = []
     buffer = np.empty((group, n_rows, model.d))
@@ -473,9 +462,7 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
                 trial_row("rst_demo:rst", rst[g], index, n_unlabeled=n_tilde,
                           relevant_fraction=1.0,
                           gamma=float(gammas[g])),
-                trial_row("rst_demo:labeled_only", base[g], index,
-                          n_unlabeled=None, relevant_fraction=None,
-                          gamma=None)))
+                trial_row("rst_demo:labeled_only", base[g], index)))
     rst_rows = [p[0] for p in pairs]
     base_rows = [p[1] for p in pairs]
     rows = [row for pair in pairs for row in pair]

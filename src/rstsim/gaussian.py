@@ -40,7 +40,8 @@ class GaussianModel:
     """Mean vector, noise scale, and attack radius of one problem instance.
 
     n0 records the sample-complexity scale the canonical construction was
-    built from; it is provenance only and never enters the error formulas.
+    built from; it never enters the error formulas, and every trial row
+    records it (experiments._closed_form_row).
     """
 
     mu: np.ndarray
@@ -98,6 +99,15 @@ class LabeledSet:
     @property
     def n(self) -> int:
         return self.xs.shape[0]
+
+
+def _as_point(clf: LinearClassifier, x) -> np.ndarray:
+    """x as a float vector, checked to be one input point for clf: the
+    shape of its theta."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != clf.theta.shape:
+        raise ValueError("x and theta dimensions differ")
+    return x
 
 
 def canonical_sigma(n0: int, d: int) -> float:

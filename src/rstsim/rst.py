@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import LinearClassifier
+from .gaussian import LinearClassifier, _as_point
 from .statkit import RngStream, gaussian_cdf
 
 _CLAMP = 1e-12
@@ -143,9 +143,7 @@ def standard_loss(model: LogisticModel, x, y: int) -> tuple[float, np.ndarray]:
     """Logistic loss log(1 + exp(-y theta^T x)) and its theta-gradient."""
     if y not in (-1, 1):
         raise ValueError(f"label must be +-1, got {y!r}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.theta.shape:
-        raise ValueError("x and theta dimensions differ")
+    x = _as_point(model, x)
     s = float(np.sum(model.theta * x))
     loss = float(np.logaddexp(0.0, -y * s))
     grad = (-y * float(_sigmoid(np.array(-y * s)))) * x
@@ -175,9 +173,7 @@ def adversarial_reg_exact(model: LogisticModel, x,
     epsilon = float(epsilon)
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.theta.shape:
-        raise ValueError("x and theta dimensions differ")
+    x = _as_point(model, x)
     theta = model.theta
     s = float(np.sum(theta * x))
     shift = epsilon * float(np.sum(np.abs(theta)))
@@ -278,9 +274,7 @@ def adversarial_reg_pg(model: LogisticModel, x, epsilon: float, steps: int,
     step_size = float(step_size)
     if step_size <= 0:
         raise ValueError(f"step_size must be positive, got {step_size}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.theta.shape:
-        raise ValueError("x and theta dimensions differ")
+    x = _as_point(model, x)
     vals, worst = _pg_worst_batch(model.theta, x[None, :], epsilon, steps,
                                   step_size, [stream])
     return float(vals[0]), worst[0]
@@ -301,9 +295,7 @@ def stability_reg(model: LogisticModel, x, noise_sigma: float, n_noise: int,
     n_noise = int(n_noise)
     if n_noise < 1:
         raise ValueError(f"n_noise must be >= 1, got {n_noise}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.theta.shape:
-        raise ValueError("x and theta dimensions differ")
+    x = _as_point(model, x)
     theta = model.theta
     noisy = x[None, :] + noise_sigma * stream.standard_normal((n_noise, x.size))
     p_raw = float(_sigmoid(np.array(float(np.sum(theta * x)))))
@@ -580,9 +572,7 @@ def smoothed_predict_exact(model: LogisticModel, x,
     noise_sigma = float(noise_sigma)
     if noise_sigma <= 0:
         raise ValueError(f"noise_sigma must be positive, got {noise_sigma}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.theta.shape:
-        raise ValueError("x and theta dimensions differ")
+    x = _as_point(model, x)
     theta = model.theta
     l2 = float(np.sqrt(np.sum(theta * theta)))
     if l2 == 0.0:

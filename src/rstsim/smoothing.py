@@ -196,9 +196,6 @@ def certified_accuracy_curve(base, xs, ys, radii, config: SmoothingConfig,
     """
     points = LabeledSet(xs=xs, ys=ys)
     radii = [float(r) for r in radii]
-    for r in radii:
-        if not r >= 0:
-            raise ValueError(f"radius must be >= 0, got {r}")
     if any(b < a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be sorted ascending")
     need = np.array([min_votes_for_radius(r, config) for r in radii])

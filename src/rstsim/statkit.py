@@ -169,11 +169,8 @@ def clopper_pearson_lower(successes: int, draws: int, conf_alpha: float) -> floa
         return 0.0
     i, log_binom = _log_binomials(k, n)
 
+    # every midpoint of the bisection lies in [5e-13, 1 - 5e-13]
     def tail(p: float) -> float:
-        if p <= 0.0:
-            return 0.0
-        if p >= 1.0:
-            return 1.0
         peak, total = _tail_sums(i, log_binom, n, math.log(p), math.log1p(-p))
         return math.exp(float(peak) + math.log(total))
 

@@ -429,6 +429,38 @@ class TestRobustObjective:
             _, grad = robust_objective(theta, xs, ys, w, cfg, split_stream(501, seed))
             assert_close_grad(grad, fd_gradient(f, theta), 1e-5)
 
+    @pytest.mark.parametrize("seed", range(130, 135))
+    @pytest.mark.parametrize("kind", ["adversarial_exact", "adversarial_pg",
+                                      "stability"])
+    def test_equals_the_weighted_references(self, kind, seed):
+        # sum_i w_i (standard_loss_i + beta reg_i) / sum_i w_i, the
+        # references drawing from a second copy of the stream: pg one
+        # (1, d) start per example, stability one (k, d) block per example
+        cfg = RstConfig(beta=2.0, epsilon=0.3, noise_sigma=0.9,
+                        noise_samples=3, pg_steps=10, pg_step_size=0.05,
+                        reg_kind=kind)
+        theta, xs, ys, w = self._data(seed, n=7)
+        stream, ref_stream = split_stream(502, seed), split_stream(502, seed)
+        value, grad = robust_objective(theta, xs, ys, w, cfg, stream)
+        model = LogisticModel(theta=theta)
+        total, ref_grad = 0.0, np.zeros_like(theta)
+        for x, y, weight in zip(xs, ys, w):
+            loss, loss_grad = standard_loss(model, x, int(y))
+            if kind == "adversarial_exact":
+                reg, _ = adversarial_reg_exact(model, x, cfg.epsilon)
+            elif kind == "adversarial_pg":
+                reg, _ = adversarial_reg_pg(model, x, cfg.epsilon, cfg.pg_steps,
+                                            cfg.pg_step_size, ref_stream)
+            else:
+                reg, reg_grad = stability_reg(model, x, cfg.noise_sigma,
+                                              cfg.noise_samples, ref_stream)
+                ref_grad += weight * (loss_grad + cfg.beta * reg_grad)
+            total += weight * (loss + cfg.beta * reg)
+        assert value == pytest.approx(total / np.sum(w), rel=1e-13, abs=0)
+        assert stream.random() == ref_stream.random()
+        if kind == "stability":
+            assert_close_grad(grad, ref_grad / np.sum(w), 1e-13)
+
     def test_weight_scaling_invariance(self):
         cfg = RstConfig(beta=1.0, epsilon=0.2)
         theta, xs, ys, w = self._data(127)
