@@ -26,15 +26,23 @@ from .gaussian import canonical_sigma
 from .rst import RstConfig
 from .smoothing import SmoothingConfig
 
-SUBCOMMAND_KINDS = {
-    "verify": "verify_closed_form",
-    "gap": "gap",
-    "sweep-unlabeled": "unlabeled_sweep",
-    "sweep-irrelevant": "irrelevant_sweep",
-    "sweep-labels": "label_sweep",
-    "rst-demo": "rst_demo",
-    "certify-demo": "certify_demo",
+# subcommand: (ExperimentSpec kind, help)
+_SUBCOMMANDS = {
+    "verify": ("verify_closed_form",
+               "closed-form error rates versus Monte Carlo"),
+    "gap": ("gap", "supervised versus self-training at the theory thresholds"),
+    "sweep-unlabeled": ("unlabeled_sweep",
+                        "robust error as the unlabeled pool grows"),
+    "sweep-irrelevant": ("irrelevant_sweep",
+                         "effect of irrelevant unlabeled data"),
+    "sweep-labels": ("label_sweep",
+                     "effect of the labeled count at a fixed pool"),
+    "rst-demo": ("rst_demo",
+                 "robust self-training versus labeled-only training"),
+    "certify-demo": ("certify_demo",
+                     "randomized-smoothing certified accuracy curve"),
 }
+SUBCOMMAND_KINDS = {name: kind for name, (kind, _) in _SUBCOMMANDS.items()}
 
 # option values that differ from ExperimentSpec's defaults, by option key
 _BUILTIN = {
@@ -83,6 +91,55 @@ def _list_of(item: type):
     return parse
 
 
+_ALL = tuple(_SUBCOMMANDS)
+# one row per option: (config key, type, subcommands, help); the flag is the
+# key with dashes. A type of None marks a switch, a tuple lists the choices,
+# and anything else parses the value.
+_OPTIONS = (
+    ("n0", int, _ALL, "labeled sample budget of the model point"),
+    ("d", int, _ALL, "ambient dimension (verify uses its own grid)"),
+    ("eps", float, _ALL, "ell-infinity attack radius"),
+    ("allow_large_eps", None, _ALL, "permit eps >= 0.5 (weak-signal regime)"),
+    ("trials", int, _ALL, "trials per arm or grid point"),
+    ("seed", int, _ALL, "master seed; trial j uses substream j"),
+    ("workers", int, _ALL, "threads per gap or sweep trial (default: the "
+     "cores this process may run on); output is identical for any value; "
+     "verify runs its Monte Carlo on every core, and rst-demo and "
+     "certify-demo on one thread, whatever the value"),
+    ("out", str, _ALL, "trial CSV path; summary lands at <out>.summary.csv"),
+    ("check", None, _ALL,
+     "gate summary metrics against thresholds, exit 2 on failure"),
+    ("mc_samples", int, ("verify",), "Monte Carlo draws per pair"),
+    ("n_labeled", int, ("gap", "sweep-unlabeled", "sweep-irrelevant",
+                        "sweep-labels", "rst-demo"), None),
+    ("n_unlabeled", int, ("gap", "sweep-irrelevant", "sweep-labels",
+                          "rst-demo"), None),
+    ("n_unlabeled_grid", _list_of(int), ("sweep-unlabeled",),
+     "comma separated ascending pool sizes; 0 means supervised only"),
+    ("alphas", _list_of(float), ("sweep-irrelevant",),
+     "comma separated relevant fractions in [0, 1]"),
+    ("n_labeled_grid", _list_of(int), ("sweep-labels",),
+     "comma separated ascending labeled counts, each >= 1"),
+    ("beta", float, ("rst-demo",), None),
+    ("w_unlabeled", float, ("rst-demo",), None),
+    ("learning_rate", float, ("rst-demo",), None),
+    ("grad_steps", int, ("rst-demo",), None),
+    ("batch_size", int, ("rst-demo",), None),
+    ("reg_kind", ("adversarial_exact", "adversarial_pg", "stability"),
+     ("rst-demo",), None),
+    ("stage1_learning_rate", float, ("rst-demo",), None),
+    ("stage1_steps", int, ("rst-demo",), None),
+    ("stage1_batch", int, ("rst-demo",), None),
+    ("noise_sigma", float, ("certify-demo",),
+     "smoothing noise scale; defaults to the data sigma"),
+    ("n0_selection", int, ("certify-demo",), None),
+    ("n_estimation", int, ("certify-demo",), None),
+    ("conf_alpha", float, ("certify-demo",), None),
+    ("radii", _list_of(float), ("certify-demo",),
+     "comma separated ascending ell-2 radii"),
+)
+
+
 def parse_config_text(text: str) -> dict[str, dict[str, str]]:
     """Flat key = value lines, # comment lines, [section] per experiment."""
     sections: dict[str, dict[str, str]] = {"": {}}
@@ -109,146 +166,60 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> dict:
-    """Each subcommand's config keys, its long flags but --config and
-    --help, mapped to the actions that parse them."""
-    subs = next(action for action in parser._actions
-                if isinstance(action, argparse._SubParsersAction))
-    return {name: {action.dest: action for action in sub._actions
-                   if action.option_strings
-                   and action.dest not in ("config", "help")}
-            for name, sub in subs.choices.items()}
-
-
-def _coerce(action: argparse.Action, key: str, value: str):
+def _config_value(value_type, key: str, text: str):
     """A config value parsed as its flag parses it on the command line; a
-    flag that takes no value (store_const) takes a boolean word."""
+    switch takes a boolean word."""
+    if isinstance(value_type, tuple):
+        if text not in value_type:
+            raise ValueError(f"config value for {key!r} must be one of "
+                             f"{', '.join(value_type)}, got {text!r}")
+        return text
     try:
-        coerced = (_parse_bool(value) if action.nargs == 0
-                   else action.type(value))
+        return _parse_bool(text) if value_type is None else value_type(text)
     except ValueError as exc:
         raise ValueError(f"config value for {key!r}: {exc}") from exc
-    if action.choices is not None and coerced not in action.choices:
-        raise ValueError(f"config value for {key!r} must be one of "
-                         f"{', '.join(action.choices)}, got {value!r}")
-    return coerced
 
 
-def _config_overrides(path: str, subcommand: str, keys: dict) -> dict:
+def _config_overrides(path: str, subcommand: str) -> dict:
     """Keys from the global section plus the section for this experiment.
-    Every key is a flag of some subcommand and is checked with that flag's
-    action; it applies only if this subcommand has the flag."""
+    Every key is an option of some subcommand and is checked as its flag
+    checks it; it applies only if this subcommand has the option."""
     with open(path, "r") as fh:
         sections = parse_config_text(fh.read())
     merged: dict[str, str] = {}
     for name in ("", SUBCOMMAND_KINDS[subcommand], subcommand):
         merged.update(sections.get(name, {}))
-    actions = {key: action for table in keys.values()
-               for key, action in table.items()}
+    options = {key: (value_type, names)
+               for key, value_type, names, _ in _OPTIONS}
     overrides = {}
-    for key, value in merged.items():
-        if key not in actions:
+    for key, text in merged.items():
+        if key not in options:
             raise ValueError(f"unknown config key {key!r}")
-        coerced = _coerce(actions[key], key, value)
-        if key in keys[subcommand]:
-            overrides[key] = coerced
+        value_type, names = options[key]
+        value = _config_value(value_type, key, text)
+        if subcommand in names:
+            overrides[key] = value
     return overrides
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n0", type=int, default=None,
-                        help="labeled sample budget of the model point")
-    parser.add_argument("--d", type=int, default=None,
-                        help="ambient dimension (verify uses its own grid)")
-    parser.add_argument("--eps", type=float, default=None,
-                        help="ell-infinity attack radius")
-    parser.add_argument("--allow-large-eps", action="store_const", const=True,
-                        default=None,
-                        help="permit eps >= 0.5 (weak-signal regime)")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="trials per arm or grid point")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master seed; trial j uses substream j")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="threads per gap or sweep trial (default: the "
-                             "cores this process may run on); output is "
-                             "identical for any value; verify runs its Monte "
-                             "Carlo on every core, and rst-demo and "
-                             "certify-demo on one thread, whatever the value")
-    parser.add_argument("--out", type=str, default=None,
-                        help="trial CSV path; summary lands at <out>.summary.csv")
-    parser.add_argument("--config", type=str, default=None,
-                        help="config file; its values override flags")
-    parser.add_argument("--check", action="store_const", const=True,
-                        default=None,
-                        help="gate summary metrics against thresholds, exit 2 "
-                             "on failure")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="rstsim", description=__doc__)
     subs = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    helps = {
-        "verify": "closed-form error rates versus Monte Carlo",
-        "gap": "supervised versus self-training at the theory thresholds",
-        "sweep-unlabeled": "robust error as the unlabeled pool grows",
-        "sweep-irrelevant": "effect of irrelevant unlabeled data",
-        "sweep-labels": "effect of the labeled count at a fixed pool",
-        "rst-demo": "robust self-training versus labeled-only training",
-        "certify-demo": "randomized-smoothing certified accuracy curve",
-    }
-    parsers = {}
-    for name in SUBCOMMAND_KINDS:
-        sub = subs.add_parser(name, help=helps[name])
-        _add_common_flags(sub)
-        parsers[name] = sub
-    parsers["verify"].add_argument("--mc-samples", type=int, default=None,
-                                   help="Monte Carlo draws per pair")
-    for name in ("gap", "sweep-unlabeled", "sweep-irrelevant", "sweep-labels",
-                 "rst-demo"):
-        parsers[name].add_argument("--n-labeled", type=int, default=None)
-    for name in ("gap", "sweep-irrelevant", "sweep-labels", "rst-demo"):
-        parsers[name].add_argument("--n-unlabeled", type=int, default=None)
-    parsers["sweep-unlabeled"].add_argument(
-        "--n-unlabeled-grid", type=_list_of(int), default=None,
-        help="comma separated ascending pool sizes; 0 means supervised only")
-    parsers["sweep-irrelevant"].add_argument(
-        "--alphas", type=_list_of(float), default=None,
-        help="comma separated relevant fractions in [0, 1]")
-    parsers["sweep-labels"].add_argument(
-        "--n-labeled-grid", type=_list_of(int), default=None,
-        help="comma separated ascending labeled counts, each >= 1")
-    rst = parsers["rst-demo"]
-    rst.add_argument("--beta", type=float, default=None)
-    rst.add_argument("--w-unlabeled", type=float, default=None)
-    rst.add_argument("--learning-rate", type=float, default=None)
-    rst.add_argument("--grad-steps", type=int, default=None)
-    rst.add_argument("--batch-size", type=int, default=None)
-    rst.add_argument("--reg-kind", type=str, default=None,
-                     choices=("adversarial_exact", "adversarial_pg",
-                              "stability"))
-    rst.add_argument("--stage1-learning-rate", type=float, default=None)
-    rst.add_argument("--stage1-steps", type=int, default=None)
-    rst.add_argument("--stage1-batch", type=int, default=None)
-    cert = parsers["certify-demo"]
-    cert.add_argument("--noise-sigma", type=float, default=None,
-                      help="smoothing noise scale; defaults to the data sigma")
-    cert.add_argument("--n0-selection", type=int, default=None)
-    cert.add_argument("--n-estimation", type=int, default=None)
-    cert.add_argument("--conf-alpha", type=float, default=None)
-    cert.add_argument("--radii", type=_list_of(float), default=None,
-                      help="comma separated ascending ell-2 radii")
+    for name, (_, sub_help) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=sub_help)
+        for key, value_type, names, help_text in _OPTIONS:
+            if name not in names:
+                continue
+            kwargs = ({"action": "store_const", "const": True}
+                      if value_type is None else
+                      {"choices": value_type} if isinstance(value_type, tuple)
+                      else {"type": value_type})
+            sub.add_argument("--" + key.replace("_", "-"), help=help_text,
+                             **kwargs)
+            if key == "out":
+                sub.add_argument("--config",
+                                 help="config file; its values override flags")
     return parser
-
-
-def _gather_options(parser: argparse.ArgumentParser,
-                    args: argparse.Namespace) -> dict:
-    options = {key: value for key, value in vars(args).items()
-               if value is not None and key not in ("subcommand", "config")}
-    if args.config is not None:
-        options.update(_config_overrides(args.config, args.subcommand,
-                                         _config_keys(parser)))
-    return options
 
 
 def _build_spec(subcommand: str, options: dict) -> ExperimentSpec:
@@ -277,8 +248,11 @@ def _build_spec(subcommand: str, options: dict) -> ExperimentSpec:
     return spec
 
 
-def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    options = _gather_options(parser, args)
+def _run(args: argparse.Namespace) -> int:
+    options = {key: value for key, value in vars(args).items()
+               if value is not None and key not in ("subcommand", "config")}
+    if args.config is not None:
+        options.update(_config_overrides(args.config, args.subcommand))
     out_path = options.pop("out", f"rstsim_{args.subcommand}.csv")
     do_check = options.pop("check", False)
     spec = _build_spec(args.subcommand, options)
@@ -304,7 +278,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.subcommand is None:
             raise _UsageError("a subcommand is required (try --help)")
-        return _run(parser, args)
+        return _run(args)
     except (_UsageError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

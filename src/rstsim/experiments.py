@@ -59,7 +59,11 @@ SUMMARY_HEADER = "experiment,grid_key,grid_value,metric,mean,ci95_half_width,tri
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything a driver needs: model point, grids, counts, seed, workers."""
+    """Everything a driver needs: model point, grids, counts, seed, workers.
+
+    The default epsilon = 0.5 fails .model() unless allow_large_epsilon=True:
+    the CLI sets it only for its built-in points, so library callers pass it.
+    """
 
     kind: str
     n0: int = 4

@@ -258,9 +258,7 @@ def test_option_surface_is_frozen():
 def test_every_spec_field_is_reached_by_an_option():
     # a field that no flag or config key sets only ever holds its default;
     # the config objects and the kind are built from the subcommand
-    reached = {cli._SPEC_FIELDS.get(key, key)
-               for table in cli._config_keys(build_parser()).values()
-               for key in table}
+    reached = {cli._SPEC_FIELDS.get(key, key) for key, *_ in cli._OPTIONS}
     fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
     assert fields - reached - {"kind", "rst_config", "smoothing"} == set()
 
@@ -350,6 +348,37 @@ def test_config_key_the_subcommand_lacks(resolve, capsys):
     assert "beta" in capsys.readouterr().err
     # and ignored when well formed
     assert resolve(["gap"], "[gap]\nbeta = 2\n") == resolve(["gap"])
+
+
+_TRUE_WORDS = ("true", "yes", "1", "on", "TRUE", "Yes", " oN ", "  1")
+_FALSE_WORDS = ("false", "no", "0", "off", "FALSE", "No", " oFf ", "0  ")
+
+
+@pytest.mark.parametrize("flag, base", [
+    ("--check", ["gap"]),
+    # eps = 0.6 needs --allow-large-eps: a true word runs, a false one exits 1
+    ("--allow-large-eps", ["gap", "--eps", "0.6"])])
+def test_config_boolean_words_equal_the_switch(resolve, flag, base):
+    key = flag[2:].replace("-", "_")
+    on, off = resolve(base + [flag]), resolve(base)
+    assert on != off
+    for words, expected in ((_TRUE_WORDS, on), (_FALSE_WORDS, off)):
+        for word in words:
+            config = f"[gap]\n{key} = {word}\n"
+            assert resolve(base, config) == expected, (flag, word)
+
+
+def test_config_boolean_rejects_other_words(resolve, capsys):
+    assert resolve(["gap"], "check = maybe\n")[0] == 1
+    assert capsys.readouterr().err == (
+        "error: config value for 'check': expected a boolean, got 'maybe'\n")
+
+
+def test_config_choice_rejects_other_values(resolve, capsys):
+    assert resolve(["rst-demo"], "[rst-demo]\nreg_kind = nope\n")[0] == 1
+    assert capsys.readouterr().err == (
+        "error: config value for 'reg_kind' must be one of adversarial_exact, "
+        "adversarial_pg, stability, got 'nope'\n")
 
 
 @pytest.mark.parametrize("key, value", [("config", "x"), ("help", "1")])
