@@ -8,6 +8,7 @@ a config file overrides flags, and built-in defaults fill the rest.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -248,12 +249,25 @@ def _build_spec(subcommand: str, options: dict) -> ExperimentSpec:
     return spec
 
 
+def _check_out(out_path: str) -> None:
+    """Refuse, before any work, an output path the run could not write."""
+    if not out_path:
+        raise ValueError("the output path is empty")
+    directory = os.path.dirname(out_path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"output directory {directory!r} does not exist")
+    for path in (out_path, summary_path_for(out_path)):
+        if os.path.isdir(path):
+            raise ValueError(f"output path {path!r} is a directory")
+
+
 def _run(args: argparse.Namespace) -> int:
     options = {key: value for key, value in vars(args).items()
                if value is not None and key not in ("subcommand", "config")}
     if args.config is not None:
         options.update(_config_overrides(args.config, args.subcommand))
     out_path = options.pop("out", f"rstsim_{args.subcommand}.csv")
+    _check_out(out_path)
     do_check = options.pop("check", False)
     spec = _build_spec(args.subcommand, options)
     rows, summaries = RUNNERS[spec.kind](spec)

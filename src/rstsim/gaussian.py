@@ -272,6 +272,13 @@ def run_blocks(task, n_blocks: int, threads: int) -> list:
 # in row blocks of about _MC_ROW_BLOCK_SCALARS: memory O(threads * block).
 _MC_BLOCK_SCALARS = 1 << 20
 _MC_ROW_BLOCK_SCALARS = 1 << 17
+# entry c of image j of a 4-block of theta is sign[j, c] * theta[perm[j, c]]:
+# L_j^T theta for L_0 = I and L_1, L_2, L_3 the left multiplications by the
+# quaternion units i, j and k (mc_error_estimate)
+_QUATERNION_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1],
+                             [3, 2, 1, 0]])
+_QUATERNION_SIGN = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1],
+                             [1, 1, -1, -1]])
 
 
 def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
@@ -285,41 +292,59 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     the robust rate dominates the standard rate realization-wise.
 
     Antithetic labels: y is uniform and independent of the noise, so n
-    samples are ceil(n / 2) noise rows z_i, row i carrying (mu + sigma z_i,
-    +1) and, when i < floor(n / 2), (-mu + sigma z_i, -1). With t_i = sigma
-    theta^T z_i and c = mu^T theta (mu^T theta - epsilon ||theta||_1 for
-    the robust column), the pair's margins are c + t_i and c - t_i. The
-    estimate is unbiased, and its variance is at most that of n
-    independent samples: a row's two misses are never both counted when c
-    >= 0, and one of them always is when c < 0, so they covary <= 0. It
+    samples need m = ceil(n / 2) noise vectors w_s, w_s carrying
+    (mu + sigma w_s, +1) and, when s < floor(n / 2), (-mu + sigma w_s, -1).
+    With t_s = sigma theta^T w_s and c = mu^T theta (mu^T theta - epsilon
+    ||theta||_1 for the robust column), the pair's margins are c + t_s and
+    c - t_s. The estimate is unbiased, and its variance is at most that of
+    n independent samples: a pair's two misses are never both counted when
+    c >= 0, and one of them always is when c < 0, so they covary <= 0. It
     shares with the closed form the linearity of the score and the
     epsilon ||theta||_1 step (alignment_stats), not the Gaussian tail.
 
+    Four scores per noise row: theta is padded with zeros to d' =
+    4 ceil(d / 4), and one row z of d' normals gives w_{4r+j} = (L_j z)[:d]
+    for j < 4, where L_0 = I and L_1, L_2, L_3 multiply each 4-block of z,
+    read as a quaternion, on the left by i, j and k. Each L_j z is a signed
+    permutation of i.i.d. symmetric normals, so it is N(0, I): every sample
+    has its exact law, and that alone makes the estimate unbiased. The
+    scores are theta^T w_{4r+j} = (L_j^T theta~)^T z, and the four vectors
+    L_j^T theta~ have Gram matrix ||theta||^2 I, so a row's four scores are
+    uncorrelated and, being jointly Gaussian, independent. The m scores are
+    then i.i.d. N(0, sigma^2 ||theta||^2), as with one row each, which the
+    variance claim needs. The last row may use fewer than four.
+
     Draw order: one seed = stream.integers(0, 2**63), then chunk k of
-    R = max(1, 2^20 // d) rows, rows [k R, min((k + 1) R, ceil(n / 2))),
-    is split_stream(seed, k).standard_normal((rows_k, d)) row-major. The
+    R = max(1, 2^20 // d') rows, rows [k R, min((k + 1) R, ceil(m / 4))),
+    is split_stream(seed, k).standard_normal((rows_k, d')) row-major. The
     layout depends only on n_samples and d, and the miss counts are exact
     integer sums, so the result does not depend on how many threads run
     the chunks: one per core this process may run on, at most one per
     chunk, the caller among them (run_blocks). A thread draws a chunk in
-    row blocks of max(1, 2^17 // d) rows into one reused buffer, in the
+    row blocks of max(1, 2^17 // d') rows into one reused buffer, in the
     same order, and counts each block's misses; so nothing depends on the
-    block size. Memory is O(threads * block d).
+    block size. The scores come from einsum, not BLAS, so nothing depends
+    on BLAS threads either. Memory is O(threads * block d').
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    theta = clf.theta
     mu_dot, l2, l1 = alignment_stats(model, clf)
     if l2 == 0.0:
         raise ValueError("theta must be nonzero")
-    n_rows, n_pairs = -(-n_samples // 2), n_samples // 2
-    rows = max(1, _MC_BLOCK_SCALARS // model.d)
+    width = -(-model.d // 4) * 4  # d'
+    padded = np.zeros(width)
+    padded[:model.d] = clf.theta
+    quads = padded.reshape(-1, 4)[:, _QUATERNION_PERM] * _QUATERNION_SIGN
+    images = quads.transpose(1, 0, 2).reshape(4, width)  # a C-order copy
+    n_scores, n_pairs = -(-n_samples // 2), n_samples // 2
+    n_rows = -(-n_scores // 4)
+    rows = max(1, _MC_BLOCK_SCALARS // width)
     n_chunks = -(-n_rows // rows)
     seed = int(stream.integers(0, 2**63))
     threads = min(_mc_threads(), n_chunks)
-    block = min(rows, n_rows, max(1, _MC_ROW_BLOCK_SCALARS // model.d))
-    bufs = [np.empty((block, model.d)) for _ in range(threads)]
+    block = min(rows, n_rows, max(1, _MC_ROW_BLOCK_SCALARS // width))
+    bufs = [np.empty((block, width)) for _ in range(threads)]
     levels = (mu_dot, mu_dot - model.epsilon * l1)  # c of each column
 
     def misses(k: int, w: int) -> list[int]:
@@ -328,11 +353,13 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
         end = min((k + 1) * rows, n_rows)
         for r0 in range(k * rows, end, block):
             zs = gen.standard_normal(out=bufs[w][:min(block, end - r0)])
-            t = np.einsum("ij,j->i", zs, theta)
+            t = np.stack([np.einsum("ij,j->i", zs, v) for v in images],
+                         axis=1).ravel()  # score s = 4 row + j
             t *= model.sigma
-            minus = t[:n_pairs - r0]  # the rows that also carry y = -1
+            plus = t[:n_scores - 4 * r0]  # the last row may use fewer
+            minus = t[:n_pairs - 4 * r0]  # the scores that also carry y = -1
             for j, c in enumerate(levels):
-                counts[j] += (int(np.count_nonzero(c + t < 0.0))
+                counts[j] += (int(np.count_nonzero(c + plus < 0.0))
                               + int(np.count_nonzero(c - minus <= 0.0)))
         return counts
 

@@ -10,8 +10,9 @@ accuracies sit away from 0 and 1 so that a change of vote draws shows
 and the exact binomial vote draws); rst-demo with the stability
 regularizer; rst-demo with four trials, which it trains as one full
 lockstep group of three and one partial group; and verify at 30,001 Monte
-Carlo samples, whose d = 1,024 pair ends on a partial chunk and a partial
-row block. Two more cases read their options from the config files next
+Carlo samples, 15,001 scores in 3,751 noise rows of four, whose d = 1,024
+pair ends on a lone +1 sample in a last row that uses one score, a partial
+chunk (679 rows) and a partial row block (39 rows). Two more cases read their options from the config files next
 to this script: rst-demo with keys that route to the training and
 stage-one settings, and certify-demo with smoothing keys but no noise
 sigma. Run this only after a deliberate change of draws or output, and say

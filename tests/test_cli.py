@@ -110,6 +110,32 @@ def test_unwritable_out_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["missing-dir", "empty-in-config",
+                                  "directory", "summary-directory"])
+def test_unwritable_out_exits_one_before_the_run(monkeypatch, tmp_path,
+                                                 capsys, case):
+    def refuse(spec):
+        raise AssertionError("the driver ran")
+
+    monkeypatch.setitem(RUNNERS, "verify_closed_form", refuse)
+    argv = ["verify", "--out", str(tmp_path / "x.csv")]
+    if case == "missing-dir":
+        argv[-1] = "/nonexistent-dir/x.csv"
+    elif case == "empty-in-config":
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("out = \n")
+        argv += ["--config", str(cfg)]
+    elif case == "directory":
+        argv[-1] = str(tmp_path)
+    else:
+        (tmp_path / "x.csv.summary.csv").mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_memory_error_exits_one_with_one_line(monkeypatch, tmp_path, capsys):
     from rstsim import experiments
 
@@ -267,8 +293,11 @@ def test_every_spec_field_is_reached_by_an_option():
 def resolve(monkeypatch, tmp_path):
     """Run main without running a driver or writing a file; return the exit
     code, the spec the driver would get, the paths written and whether the
-    gate ran."""
+    gate ran. It runs in tmp_path, where the directory `elsewhere` of the
+    --out test value exists, since main refuses a missing one."""
     seen = {}
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path)
 
     def runner(spec):
         seen["spec"] = spec

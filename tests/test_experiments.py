@@ -163,8 +163,9 @@ def test_verify_threads_stay_within_the_cores(monkeypatch):
     # At 8 cores verify runs its pairs one after another and each Monte
     # Carlo estimate on the cores, the caller among them, so at every
     # --workers the chunks are drawn on the same at most 8 threads. With
-    # 16,384 samples, 8,192 paired rows, the d = 1024 pairs split into 8
-    # chunks, each opening its substream with split_stream.
+    # 65,536 samples, 32,768 paired scores in 8,192 rows of four, the
+    # d = 1024 pairs split into 8 chunks, each opening its substream with
+    # split_stream.
     import threading
 
     import rstsim.gaussian as gaussian
@@ -177,7 +178,7 @@ def test_verify_threads_stay_within_the_cores(monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(gaussian, "split_stream", spy)
-    spec = _small_verify_spec(trial_count=10, mc_samples=16_384)
+    spec = _small_verify_spec(trial_count=10, mc_samples=65_536)
     reference, counts = None, []
     for workers in range(1, 9):
         idents.clear()

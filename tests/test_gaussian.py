@@ -28,24 +28,58 @@ def _materialized_sample(model, n, stream):
     return ys[:, None] * model.mu[None, :] + model.sigma * zs, ys
 
 
+# left multiplication by 1, i, j and k on a 4-block (a, b, c, d), read as
+# the quaternion a + b i + c j + d k
+_UNITS = np.array([
+    np.eye(4),
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+    [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]])
+
+
+def _padded(v):
+    # v padded with zeros to d' = 4 ceil(d / 4), as (d' / 4, 4) blocks
+    out = np.zeros(-(-v.size // 4) * 4)
+    out[:v.size] = v
+    return out.reshape(-1, 4)
+
+
+def _score_vectors(theta, units=_UNITS):
+    # L_j^T theta~ for each unit: theta^T (L_j z)[:d] = (L_j^T theta~)^T z
+    return [(_padded(theta) @ unit).ravel() for unit in units]
+
+
+def _noise_images(zs, d):
+    # (L_j z)[:d] for each unit and each row z of zs (d' columns)
+    blocks = zs.reshape(len(zs), -1, 4)
+    return [(blocks @ unit.T).reshape(len(zs), -1)[:, :d] for unit in _UNITS]
+
+
 def _chunked_mc(model, clf, n, stream):
-    # reference for the paired Monte Carlo: one seed from the caller's
-    # stream, then ceil(n / 2) noise rows in chunks of R, chunk k drawn
-    # whole from split_stream(seed, k) and scored in one einsum; row i is
-    # the sample (z_i, +1) and, when i < n // 2, also (z_i, -1), with margin
-    # c + y sigma theta^T z_i, c = mu^T theta (minus epsilon ||theta||_1
-    # for the robust column)
+    # reference for the four-score paired Monte Carlo: one seed from the
+    # caller's stream, then ceil(ceil(n / 2) / 4) noise rows of d' normals
+    # in chunks of R rows, chunk k drawn whole from split_stream(seed, k)
+    # and scored in one einsum per score vector; score s = 4 row + j is
+    # the sample ((L_j z)[:d], +1) and, when s < n // 2, also (.., -1),
+    # with margin c + y sigma theta^T (L_j z)[:d], c = mu^T theta (minus
+    # epsilon ||theta||_1 for the robust column)
     seed = int(stream.integers(0, 2**63))
-    rows = max(1, gaussian._MC_BLOCK_SCALARS // model.d)
-    n_rows, n_pairs = -(-n // 2), n // 2
+    vectors = _score_vectors(clf.theta)
+    width = vectors[0].size
+    rows = max(1, gaussian._MC_BLOCK_SCALARS // width)
+    n_scores, n_pairs = -(-n // 2), n // 2
+    n_rows = -(-n_scores // 4)
     mu_dot = float(np.sum(model.mu * clf.theta))
     l1 = float(np.sum(np.abs(clf.theta)))
     misses = [0, 0]
     for k, start in enumerate(range(0, n_rows, rows)):
         zs = split_stream(seed, k).standard_normal(
-            (min(rows, n_rows - start), model.d))
-        t = model.sigma * np.einsum("ij,j->i", zs, clf.theta)
-        pairs = max(0, min(len(t), n_pairs - start))
+            (min(rows, n_rows - start), width))
+        t = np.empty((len(zs), 4))
+        for j, v in enumerate(vectors):
+            t[:, j] = model.sigma * np.einsum("ij,j->i", zs, v)
+        t = t.ravel()[:n_scores - 4 * start]
+        pairs = max(0, min(len(t), n_pairs - 4 * start))
         ys = np.concatenate([np.ones(len(t)), -np.ones(pairs)])
         ts = np.concatenate([t, t[:pairs]])
         for j, c in enumerate((mu_dot, mu_dot - model.epsilon * l1)):
@@ -285,12 +319,18 @@ class TestBlockedMonteCarlo:
 
     @pytest.mark.parametrize("d,n", [
         (16, 1000),            # n below one chunk
-        (1024, 2500),          # 1,250 rows: chunks of 1024 rows, last one 226
-        (2**20 + 3, 3),        # d above the chunk size: one row per chunk,
-                               # the second a lone +1 sample
-        (1, 2**20 + 5),        # d = 1: 2^19 + 3 rows, one partial chunk
-        (1, 3 * 2**17 + 11),   # 3 * 2^16 + 6 rows: a row block and 65,542
-        (1024, 30_001),        # last chunk 665 rows: 5 row blocks and 25
+        (1024, 2500),          # 313 rows, one chunk, the last row two scores
+        (1024, 10_000),        # 1,250 rows: chunks of 1024 rows, last one 226
+        (2**20 + 3, 3),        # d above the chunk size: one row, holding a
+                               # pair and a lone +1 sample
+        (2**20 + 3, 9),        # one row per chunk, the second one score,
+                               # a lone +1 sample
+        (1, 2**20 + 5),        # d = 1, d' = 4: 2^19 + 3 scores in 2^17 + 1
+                               # rows, one partial chunk of 2^18 rows
+        (1, 3 * 2**17 + 11),   # 3 * 2^16 + 6 scores in 49,154 rows: a row
+                               # block of 2^15 and 16,386, the last row two
+        (1024, 30_001),        # 3,751 rows, last chunk 679 rows: 5 row
+                               # blocks and 39, the last row one score
     ])
     def test_matches_materialized_reference(self, d, n):
         m = canonical_model(4, d, 0.2)
@@ -308,14 +348,14 @@ class TestBlockedMonteCarlo:
             assert got == want
 
     def test_ties_follow_sign_zero(self):
-        # sigma at the smallest subnormal rounds most scores sigma theta^T z
+        # sigma at the smallest subnormal rounds many scores sigma theta^T w
         # to exactly 0, so many paired margins 0 +- t are zero (standard
         # ties) ...
         m = GaussianModel(mu=np.zeros(2), sigma=5e-324, epsilon=0.0)
         theta = np.ones(2)
         seed = int(split_stream(44, 0).integers(0, 2**63))
-        zs = split_stream(seed, 0).standard_normal((1500, 2))  # the one chunk
-        t = m.sigma * np.einsum("ij,j->i", zs, theta)
+        zs = split_stream(seed, 0).standard_normal((375, 4))  # the one chunk
+        t = m.sigma * np.concatenate([w @ theta for w in _noise_images(zs, 2)])
         assert np.count_nonzero(np.concatenate([0.0 + t, 0.0 - t]) == 0.0) > 100
         got, want = self._both(m, theta, 3000, 44)
         assert got == want
@@ -328,8 +368,11 @@ class TestBlockedMonteCarlo:
         assert got[1] == 0.5
 
     @pytest.mark.parametrize("block,d,n", [
-        (1 << 20, 1024, 4500),  # 2,250 rows: 3 chunks, the last one 202 rows
-        (7, 3, 50),             # 25 rows: 13 chunks of 2 rows, the last 1
+        (1 << 20, 1024, 4500),    # 563 rows: one chunk, the last row two
+        (1 << 20, 1024, 18_000),  # 2,250 rows: 3 chunks, the last 202 rows
+        (7, 3, 50),               # 7 rows: 7 chunks of 1 row, the last one
+                                  # holding one score
+        (8, 3, 200),              # 25 rows: 13 chunks of 2 rows, the last 1
     ])
     def test_same_result_for_any_thread_count(self, monkeypatch, block, d, n):
         monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", block)
@@ -343,16 +386,19 @@ class TestBlockedMonteCarlo:
     @pytest.mark.parametrize("block_rows", [1, 7, 128])
     @pytest.mark.parametrize("d", [3, 64])
     def test_row_blocks_match_reference(self, monkeypatch, block_rows, d):
-        # chunks of 300 rows, n = 1000 in 500 rows: a ragged last chunk
-        # (200 rows), and neither 300 nor 200 a multiple of 7 or 128
-        monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", 300 * d)
-        monkeypatch.setattr(gaussian, "_MC_ROW_BLOCK_SCALARS", block_rows * d)
+        # chunks of 300 rows of d' = 4 ceil(d / 4), n = 4,000 in 500 rows:
+        # a ragged last chunk (200 rows), and neither 300 nor 200 a
+        # multiple of 7 or 128
+        width = -(-d // 4) * 4
+        monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", 300 * width)
+        monkeypatch.setattr(gaussian, "_MC_ROW_BLOCK_SCALARS",
+                            block_rows * width)
         m = canonical_model(4, d, 0.3)
         clf = LinearClassifier(theta=split_stream(49, d).standard_normal(d) + 0.3)
-        want = _chunked_mc(m, clf, 1000, split_stream(50, 0))
+        want = _chunked_mc(m, clf, 4000, split_stream(50, 0))
         for threads in (1, 2, 3, 5):
             monkeypatch.setattr(gaussian, "_mc_threads", lambda: threads)
-            assert mc_error_estimate(m, clf, 1000, split_stream(50, 0)) == want
+            assert mc_error_estimate(m, clf, 4000, split_stream(50, 0)) == want
 
     def test_traced_peak_is_two_row_blocks(self, monkeypatch):
         # two threads, each holding one row block of 128 x 1024 floats
@@ -368,8 +414,9 @@ class TestBlockedMonteCarlo:
         assert peak < 2 * 8 * gaussian._MC_ROW_BLOCK_SCALARS + 2**20
 
     def test_traced_peak_at_small_d_is_the_labels(self, monkeypatch):
-        # d = 1: 2^21 rows in chunks of 2^20 rows, one per thread; a thread
-        # holds one row block and its scores, no chunk-long array
+        # d = 1: 2^21 scores in 2^19 rows of d' = 4, in chunks of 2^18
+        # rows, one per thread; a thread holds one row block and its
+        # scores, no chunk-long array
         monkeypatch.setattr(gaussian, "_mc_threads", lambda: 2)
         m = canonical_model(4, 1, 0.25)
         clf = LinearClassifier(theta=np.ones(1))
@@ -416,18 +463,23 @@ class TestPairedMonteCarlo:
             assert sd <= math.sqrt(p * (1 - p) / n)
 
     @staticmethod
-    def _plus_misses(model, clf, seed, row):
-        # (standard, robust) misses of row's +1 sample x = mu + sigma z
-        rows = max(1, gaussian._MC_BLOCK_SCALARS // model.d)
+    def _plus_misses(model, clf, seed, score):
+        # (standard, robust) misses of score's +1 sample x = mu + sigma w,
+        # w = (L_j z)[:d] for the row z = score // 4 and unit j = score % 4
+        width = -(-model.d // 4) * 4
+        rows = max(1, gaussian._MC_BLOCK_SCALARS // width)
+        row = score // 4
         zs = split_stream(seed, row // rows).standard_normal(
-            (row % rows + 1, model.d))
-        score = float(np.sum((model.mu + model.sigma * zs[-1]) * clf.theta))
+            (row % rows + 1, width))
+        w = _noise_images(zs[-1:], model.d)[score % 4][0]
+        value = float(np.sum((model.mu + model.sigma * w) * clf.theta))
         shift = model.epsilon * float(np.sum(np.abs(clf.theta)))
-        return int(score < 0.0), int(score - shift < 0.0)
+        return int(value < 0.0), int(value - shift < 0.0)
 
     def test_odd_n_adds_a_lone_plus_one_sample(self, monkeypatch):
-        # chunks of 7 rows in row blocks of 3, so row k may open a chunk
-        # or a block; n = 2k + 1 adds row k's +1 sample and nothing else
+        # chunks of 7 rows in row blocks of 3, so score k's row may open a
+        # chunk or a block, and k may take any of a row's four places;
+        # n = 2k + 1 adds score k's +1 sample and nothing else
         monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", 7 * 16)
         monkeypatch.setattr(gaussian, "_MC_ROW_BLOCK_SCALARS", 3 * 16)
         m = canonical_model(4, 16, 0.45)
@@ -439,7 +491,7 @@ class TestPairedMonteCarlo:
                          mc_error_estimate(m, clf, n, split_stream(63, 0)))
 
         lone = []
-        for k in range(40):  # k = 0: the estimate at n = 1 is one +1 sample
+        for k in range(60):  # k = 0: the estimate at n = 1 is one +1 sample
             even = counts(2 * k) if k else (0, 0)
             want = self._plus_misses(m, clf, seed, k)
             assert tuple(o - e for o, e in zip(counts(2 * k + 1), even)) == want
@@ -455,27 +507,30 @@ class TestRobustOracle:
 
     @classmethod
     def _counts(cls, monkeypatch):
-        # 10,000 rows in chunks of 3,000 on 3 threads, the last one 1,000
-        monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", 2 * 3000)
+        # 10,000 scores in 2,500 rows of d' = 4, in chunks of 1,000 rows on
+        # 3 threads, the last one 500
+        monkeypatch.setattr(gaussian, "_MC_BLOCK_SCALARS", 4 * 1000)
         monkeypatch.setattr(gaussian, "_mc_threads", lambda: 3)
         m = canonical_model(4, 2, 0.3)
         theta = np.array([1.0, 0.35])
         _, rob = mc_error_estimate(m, LinearClassifier(theta=theta), cls.N,
                                    split_stream(51, 0))
         # redraw the points chunk by chunk from their substreams: each
-        # noise row z gives x = mu + sigma z at y = +1, -mu + sigma z at -1
+        # noise row z and unit j give w = (L_j z)[:2], and x = mu + sigma w
+        # at y = +1, -mu + sigma w at -1
         seed = int(split_stream(51, 0).integers(0, 2**63))
-        rows = gaussian._MC_BLOCK_SCALARS // 2
+        rows = gaussian._MC_BLOCK_SCALARS // 4
         corners = m.epsilon * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
         misses = 0
-        for k, start in enumerate(range(0, cls.N // 2, rows)):
+        for k, start in enumerate(range(0, cls.N // 8, rows)):
             zs = split_stream(seed, k).standard_normal(
-                (min(rows, cls.N // 2 - start), 2))
-            for y in (1, -1):
-                xs = y * m.mu + m.sigma * zs
-                scores = (xs[:, None, :] + corners[None]) @ theta
-                preds = np.where(scores >= 0.0, 1, -1)  # sign(0) = +1
-                misses += int(np.count_nonzero((preds != y).any(axis=1)))
+                (min(rows, cls.N // 8 - start), 4))
+            for w in _noise_images(zs, 2):
+                for y in (1, -1):
+                    xs = y * m.mu + m.sigma * w
+                    scores = (xs[:, None, :] + corners[None]) @ theta
+                    preds = np.where(scores >= 0.0, 1, -1)  # sign(0) = +1
+                    misses += int(np.count_nonzero((preds != y).any(axis=1)))
         return round(rob * cls.N), misses
 
     def test_robust_misses_match_the_vertices(self, monkeypatch):
@@ -493,6 +548,70 @@ class TestRobustOracle:
                             lambda model, clf: mutate(*stats(model, clf)))
         got, want = self._counts(monkeypatch)
         assert got != want
+
+
+def _gram_error(units, theta):
+    # largest |G - ||theta||^2 I| over the Gram matrix G of the score
+    # vectors L_j^T theta~, relative to ||theta||^2
+    vectors = np.array(_score_vectors(theta, units))
+    sq = float(np.sum(theta * theta))
+    return float(np.max(np.abs(vectors @ vectors.T - sq * np.eye(4)))) / sq
+
+
+class TestFourScores:
+    """One noise row gives four independent scores: the score vectors are
+    orthogonal with norm ||theta||, for every d."""
+
+    DIMS = (1, 2, 3, 5, 16, 1023, 1024)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_gram_matrix_is_a_multiple_of_the_identity(self, d):
+        theta = split_stream(70, d).standard_normal(d) + 0.1
+        assert _gram_error(_UNITS, theta) < 1e-14
+
+    @pytest.mark.parametrize("j,r", [(j, r) for j in range(4)
+                                     for r in range(4)])
+    def test_one_flipped_sign_breaks_the_gram_matrix(self, j, r):
+        # flip the one nonzero of row r of unit j's matrix
+        units = _UNITS.copy()
+        units[j, r] *= -1.0
+        worst = max(_gram_error(units, split_stream(70, d).standard_normal(d)
+                                + 0.1) for d in self.DIMS)
+        assert worst > 1e-3
+
+    def test_a_rows_four_scores_are_uncorrelated(self):
+        # explicit points x = mu + sigma (L_j z)[:d] from one row z each
+        rows, d = 200_000, 16
+        m = canonical_model(4, d, 0.25)
+        theta = split_stream(71, 0).standard_normal(d) + 0.3
+        zs = split_stream(71, 1).standard_normal((rows, d))
+        scores = np.array([(m.mu + m.sigma * w) @ theta
+                           for w in _noise_images(zs, d)])
+        corr = np.corrcoef(scores)
+        off = corr[~np.eye(4, dtype=bool)]
+        assert np.all(np.abs(off) < 5 / math.sqrt(rows)), corr
+        sd = m.sigma * math.sqrt(float(np.sum(theta * theta)))
+        assert np.allclose(np.std(scores, axis=1), sd, rtol=0.01)
+
+    def test_draws_a_quarter_of_the_normals(self, monkeypatch):
+        # n = 100,000 at d = 1024: 50,000 scores in 12,500 rows
+        drawn = []
+
+        class Counted:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.gen.standard_normal(*args, **kwargs)
+                drawn.append(out.size)
+                return out
+
+        monkeypatch.setattr(gaussian, "split_stream",
+                            lambda seed, k: Counted(split_stream(seed, k)))
+        m = canonical_model(4, 1024, 0.25)
+        mc_error_estimate(m, LinearClassifier(theta=np.ones(1024)), 100_000,
+                          split_stream(72, 0))
+        assert sum(drawn) == 12_500 * 1024 == 12_800_000
 
 
 def test_run_blocks_reuses_its_workers():
