@@ -333,10 +333,12 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     if l2 == 0.0:
         raise ValueError("theta must be nonzero")
     width = -(-model.d // 4) * 4  # d'
-    padded = np.zeros(width)
-    padded[:model.d] = clf.theta
-    quads = padded.reshape(-1, 4)[:, _QUATERNION_PERM] * _QUATERNION_SIGN
-    images = quads.transpose(1, 0, 2).reshape(4, width)  # a C-order copy
+    images = np.zeros((4, width))  # L_j^T theta~, built in place
+    images[0, :model.d] = clf.theta
+    quads = images.reshape(4, -1, 4)
+    for j, c in np.ndindex(4, 4):  # j = 0 copies theta~ onto itself
+        np.multiply(quads[0][:, _QUATERNION_PERM[j, c]],
+                    _QUATERNION_SIGN[j, c], out=quads[j][:, c])
     n_scores, n_pairs = -(-n_samples // 2), n_samples // 2
     n_rows = -(-n_scores // 4)
     rows = max(1, _MC_BLOCK_SCALARS // width)

@@ -431,6 +431,21 @@ class TestBlockedMonteCarlo:
         assert got == want
         assert peak <= 24 * 2**20
 
+    def test_traced_peak_above_the_chunk_size(self, monkeypatch):
+        # d' = 2^20 + 4, one row per chunk: the call holds one row buffer
+        # and the four score vectors, 5 d' floats, and no other d'-array
+        monkeypatch.setattr(gaussian, "_mc_threads", lambda: 1)
+        d = 2**20 + 3
+        m = canonical_model(4, d, 0.25)
+        clf = LinearClassifier(theta=np.ones(d))
+        tracemalloc.start()
+        try:
+            mc_error_estimate(m, clf, 9, split_stream(46, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * (d + 1) + 2**20
+
     def test_traced_peak_is_one_block(self, monkeypatch):
         # two threads, each holding one chunk buffer of 1024 x 1024 floats
         monkeypatch.setattr(gaussian, "_mc_threads", lambda: 2)
