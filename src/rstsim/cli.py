@@ -256,6 +256,8 @@ def _check_out(out_path: str) -> None:
     directory = os.path.dirname(out_path) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"output directory {directory!r} does not exist")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise ValueError(f"output directory {directory!r} is not writable")
     for path in (out_path, summary_path_for(out_path)):
         if os.path.isdir(path):
             raise ValueError(f"output path {path!r} is a directory")

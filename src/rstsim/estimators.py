@@ -30,7 +30,7 @@ from .gaussian import (
     _signed_rows,
     run_blocks,
 )
-from .statkit import RngStream, split_stream
+from .statkit import RngStream, _at_least, split_stream
 
 
 @dataclass(frozen=True)
@@ -247,9 +247,7 @@ def self_train(labeled: LabeledSet, unlabeled: UnlabeledSet) -> SelfTrainResult:
 
 def _pool_split(n_unlabeled: int, relevant_fraction: float) -> tuple[int, int]:
     """(relevant, irrelevant) point counts of a pool."""
-    n_unlabeled = int(n_unlabeled)
-    if n_unlabeled < 1:
-        raise ValueError(f"n_unlabeled must be >= 1, got {n_unlabeled}")
+    n_unlabeled = _at_least("n_unlabeled", int(n_unlabeled), 1)
     relevant_fraction = float(relevant_fraction)
     if not (0.0 <= relevant_fraction <= 1.0):
         raise ValueError(
@@ -368,11 +366,9 @@ def trial_draws(model: GaussianModel, arms, stream: RngStream,
     over the work's threads.
     """
     work = work if work is not None else TrialWork(model.d, arms)
-    arms = [(int(n), n_unlabeled and _pool_split(n_unlabeled, fraction))
+    arms = [(_at_least("n_labeled", int(n), 1),
+             n_unlabeled and _pool_split(n_unlabeled, fraction))
             for n, n_unlabeled, fraction in arms]
-    for n, _ in arms:
-        if n < 1:
-            raise ValueError(f"n_labeled must be >= 1, got {n}")
     mu, sigma, d = model.mu, model.sigma, model.d
     z1, self_trains = work.z1, any(split for _, split in arms)
     seed = int(stream.integers(0, 2**63))

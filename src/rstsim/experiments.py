@@ -44,6 +44,7 @@ from .smoothing import (
 )
 from .statkit import (
     RngStream,
+    _at_least,
     binomial_upper_tail,
     poisson_binomial_two_sided,
     split_stream,
@@ -89,12 +90,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.trial_count < 1:
-            raise ValueError("trial_count must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
+        for name in ("trial_count", "workers", "mc_samples", "stage1_steps"):
+            _at_least(name, getattr(self, name), 1)
+        _at_least("stage1_learning_rate", self.stage1_learning_rate, 0,
+                  strict=True)
+        _at_least("stage1_batch", self.stage1_batch, 0)
 
     def model(self) -> GaussianModel:
         return canonical_model(self.n0, self.d, self.epsilon,
@@ -231,9 +231,7 @@ def _pool_size(spec: ExperimentSpec) -> int:
     """The self-training pool: spec.n_unlabeled, else the 288-threshold."""
     n_tilde = (spec.n_unlabeled if spec.n_unlabeled is not None
                else selftrain_pool_threshold(spec.n0, spec.d, spec.epsilon))
-    if n_tilde < 1:
-        raise ValueError(f"n_unlabeled must be >= 1, got {n_tilde}")
-    return n_tilde
+    return _at_least("n_unlabeled", n_tilde, 1)
 
 
 def _run_arms(spec: ExperimentSpec, arms) -> tuple[list[TrialRow],
@@ -347,8 +345,8 @@ def run_unlabeled_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
         raise ValueError("unlabeled_sweep needs a nonempty n_unlabeled_grid")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_unlabeled_grid must be ascending")
-    if any(g < 0 for g in grid):
-        raise ValueError("n_unlabeled_grid entries must be >= 0")
+    for g in grid:
+        _at_least("n_unlabeled_grid entries", g, 0)
     n = _labeled_count(spec)
     return _run_arms(spec, [
         ("unlabeled_sweep", "n_unlabeled", str(n_tilde), n, n_tilde, 1.0)
@@ -385,8 +383,8 @@ def run_label_sweep(spec: ExperimentSpec) -> tuple[list[TrialRow],
     grid = spec.n_labeled_grid
     if not grid:
         raise ValueError("label_sweep needs a nonempty n_labeled_grid")
-    if any(g < 1 for g in grid):
-        raise ValueError("n_labeled_grid entries must be >= 1")
+    for g in grid:
+        _at_least("n_labeled_grid entries", g, 1)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_labeled_grid must be ascending")
     spec.model()  # canonical_model vets the model point before any threshold
@@ -421,8 +419,7 @@ def run_rst_demo(spec: ExperimentSpec) -> tuple[list[TrialRow],
     model = spec.model()
     n = _labeled_count(spec)
     n_tilde = spec.n_unlabeled if spec.n_unlabeled is not None else 3_000
-    if n_tilde < 1:
-        raise ValueError("rst_demo needs n_unlabeled >= 1")
+    _at_least("n_unlabeled", n_tilde, 1)
     config = (spec.rst_config if spec.rst_config is not None
               else default_rst_config(spec.epsilon))
     trials = spec.trial_count

@@ -14,12 +14,18 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .statkit import RngStream, gaussian_cdf, q_function, split_stream
+from .statkit import (
+    RngStream,
+    _at_least,
+    gaussian_cdf,
+    q_function,
+    split_stream,
+)
 
 
 def _as_float_vector(v, name: str) -> np.ndarray:
@@ -51,10 +57,8 @@ class GaussianModel:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", _as_float_vector(self.mu, "mu"))
-        if not (self.sigma > 0.0) or not np.isfinite(self.sigma):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
-        if not (self.epsilon >= 0.0) or not np.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be >= 0 and finite, got {self.epsilon!r}")
+        _at_least("sigma", self.sigma, 0, strict=True)
+        _at_least("epsilon", self.epsilon, 0)
 
     @property
     def d(self) -> int:
@@ -112,12 +116,7 @@ def _as_point(clf: LinearClassifier, x) -> np.ndarray:
 
 def canonical_sigma(n0: int, d: int) -> float:
     """The scaling family's noise scale (n0 d)^(1/4), without building mu."""
-    n0 = int(n0)
-    d = int(d)
-    if n0 < 1:
-        raise ValueError(f"n0 must be >= 1, got {n0}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    n0, d = _at_least("n0", int(n0), 1), _at_least("d", int(d), 1)
     return float((n0 * d) ** 0.25)
 
 
@@ -164,9 +163,7 @@ def sample_labeled(model: GaussianModel, n: int, stream: RngStream) -> LabeledSe
     Draw order (fixed for reproducibility): n label bits first, then the
     (n, d) noise matrix row-major (_signed_rows).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _at_least("n", int(n), 1)
     ys = 2 * stream.integers(0, 2, size=n, dtype=np.int64) - 1
     return LabeledSet(xs=_signed_rows(model, ys, n, stream), ys=ys)
 
@@ -326,9 +323,7 @@ def mc_error_estimate(model: GaussianModel, clf: LinearClassifier,
     block size. The scores come from einsum, not BLAS, so nothing depends
     on BLAS threads either. Memory is O(threads * block d').
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _at_least("n_samples", int(n_samples), 1)
     mu_dot, l2, l1 = alignment_stats(model, clf)
     if l2 == 0.0:
         raise ValueError("theta must be nonzero")

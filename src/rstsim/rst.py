@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import LinearClassifier, _as_point
-from .statkit import RngStream, gaussian_cdf
+from .statkit import RngStream, _at_least, gaussian_cdf
 
 _CLAMP = 1e-12
 _REG_KINDS = ("adversarial_exact", "adversarial_pg", "stability")
@@ -125,16 +125,13 @@ class RstConfig:
     equal_parts_batches: bool = False
 
     def __post_init__(self):
-        if self.beta < 0 or self.w_unlabeled < 0:
-            raise ValueError("beta and w_unlabeled must be nonnegative")
-        if self.epsilon < 0 or self.noise_sigma < 0:
-            raise ValueError("epsilon and noise_sigma must be nonnegative")
-        if self.noise_samples < 1 or self.pg_steps < 1:
-            raise ValueError("noise_samples and pg_steps must be >= 1")
-        if self.pg_step_size <= 0 or self.learning_rate <= 0:
-            raise ValueError("pg_step_size and learning_rate must be positive")
-        if self.grad_steps < 1 or self.batch_size < 0:
-            raise ValueError("grad_steps must be >= 1 and batch_size >= 0")
+        for name in ("beta", "w_unlabeled", "epsilon", "noise_sigma",
+                     "batch_size"):
+            _at_least(name, getattr(self, name), 0)
+        for name in ("noise_samples", "pg_steps", "grad_steps"):
+            _at_least(name, getattr(self, name), 1)
+        for name in ("pg_step_size", "learning_rate"):
+            _at_least(name, getattr(self, name), 0, strict=True)
         if self.reg_kind not in _REG_KINDS:
             raise ValueError(f"reg_kind must be one of {_REG_KINDS}")
 
@@ -170,9 +167,7 @@ def adversarial_reg_exact(model: LogisticModel, x,
     one of the two extreme points x -+ eps sign(theta). Returns the larger
     KL and its achieving perturbation; ties pick the -sign(theta) endpoint.
     """
-    epsilon = float(epsilon)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    epsilon = _at_least("epsilon", float(epsilon), 0)
     x = _as_point(model, x)
     theta = model.theta
     s = float(np.sum(theta * x))
@@ -265,15 +260,9 @@ def adversarial_reg_pg(model: LogisticModel, x, epsilon: float, steps: int,
     every iterate stays in the ball. Draw order: one uniform (1, d) start
     offset.
     """
-    epsilon = float(epsilon)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    step_size = float(step_size)
-    if step_size <= 0:
-        raise ValueError(f"step_size must be positive, got {step_size}")
+    epsilon = _at_least("epsilon", float(epsilon), 0)
+    steps = _at_least("steps", int(steps), 1)
+    step_size = _at_least("step_size", float(step_size), 0, strict=True)
     x = _as_point(model, x)
     vals, worst = _pg_worst_batch(model.theta, x[None, :], epsilon, steps,
                                   step_size, [stream])
@@ -289,12 +278,8 @@ def stability_reg(model: LogisticModel, x, noise_sigma: float, n_noise: int,
     sampled term, holding the noise fixed; clamped probabilities contribute
     zero through the clamped argument.
     """
-    noise_sigma = float(noise_sigma)
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    n_noise = int(n_noise)
-    if n_noise < 1:
-        raise ValueError(f"n_noise must be >= 1, got {n_noise}")
+    noise_sigma = _at_least("noise_sigma", float(noise_sigma), 0)
+    n_noise = _at_least("n_noise", int(n_noise), 1)
     x = _as_point(model, x)
     theta = model.theta
     noisy = x[None, :] + noise_sigma * stream.standard_normal((n_noise, x.size))
@@ -347,8 +332,8 @@ def robust_objective(theta: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     if ys.shape != xs.shape[:-1] or weights.shape != xs.shape[:-1]:
         raise ValueError("xs, ys, weights lengths differ")
     total_w = np.sum(weights, axis=-1)
-    if np.any(total_w <= 0):
-        raise ValueError("weights must have positive total")
+    if not np.all(np.isfinite(total_w) & (total_w > 0)):
+        raise ValueError("weights must have a positive, finite total")
     streams = stream if stacked or stream is None else [stream]
     # a scalar per problem, as a column against per-example and d arrays
     total_col = total_w[..., None]
@@ -461,8 +446,7 @@ def _lockstep_sgd(update: Callable, xs, ys, weights, stream,
     if not np.all(np.isin(ys[:, :n_rows], (-1.0, 1.0))):
         raise ValueError("labels and pseudo-labels must be +-1")
     if equal_parts:
-        if batch_size < 2:
-            raise ValueError("equal_parts_batches needs batch_size >= 2")
+        _at_least("batch_size with equal_parts_batches", batch_size, 2)
         if n_rows == n_labeled:
             raise ValueError("equal_parts_batches needs unlabeled rows")
     half = batch_size // 2
@@ -510,13 +494,10 @@ def standard_train(xs, ys, learning_rate: float, grad_steps: int,
     n_rows rows (default all). batch_size = 0 runs deterministic full-batch
     descent.
     """
-    learning_rate = float(learning_rate)
-    if learning_rate <= 0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-    grad_steps = int(grad_steps)
-    batch_size = int(batch_size)
-    if grad_steps < 1 or batch_size < 0:
-        raise ValueError("grad_steps must be >= 1 and batch_size >= 0")
+    learning_rate = _at_least("learning_rate", float(learning_rate), 0,
+                              strict=True)
+    grad_steps = _at_least("grad_steps", int(grad_steps), 1)
+    batch_size = _at_least("batch_size", int(batch_size), 0)
 
     def update(theta, bx, by, bw, streams):
         # (rate * sum) / b, not rate * mean: stage one's rounding order
@@ -569,9 +550,7 @@ def smoothed_predict_exact(model: LogisticModel, x,
     probability Phi(theta^T x / (sigma ||theta||_2)). Returns the majority
     label (ties go to +1) and its exact vote probability.
     """
-    noise_sigma = float(noise_sigma)
-    if noise_sigma <= 0:
-        raise ValueError(f"noise_sigma must be positive, got {noise_sigma}")
+    noise_sigma = _at_least("noise_sigma", float(noise_sigma), 0, strict=True)
     x = _as_point(model, x)
     theta = model.theta
     l2 = float(np.sqrt(np.sum(theta * theta)))

@@ -23,6 +23,7 @@ import numpy as np
 from .gaussian import LabeledSet, LinearClassifier, vote_probabilities
 from .statkit import (
     RngStream,
+    _at_least,
     clopper_pearson_lower,
     gaussian_cdf,
     inverse_gaussian_cdf,
@@ -44,11 +45,10 @@ class SmoothingConfig:
     conf_alpha: float = 1e-3
 
     def __post_init__(self):
-        if not (self.noise_sigma > 0) or not math.isfinite(self.noise_sigma):
-            raise ValueError(f"noise_sigma must be positive, got {self.noise_sigma}")
-        if self.n0_selection < 1 or self.n_estimation < 1:
-            raise ValueError("selection and estimation counts must be >= 1")
-        if not (0.0 < self.conf_alpha < 1.0):
+        _at_least("noise_sigma", self.noise_sigma, 0, strict=True)
+        _at_least("n0_selection", self.n0_selection, 1)
+        _at_least("n_estimation", self.n_estimation, 1)
+        if not 0.0 < self.conf_alpha < 1.0:
             raise ValueError(f"conf_alpha must be in (0,1), got {self.conf_alpha}")
 
 
@@ -175,12 +175,9 @@ def min_votes_for_radius(radius: float, config: SmoothingConfig) -> int:
 def linf_radius_from_l2(r: float, d: int) -> float:
     """Side of the largest l-infinity ball inside an l2 ball of radius r."""
     r = float(r)
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return r / math.sqrt(d)
+    return r / math.sqrt(_at_least("d", int(d), 1))
 
 
 def certified_accuracy_curve(base, xs, ys, radii, config: SmoothingConfig,

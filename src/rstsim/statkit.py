@@ -26,6 +26,17 @@ _MASK64 = (1 << 64) - 1
 _GAMMA64 = 0x9E3779B97F4A7C15
 
 
+def _at_least(name: str, value, low, *, strict: bool = False):
+    """value, when it is finite and >= low (> low when strict); otherwise a
+    ValueError naming it. NaN and +-inf never pass."""
+    if ((value > low if strict else value >= low)
+            and (isinstance(value, int) or math.isfinite(value))):
+        return value
+    finite = "" if isinstance(value, int) else " and finite"
+    raise ValueError(f"{name} must be {'>' if strict else '>='} {low}{finite}, "
+                     f"got {value!r}")
+
+
 def q_function(t: float) -> float:
     """Standard normal upper tail Q(t) = P(Z > t).
 
@@ -55,7 +66,7 @@ def inverse_gaussian_cdf(p: float) -> float:
     Raises ValueError for p outside (0, 1) or NaN.
     """
     p = float(p)
-    if math.isnan(p) or not (0.0 < p < 1.0):
+    if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
     if p == 0.5:
         return 0.0
@@ -105,9 +116,7 @@ def binomial_upper_tail(k: int, n: int, p):
     coefficients.
     """
     k = int(k)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _at_least("n", int(n), 1)
     ps = np.asarray(p, dtype=np.float64)
     outside = ps[~((ps >= 0.0) & (ps <= 1.0))]
     if outside.size:
@@ -157,13 +166,11 @@ def clopper_pearson_lower(successes: int, draws: int, conf_alpha: float) -> floa
     to 0.0 (no p makes the certain event rare).
     """
     k = int(successes)
-    n = int(draws)
+    n = _at_least("draws", int(draws), 1)
     alpha = float(conf_alpha)
-    if n < 1:
-        raise ValueError(f"draws must be >= 1, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"successes must lie in [0, {n}], got {k}")
-    if math.isnan(alpha) or not (0.0 < alpha < 1.0):
+    if not 0.0 < alpha < 1.0:
         raise ValueError(f"conf_alpha must lie strictly inside (0, 1), got {alpha!r}")
     if k == 0:
         return 0.0
@@ -206,8 +213,6 @@ def split_stream(master_seed: int, index: int) -> RngStream:
     version however many workers consume the streams, in any order.
     """
     master_seed = int(master_seed)
-    index = int(index)
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
+    index = _at_least("index", int(index), 0)
     mixed = _mix64((master_seed & _MASK64) ^ ((index * _GAMMA64) & _MASK64))
     return np.random.Generator(np.random.SFC64(mixed))

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import warnings
 
 import pytest
 
@@ -111,7 +112,8 @@ def test_unwritable_out_exits_one(capsys):
 
 
 @pytest.mark.parametrize("case", ["missing-dir", "empty-in-config",
-                                  "directory", "summary-directory"])
+                                  "directory", "summary-directory",
+                                  "unwritable-dir"])
 def test_unwritable_out_exits_one_before_the_run(monkeypatch, tmp_path,
                                                  capsys, case):
     def refuse(spec):
@@ -127,6 +129,11 @@ def test_unwritable_out_exits_one_before_the_run(monkeypatch, tmp_path,
         argv += ["--config", str(cfg)]
     elif case == "directory":
         argv[-1] = str(tmp_path)
+    elif case == "unwritable-dir":
+        # permission bits do not stop root, so the refusal is simulated
+        asked = []
+        monkeypatch.setattr(cli.os, "access",
+                            lambda path, mode: asked.append((path, mode)))
     else:
         (tmp_path / "x.csv.summary.csv").mkdir()
     before = sorted(p.name for p in tmp_path.iterdir())
@@ -134,6 +141,10 @@ def test_unwritable_out_exits_one_before_the_run(monkeypatch, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if case == "unwritable-dir":
+        assert asked == [(str(tmp_path), cli.os.W_OK | cli.os.X_OK)]
+        assert err == (f"error: output directory {str(tmp_path)!r} "
+                       "is not writable\n")
 
 
 def test_memory_error_exits_one_with_one_line(monkeypatch, tmp_path, capsys):
@@ -191,6 +202,31 @@ def test_nan_radius_exits_one_naming_it(tmp_path, capsys, radii):
     err = capsys.readouterr().err
     assert err == "error: radius must be >= 0, got nan\n"
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("sub, flag, field", [
+    ("rst-demo", "--eps", "epsilon"),
+    ("rst-demo", "--beta", "beta"),
+    ("rst-demo", "--w-unlabeled", "w_unlabeled"),
+    ("rst-demo", "--learning-rate", "learning_rate"),
+    ("rst-demo", "--stage1-learning-rate", "stage1_learning_rate"),
+    ("certify-demo", "--noise-sigma", "noise_sigma"),
+    ("certify-demo", "--conf-alpha", "conf_alpha")])
+def test_non_finite_option_exits_one_naming_it(tmp_path, capsys, sub, flag,
+                                               field, value):
+    # refused before anything is sampled: one line, no numpy warning, no file
+    argv = [sub, flag, value, "--trials", "1", "--out", str(tmp_path / "x.csv")]
+    if flag == "--eps":
+        argv.append("--allow-large-eps")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("sub, flag, value, kind", [

@@ -355,6 +355,27 @@ def test_empty_unlabeled_pool_is_refused(kind, grid):
         RUNNERS[kind](spec)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("stage1_learning_rate", math.nan,
+     "stage1_learning_rate must be > 0 and finite, got nan"),
+    ("stage1_learning_rate", math.inf,
+     "stage1_learning_rate must be > 0 and finite, got inf"),
+    ("stage1_learning_rate", 0.0,
+     "stage1_learning_rate must be > 0 and finite, got 0.0"),
+    ("stage1_steps", 0, "stage1_steps must be >= 1, got 0"),
+    ("stage1_batch", -1, "stage1_batch must be >= 0, got -1"),
+    ("trial_count", 0, "trial_count must be >= 1, got 0")])
+def test_spec_refuses_a_scalar_out_of_range_by_name(field, value, message):
+    # stage one's knobs are refused when the spec is built, before any draw
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentSpec(kind="rst_demo", **{field: value})
+
+
+def test_rst_demo_refuses_an_empty_pool_by_name():
+    with pytest.raises(ValueError, match="^n_unlabeled must be >= 1, got 0$"):
+        run_rst_demo(_small_rst_spec(n_unlabeled=0))
+
+
 def _small_rst_spec(**kw):
     base = dict(kind="rst_demo", n0=8, d=10, epsilon=0.2, trial_count=2,
                 n_unlabeled=20, master_seed=3,

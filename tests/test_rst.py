@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,40 @@ def assert_close_grad(analytic, numeric, rel):
     denom = max(float(np.sqrt(np.sum(analytic**2))), 1e-12)
     gap = float(np.sqrt(np.sum((analytic - numeric) ** 2)))
     assert gap / denom <= rel, f"gradient gap {gap/denom:.3e} > {rel}"
+
+
+_POINT = np.array([0.5, 0.25])
+
+
+def _unit():
+    return LogisticModel(theta=np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name, call", [
+    pytest.param("epsilon", lambda v: adversarial_reg_exact(_unit(), _POINT, v),
+                 id="adversarial_reg_exact"),
+    pytest.param("epsilon", lambda v: adversarial_reg_pg(
+        _unit(), _POINT, v, 3, 0.1, split_stream(1, 0)),
+                 id="adversarial_reg_pg-epsilon"),
+    pytest.param("step_size", lambda v: adversarial_reg_pg(
+        _unit(), _POINT, 0.1, 3, v, split_stream(1, 0)),
+                 id="adversarial_reg_pg-step_size"),
+    pytest.param("noise_sigma", lambda v: stability_reg(
+        _unit(), _POINT, v, 4, split_stream(1, 0)), id="stability_reg"),
+    pytest.param("noise_sigma", lambda v: smoothed_predict_exact(
+        _unit(), _POINT, v), id="smoothed_predict_exact"),
+    pytest.param("learning_rate", lambda v: standard_train(
+        np.eye(2), [1, -1], v, 3, 0, split_stream(1, 0)), id="standard_train"),
+    *[pytest.param(field, lambda v, field=field: RstConfig(**{field: v}),
+                   id=f"RstConfig-{field}")
+      for field in ("beta", "w_unlabeled", "epsilon", "noise_sigma",
+                    "pg_step_size", "learning_rate")]])
+def test_non_finite_scalar_is_refused_by_name(name, call, bad):
+    # each returned nan or trained on a nan rate before the shared check
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be >=? 0 and finite, got {bad!r}$"):
+        call(bad)
 
 
 class TestLogisticModel:
@@ -405,6 +440,21 @@ class TestRobustObjective:
             num = fd_gradient(lambda t: robust_objective(t, xs, ys, w, cfg)[0], theta)
             assert_close_grad(grad, num, 1e-5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_total_is_refused(self, bad):
+        # one such weight made the value and gradient nan
+        theta, xs, ys, w = self._data(125)
+        w[3] = bad
+        cfg = RstConfig(beta=1.0, epsilon=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive, finite total"):
+                robust_objective(theta, xs, ys, w, cfg)
+            with pytest.raises(ValueError, match="positive, finite total"):
+                robust_objective(np.stack([theta, theta]), np.stack([xs, xs]),
+                                 np.stack([ys, ys]),
+                                 np.stack([np.ones_like(w), w]), cfg)
+
     def test_pg_gradient_matches_fd(self):
         cfg = RstConfig(beta=1.5, epsilon=0.25, reg_kind="adversarial_pg",
                         pg_steps=40, pg_step_size=0.05)
@@ -706,6 +756,13 @@ class TestLockstep:
         cfg = RstConfig(batch_size=4, equal_parts_batches=True)
         with pytest.raises(ValueError, match="unlabeled rows"):
             rst_train(xs, ys, weights, 5, cfg, _streams(2), n_rows=5)
+
+    def test_equal_parts_needs_a_batch_of_two(self):
+        xs, ys, weights = _stacked(_problems(2), 1.0)
+        cfg = RstConfig(batch_size=1, equal_parts_batches=True)
+        with pytest.raises(ValueError, match="^batch_size with equal_parts_"
+                           "batches must be >= 2, got 1$"):
+            rst_train(xs, ys, weights, 5, cfg, _streams(2))
 
     def test_objective_rejects_mismatched_stacking(self):
         cfg = RstConfig()

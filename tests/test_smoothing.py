@@ -56,6 +56,15 @@ class TestConfigAndResult:
         with pytest.raises(ValueError):
             SmoothingConfig(conf_alpha=1.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("noise_sigma", math.nan, "noise_sigma must be > 0 and finite, got nan"),
+        ("noise_sigma", math.inf, "noise_sigma must be > 0 and finite, got inf"),
+        ("n0_selection", 0, "n0_selection must be >= 1, got 0"),
+        ("n_estimation", 0, "n_estimation must be >= 1, got 0")])
+    def test_config_names_the_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SmoothingConfig(**{field: value})
+
     def test_result_invariants_enforced(self):
         with pytest.raises(ValueError):
             CertifyResult(certified=True, label=1, radius=0.5, p_lower=0.4,
@@ -169,6 +178,11 @@ class TestRadiusConversion:
             linf_radius_from_l2(-0.1, 4)
         with pytest.raises(ValueError):
             linf_radius_from_l2(0.4, 0)
+
+    def test_nan_radius_is_refused_and_inf_maps_to_inf(self):
+        with pytest.raises(ValueError, match="^r must be >= 0, got nan$"):
+            linf_radius_from_l2(math.nan, 4)
+        assert linf_radius_from_l2(math.inf, 4) == math.inf
 
 
 class TestAccuracyCurve:

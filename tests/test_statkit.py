@@ -6,6 +6,7 @@ simulation for the confidence bound.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rstsim.statkit import (
+    _at_least,
     binomial_upper_tail,
     clopper_pearson_lower,
     inverse_gaussian_cdf,
@@ -169,6 +171,10 @@ class TestBinomialUpperTail:
         assert binomial_upper_tail(3, 10, 0.0) == 0.0
         assert binomial_upper_tail(3, 10, 1.0) == 1.0
 
+    def test_rejects_no_trials(self):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            binomial_upper_tail(0, 0, 0.5)
+
     def test_single_term(self):
         assert binomial_upper_tail(10, 10, 0.5) == pytest.approx(0.5 ** 10, rel=1e-12)
 
@@ -297,6 +303,28 @@ class TestSplitStream:
         draws = split_stream(99, 0).standard_normal(1_000_000)
         assert abs(draws.mean()) <= 5.0 / math.sqrt(1_000_000)
         assert abs(draws.var() - 1.0) <= 5.0 * math.sqrt(2.0 / 1_000_000)
+
+
+class TestAtLeast:
+    def test_returns_the_value_it_accepts(self):
+        assert _at_least("n", 1, 1) == 1
+        assert _at_least("x", 0.0, 0) == 0.0
+        assert _at_least("x", 1e-300, 0, strict=True) == 1e-300
+        assert _at_least("n", 10**400, 1) == 10**400  # no float conversion
+
+    @pytest.mark.parametrize("value, low, strict, message", [
+        (0, 1, False, "n must be >= 1, got 0"),
+        (-1, 0, False, "n must be >= 0, got -1"),
+        (0.0, 0, True, "n must be > 0 and finite, got 0.0"),
+        (-0.5, 0, False, "n must be >= 0 and finite, got -0.5"),
+        (math.nan, 0, False, "n must be >= 0 and finite, got nan"),
+        (math.nan, 0, True, "n must be > 0 and finite, got nan"),
+        (math.inf, 0, False, "n must be >= 0 and finite, got inf"),
+        (math.inf, 1, True, "n must be > 1 and finite, got inf"),
+        (-math.inf, 0, False, "n must be >= 0 and finite, got -inf")])
+    def test_refuses_with_one_message(self, value, low, strict, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _at_least("n", value, low, strict=strict)
 
 
 class TestPoissonBinomialTail:
